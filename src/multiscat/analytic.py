@@ -9,7 +9,8 @@ the propagation direction, the scattered field is
 over all integer n.  On r = a the sum collapses to minus the Jacobi-Anger
 expansion of the incident wave, which is exactly the sound-soft boundary
 condition; that cancellation doubles as the primary correctness test.  The
-series is summed symmetrically in +-n, so each |n| costs one Bessel pair.
+n and -n terms are equal, so the sum runs over n >= 0 with the n > 0 terms
+doubled, and one vectorised Hankel call serves every order and point.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dataclasses
 import math
 
 import numpy as np
+import scipy
 
 from . import specfun
 
@@ -69,15 +71,10 @@ def mie_scattered(cfg: MieConfig, points) -> np.ndarray:
     orders = np.arange(nmax + 1)
     j_a, y_a = specfun.bessel_arrays(nmax, cfg.k * cfg.radius)
     coeff = (1j ** orders) * j_a / (j_a + 1j * y_a)
+    coeff[1:] *= 2.0
 
     bx, by = cfg.beta
     theta = np.arctan2(bx * d[:, 1] - by * d[:, 0], d[:, 0] * bx + d[:, 1] * by)
     cos_n = np.cos(orders[:, None] * theta[None, :])
-
-    out = np.empty(pts.shape[0], dtype=complex)
-    for i in range(pts.shape[0]):
-        j_r, y_r = specfun.bessel_arrays(nmax, cfg.k * r[i])
-        h_r = j_r + 1j * y_r
-        terms = coeff * h_r * cos_n[:, i]
-        out[i] = -(terms[0] + 2.0 * terms[1:].sum())
-    return out
+    h_r = scipy.special.hankel1(orders[:, None], cfg.k * r[None, :])
+    return -np.einsum("n,nm,nm->m", coeff, h_r, cos_n)

@@ -379,18 +379,6 @@ def assemble_single_layer(mesh, k: float) -> AssembledOperator:
     return assemble_operators(mesh, k, kinds=("single_layer",))["single_layer"]
 
 
-def assemble_double_layer(mesh, k: float) -> AssembledOperator:
-    """Galerkin matrix of the double-layer operator M, kernel -d/dn(y) G."""
-    return assemble_operators(mesh, k, kinds=("double_layer",))["double_layer"]
-
-
-def assemble_adjoint_double_layer(mesh, k: float) -> AssembledOperator:
-    """Galerkin matrix of the adjoint double-layer operator N, kernel +d/dn(x) G."""
-    return assemble_operators(mesh, k, kinds=("adjoint_double_layer",))[
-        "adjoint_double_layer"
-    ]
-
-
 def evaluate_potentials(
     mesh,
     density,

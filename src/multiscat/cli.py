@@ -19,10 +19,12 @@ CSV, whose column order is part of the format contract.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import dataclasses
 import json
 import logging
+import math
 import pathlib
 import sys
 
@@ -77,6 +79,10 @@ class RunConfig:
     out_dir: str = "."
 
     def validate(self) -> "RunConfig":
+        for name in ("ppw", "alpha", "eta", "eta_bw", "tol", "disk_k"):
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.ppw < 4.0:
@@ -122,10 +128,22 @@ def scene_to_dict(scene: geometry.Scene) -> dict:
     }
 
 
+def _has_non_finite(value) -> bool:
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        return any(_has_non_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return any(_has_non_finite(v) for v in value)
+    return False
+
+
 def scene_from_dict(doc: dict) -> geometry.Scene:
     """Rebuild and validate a scene from its plain-data form."""
     if not isinstance(doc, dict):
         raise ValueError("scene document must be a JSON object")
+    if _has_non_finite(doc):
+        raise ValueError("scene numbers must be finite")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scene schema_version {version!r}")
@@ -397,7 +415,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     return EXIT_PASS if report.converged else EXIT_THRESHOLD
 
 
-def disk_field_errors(k: float = 5.0, ppw: float = 15.0, alpha: float = 0.2,
+def disk_field_errors(k: float = RunConfig.disk_k, ppw: float = RunConfig.ppw,
+                      alpha: float = RunConfig.alpha,
                       eta: complex | None = None,
                       eta_bw: complex | None = None) -> dict[str, float]:
     """Relative L2 field error of every formulation for the unit disk.
@@ -470,40 +489,42 @@ def cmd_validate_disk(cfg: RunConfig) -> int:
 
 def _scene_options(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group()
-    source.add_argument("--scene", metavar="PATH", help="scene file to load")
-    source.add_argument("--preset", choices=PRESETS, default=None,
-                        help="built-in scene preset (default: desk)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="placement seed for presets (default: 0)")
+    source.add_argument("--scene", dest="scene_path", metavar="PATH",
+                        help="scene file to load")
+    # no default here: argparse could not tell an explicit --preset from it
+    source.add_argument("--preset", choices=PRESETS,
+                        help=f"built-in scene preset (default: {RunConfig.preset})")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed,
+                        help="placement seed for presets (default: %(default)s)")
 
 
 def _formulation_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.2,
-                        help="CFIE combination weight in (0, 1) (default: 0.2)")
-    parser.add_argument("--eta-re", type=float, default=None,
+    parser.add_argument("--alpha", type=float, default=RunConfig.alpha,
+                        help="CFIE combination weight in (0, 1) (default: %(default)s)")
+    parser.add_argument("--eta-re", type=float,
                         help="real part of the CFIE coupling (default: 0)")
-    parser.add_argument("--eta-im", type=float, default=None,
+    parser.add_argument("--eta-im", type=float,
                         help="imaginary part of the CFIE coupling (default: -k)")
-    parser.add_argument("--eta-bw-re", type=float, default=None,
+    parser.add_argument("--eta-bw-re", type=float,
                         help="real part of the BW coupling (default: 0)")
-    parser.add_argument("--eta-bw-im", type=float, default=None,
+    parser.add_argument("--eta-bw-im", type=float,
                         help="imaginary part of the BW coupling (default: k/2)")
 
 
 def _solver_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--restart", type=int, default=50,
-                        help="GMRES restart length (default: 50)")
-    parser.add_argument("--tol", type=float, default=1e-6,
-                        help="GMRES relative residual tolerance (default: 1e-6)")
-    parser.add_argument("--maxiter", type=int, default=1000,
-                        help="GMRES total iteration cap (default: 1000)")
+    parser.add_argument("--restart", type=int, default=RunConfig.restart,
+                        help="GMRES restart length (default: %(default)s)")
+    parser.add_argument("--tol", type=float, default=RunConfig.tol,
+                        help="GMRES relative residual tolerance (default: %(default)s)")
+    parser.add_argument("--maxiter", type=int, default=RunConfig.maxiter,
+                        help="GMRES total iteration cap (default: %(default)s)")
 
 
 def _common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ppw", type=float, default=15.0,
-                        help="mesh points per wavelength, at least 4 (default: 15)")
-    parser.add_argument("--out", default=".", metavar="DIR",
-                        help="output directory (default: current directory)")
+    parser.add_argument("--ppw", type=float, default=RunConfig.ppw,
+                        help="mesh points per wavelength, at least 4 (default: %(default)s)")
+    parser.add_argument("--out", dest="out_dir", default=RunConfig.out_dir, metavar="DIR",
+                        help="output directory (default: %(default)s)")
     parser.add_argument("--verbose", action="store_true",
                         help="log progress to stderr")
 
@@ -539,16 +560,18 @@ def build_parser() -> argparse.ArgumentParser:
     _solver_options(p)
     _common_options(p)
     p.add_argument("--formulation", choices=formulations.FORMULATION_KINDS,
-                   default="CFIE", help="integral equation to solve (default: CFIE)")
-    p.add_argument("--plain", action="store_true",
+                   default=RunConfig.formulation,
+                   help="integral equation to solve (default: %(default)s)")
+    p.add_argument("--plain", dest="preconditioned", action="store_false",
+                   default=RunConfig.preconditioned,
                    help="solve without the single-scattering preconditioner")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("validate-disk", help="disk field accuracy for all formulations")
     _formulation_options(p)
     _common_options(p)
-    p.add_argument("--k", type=float, default=5.0,
-                   help="wavenumber for the unit disk (default: 5)")
+    p.add_argument("--k", dest="disk_k", type=float, default=RunConfig.disk_k, metavar="K",
+                   help="wavenumber for the unit disk (default: %(default)s)")
     p.set_defaults(func=cmd_validate_disk)
 
     return parser
@@ -561,24 +584,17 @@ def _complex_flag(re: float | None, im: float | None) -> complex | None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        scene_path=getattr(args, "scene", None),
-        preset=getattr(args, "preset", None) or "desk",
-        seed=getattr(args, "seed", 0),
-        ppw=args.ppw,
-        alpha=getattr(args, "alpha", 0.2),
-        eta=_complex_flag(getattr(args, "eta_re", None), getattr(args, "eta_im", None)),
-        eta_bw=_complex_flag(
-            getattr(args, "eta_bw_re", None), getattr(args, "eta_bw_im", None)
-        ),
-        restart=getattr(args, "restart", 50),
-        tol=getattr(args, "tol", 1e-6),
-        maxiter=getattr(args, "maxiter", 1000),
-        formulation=getattr(args, "formulation", "CFIE"),
-        preconditioned=not getattr(args, "plain", False),
-        disk_k=getattr(args, "k", 5.0),
-        out_dir=args.out,
-    ).validate()
+    """A RunConfig from parsed flags; every field a subcommand does not set,
+    or that was left unset, keeps its RunConfig default."""
+    options = dict(vars(args))
+    options["eta"] = _complex_flag(options.get("eta_re"), options.get("eta_im"))
+    options["eta_bw"] = _complex_flag(options.get("eta_bw_re"), options.get("eta_bw_im"))
+    given = {
+        field.name: options[field.name]
+        for field in dataclasses.fields(RunConfig)
+        if options.get(field.name) is not None
+    }
+    return RunConfig(**given).validate()
 
 
 def main(argv=None) -> int:

@@ -114,17 +114,6 @@ class BlockPreconditioner:
     block_offsets: tuple[int, ...]
 
 
-def incident_traces(wave: IncidentWave, mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal trace and normal-derivative trace of the incident plane wave."""
-    wave.validate()
-    beta = np.asarray(wave.beta)
-    nodes = mesh.all_nodes
-    normals = mesh.node_normals()
-    trace = np.exp(1j * wave.k * (nodes @ beta))
-    normal_trace = 1j * wave.k * (normals @ beta) * trace
-    return trace, normal_trace
-
-
 def incident_loads(wave: IncidentWave, mesh) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin load vectors of the incident plane wave and its normal derivative.
 

@@ -259,16 +259,6 @@ class SceneMesh:
     def all_nodes(self) -> np.ndarray:
         return np.concatenate([m.nodes for m in self.meshes], axis=0)
 
-    def node_normals(self) -> np.ndarray:
-        """Per-node unit normals: length-weighted segment-normal averages."""
-        out = []
-        for m in self.meshes:
-            weighted = m.normals * m.lengths[:, None]
-            acc = weighted + np.roll(weighted, 1, axis=0)  # segments i-1 and i meet node i
-            acc /= np.linalg.norm(acc, axis=1, keepdims=True)
-            out.append(acc)
-        return np.concatenate(out, axis=0)
-
 
 def mesh_scene(scene: Scene, ppw: float) -> SceneMesh:
     """Mesh every obstacle of a scene at the given density."""

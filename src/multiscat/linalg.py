@@ -202,22 +202,6 @@ def inf_norm(a) -> float:
     return float(np.max(np.sum(np.abs(a), axis=1)))
 
 
-def matmul(a, b) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} by {b.shape}")
-    return a @ b
-
-
-def matsub(a, b) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"matsub shape mismatch: {a.shape} vs {b.shape}")
-    return a - b
-
-
 def match_eigenvalues(a, b) -> np.ndarray:
     """Greedy nearest-neighbor pairing of two spectra.
 

@@ -1,87 +1,51 @@
-"""Cylinder functions and the 2D Helmholtz kernel.
+"""Cylinder functions for the 2D Helmholtz kernel.
 
-Real Bessel functions J0, J1, Y0, Y1 are evaluated piecewise: the defining
-power series for 0 < x <= 8 and Hankel's large-argument expansion
+Every Bessel value comes from ``scipy.special``.  This module adds the
+argument checks the assembly relies on and one piece scipy has no routine
+for: the smooth remainder of H0^(1) once its logarithm is split off,
 
-    J_nu(x) ~ sqrt(2/(pi x)) [P(nu,x) cos w - Q(nu,x) sin w],
-    Y_nu(x) ~ sqrt(2/(pi x)) [P(nu,x) sin w + Q(nu,x) cos w],
-    w = x - nu*pi/2 - pi/4,
+    H0^(1)(k r) = (2i/pi) ln(r) J0(k r) + W(r),
 
-for x > 8 (Abramowitz & Stegun 9.1.10-9.1.11, 9.2.5-9.2.10).  With nine
-terms in P and Q the absolute error at the split point is below 5e-9 and
-decreases with x, which keeps the whole range inside the 1e-8 budget.
+which the self-panel rule needs at r = 0, where the difference cannot be
+formed.  W is summed from the power series of J0 and Y0
+(Abramowitz & Stegun 9.1.12-9.1.13), which converges to roundoff for
+k r <= 8.
 
-On top of these sit the order-n arrays (upward recurrence for Y_n, Miller's
-downward recurrence for J_n) and the outgoing 2D Helmholtz kernel
-
-    G(x, y) = (i/4) H0^(1)(k ||x - y||)
-
-with its two normal-derivative variants, the kernels of the double-layer
-and adjoint double-layer operators.
+``scipy.special`` is reached through ``import scipy``, which loads the
+submodule on first use and keeps it out of ``import multiscat``.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
+import scipy
 
 EULER_GAMMA = 0.5772156649015328606
 
 _SERIES_TERMS = 30
-_ASYMPT_TERMS = 9
 _SPLIT = 8.0
 
 
-def _series_coefficients() -> dict[str, np.ndarray]:
-    """Power-series coefficients in q = (x/2)^2, highest order first."""
-    c_j0 = np.empty(_SERIES_TERMS)  # J0 = sum c_m q^m
-    c_j1 = np.empty(_SERIES_TERMS)  # J1 = (x/2) sum c_m q^m
-    c_y0 = np.empty(_SERIES_TERMS)  # Y0 = (2/pi)[(ln(x/2)+g) J0 + sum c_m q^m]
-    c_y1 = np.empty(_SERIES_TERMS)  # Y1 = (2/pi)(ln(x/2)+g) J1 - 2/(pi x)
-    #                                      - (x/(2 pi)) sum c_m q^m
-    j0_m = 1.0
-    j1_m = 1.0
+def _series_coefficients() -> tuple[np.ndarray, np.ndarray]:
+    """Power-series coefficients in q = (x/2)^2, highest order first:
+
+        J0 = sum a_m q^m,   Y0 = (2/pi)[(ln(x/2) + gamma) J0 + sum b_m q^m].
+    """
+    a = np.empty(_SERIES_TERMS)
+    b = np.empty(_SERIES_TERMS)
+    a_m = 1.0
     harmonic = 0.0
     for m in range(_SERIES_TERMS):
-        c_j0[m] = j0_m
-        c_j1[m] = j1_m
-        c_y0[m] = -j0_m * harmonic
-        c_y1[m] = j1_m * (2.0 * harmonic + 1.0 / (m + 1.0))
+        a[m] = a_m
+        b[m] = -a_m * harmonic
         harmonic += 1.0 / (m + 1.0)
-        j0_m = -j0_m / ((m + 1.0) ** 2)
-        j1_m = -j1_m / ((m + 1.0) * (m + 2.0))
-    return {
-        "j0": c_j0[::-1].copy(),
-        "j1": c_j1[::-1].copy(),
-        "y0": c_y0[::-1].copy(),
-        "y1": c_y1[::-1].copy(),
-    }
+        a_m = -a_m / ((m + 1.0) ** 2)
+    return a[::-1].copy(), b[::-1].copy()
 
 
-def _asymptotic_coefficients() -> dict[str, np.ndarray]:
-    """Hankel-symbol polynomials for P, Q in u = 1/(2x)^2, highest first.
-
-    (nu, m) = prod_{j=1..m} (4 nu^2 - (2j-1)^2) / (m! 4^m); P collects the
-    even symbols with alternating sign, Q the odd ones (A&S 9.2.9-9.2.10).
-    """
-    out = {}
-    for nu in (0, 1):
-        a = [1.0]
-        for m in range(1, 2 * _ASYMPT_TERMS + 1):
-            a.append(a[-1] * (4.0 * nu * nu - (2 * m - 1) ** 2) / (4.0 * m))
-        p = np.array([(-1.0) ** j * a[2 * j] for j in range(_ASYMPT_TERMS)])
-        q = np.array([(-1.0) ** j * a[2 * j + 1] for j in range(_ASYMPT_TERMS)])
-        out[f"p{nu}"] = p[::-1].copy()
-        out[f"q{nu}"] = q[::-1].copy()
-    return out
-
-
-_SER = _series_coefficients()
-_ASY = _asymptotic_coefficients()
+_J0_SERIES, _Y0_TAIL = _series_coefficients()
 
 
 def _horner(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -110,74 +74,17 @@ def bessel_j0j1y0y1(x):
         If any argument is negative (the Y family has no real value there).
     """
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
     if np.any(x_arr < 0.0):
         raise ValueError("bessel_j0j1y0y1 requires x >= 0")
-
-    j0 = np.empty_like(x_arr)
-    j1 = np.empty_like(x_arr)
-    y0 = np.empty_like(x_arr)
-    y1 = np.empty_like(x_arr)
-
-    zero = x_arr == 0.0
-    small = (x_arr <= _SPLIT) & ~zero
-    large = x_arr > _SPLIT
-
-    if np.any(small):
-        xs = x_arr[small]
-        q = 0.25 * xs * xs
-        base_j0 = _horner(_SER["j0"], q)
-        base_j1 = 0.5 * xs * _horner(_SER["j1"], q)
-        lg = np.log(0.5 * xs) + EULER_GAMMA
-        j0[small] = base_j0
-        j1[small] = base_j1
-        y0[small] = (2.0 / math.pi) * (lg * base_j0 + _horner(_SER["y0"], q))
-        y1[small] = (
-            (2.0 / math.pi) * lg * base_j1
-            - 2.0 / (math.pi * xs)
-            - xs / (2.0 * math.pi) * _horner(_SER["y1"], q)
-        )
-
-    if np.any(large):
-        xl = x_arr[large]
-        u = 1.0 / (4.0 * xl * xl)  # 1/(2x)^2
-        inv2x = 0.5 / xl
-        p0 = _horner(_ASY["p0"], u)
-        q0 = inv2x * _horner(_ASY["q0"], u)
-        p1 = _horner(_ASY["p1"], u)
-        q1 = inv2x * _horner(_ASY["q1"], u)
-        amp = np.sqrt(2.0 / (math.pi * xl))
-        # w1 = w0 - pi/2, so cos(w1) = sin(w0) and sin(w1) = -cos(w0);
-        # one sincos pair serves both orders.
-        c0 = np.cos(xl - 0.25 * math.pi)
-        s0 = np.sin(xl - 0.25 * math.pi)
-        j0[large] = amp * (p0 * c0 - q0 * s0)
-        y0[large] = amp * (p0 * s0 + q0 * c0)
-        j1[large] = amp * (p1 * s0 + q1 * c0)
-        y1[large] = amp * (-p1 * c0 + q1 * s0)
-
-    if np.any(zero):
-        j0[zero] = 1.0
-        j1[zero] = 0.0
-        y0[zero] = -np.inf
-        y1[zero] = -np.inf
-
-    if scalar:
-        return float(j0[0]), float(j1[0]), float(y0[0]), float(y1[0])
-    return j0, j1, y0, y1
+    sp = scipy.special
+    values = (sp.j0(x_arr), sp.j1(x_arr), sp.y0(x_arr), sp.y1(x_arr))
+    if x_arr.ndim == 0:
+        return tuple(float(v) for v in values)
+    return values
 
 
 def bessel_arrays(nmax: int, x: float):
     """J_0..J_nmax and Y_0..Y_nmax at a positive scalar argument.
-
-    Y_n goes up by the three-term recurrence (stable in that direction);
-    J_n comes down by Miller's recurrence and is normalized with the
-    partition identity J0(x) + 2 sum_m J_{2m}(x) = 1.  The start order is
-    nmax + max(10, ceil(x/2)), floored at x + 9 x^(1/3) + 10: the downward
-    recurrence only damps the unwanted Y component above the turning point
-    n ~ x, so the start must clear it by a few Airy widths or the low
-    orders come back contaminated at O(1) relative.
 
     Raises OverflowError naming the first order at which Y_n leaves the
     representable range, and ValueError for nmax < 1, nmax > 200 or x <= 0.
@@ -190,52 +97,16 @@ def bessel_arrays(nmax: int, x: float):
     if x <= 0.0:
         raise ValueError("bessel_arrays requires x > 0")
 
-    j0, j1, y0, y1 = bessel_j0j1y0y1(x)
-
-    start = max(
-        nmax + max(10, math.ceil(0.5 * x)),
-        math.ceil(x + 9.0 * x ** (1.0 / 3.0) + 10.0),
-    )
-    jj = np.zeros(start + 2)
-    jj[start + 1] = 0.0
-    jj[start] = 1e-30
-    for n in range(start, 0, -1):
-        jj[n - 1] = (2.0 * n / x) * jj[n] - jj[n + 1]
-        if abs(jj[n - 1]) > 1e250:
-            jj[n - 1 :] /= 1e250
-    norm = jj[0] + 2.0 * np.sum(jj[2 : start + 1 : 2])
-    j = jj[: nmax + 1] / norm
-
-    y = np.empty(nmax + 1)
-    y[0] = y0
-    y[1] = y1
-    with np.errstate(over="ignore"):
-        for n in range(1, nmax):
-            nxt = (2.0 * n / x) * y[n] - y[n - 1]
-            if not np.isfinite(nxt) or abs(nxt) > 1e305:
-                raise OverflowError(
-                    f"Y_n overflows at order {n + 1} for x = {x}; "
-                    f"orders up to {n} are representable"
-                )
-            y[n + 1] = nxt
-    return j, y
-
-
-def hankel1(order: int, x):
-    """H_order^(1)(x) = J_order(x) + i Y_order(x), order 0 or 1, for x > 0."""
-    if order not in (0, 1):
-        raise ValueError("hankel1 supports orders 0 and 1 only")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("hankel1 requires x > 0")
-    j0, j1, y0, y1 = bessel_j0j1y0y1(x_arr)
-    if order == 0:
-        out = j0 + 1j * y0
-    else:
-        out = j1 + 1j * y1
-    if np.ndim(x) == 0:
-        return complex(out if np.ndim(out) == 0 else out[()])
-    return out
+    orders = np.arange(nmax + 1)
+    y = scipy.special.yv(orders, x)
+    overflow = ~(np.abs(y) <= 1e305)
+    if np.any(overflow):
+        n = int(np.argmax(overflow))
+        raise OverflowError(
+            f"Y_n overflows at order {n} for x = {x}; "
+            f"orders up to {n - 1} are representable"
+        )
+    return scipy.special.jv(orders, x), y
 
 
 def h0_smooth_remainder(k: float, r):
@@ -262,68 +133,10 @@ def h0_smooth_remainder(k: float, r):
             f"h0_smooth_remainder requires k r <= {_SPLIT}; got max {np.max(x):.3g}"
         )
     q = 0.25 * x * x
-    j0 = _horner(_SER["j0"], q)
-    s0 = _horner(_SER["y0"], q)
+    j0 = _horner(_J0_SERIES, q)
+    s0 = _horner(_Y0_TAIL, q)
     two_i_over_pi = 2j / math.pi
     out = j0 * (1.0 + two_i_over_pi * (math.log(0.5 * k) + EULER_GAMMA)) + two_i_over_pi * s0
     if np.ndim(r) == 0:
         return complex(out if np.ndim(out) == 0 else out[()])
     return out
-
-
-def _pair_distance(x, y):
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    diff = x_arr - y_arr
-    r = np.sqrt(np.sum(diff * diff, axis=-1))
-    return diff, r
-
-
-def green(k: float, x, y):
-    """Outgoing 2D Helmholtz kernel (i/4) H0^(1)(k ||x - y||).
-
-    ``x`` and ``y`` are points (length-2) or broadcastable arrays of points
-    with a trailing coordinate axis.  Coincident points raise ValueError.
-    """
-    if k <= 0.0:
-        raise ValueError("green requires k > 0")
-    _, r = _pair_distance(x, y)
-    if np.any(r == 0.0):
-        raise ValueError("green is undefined for coincident points")
-    j0, _, y0, _ = bessel_j0j1y0y1(np.atleast_1d(k * r))
-    val = 0.25j * (j0 + 1j * y0)
-    if np.ndim(r) == 0:
-        return complex(val[0])
-    return val.reshape(np.shape(r))
-
-
-def green_dny(k: float, x, y, n):
-    """Normal derivative of the kernel at the source point y.
-
-    Returns (i k / 4) H1^(1)(k r) ((x - y) . n) / r, the double-layer
-    kernel up to sign; n must be a unit vector.
-    """
-    if k <= 0.0:
-        raise ValueError("green_dny requires k > 0")
-    n_arr = np.asarray(n, dtype=float)
-    if not np.allclose(np.sum(n_arr * n_arr, axis=-1), 1.0, atol=1e-6):
-        raise ValueError("green_dny requires a unit normal")
-    diff, r = _pair_distance(x, y)
-    if np.any(r == 0.0):
-        raise ValueError("green_dny is undefined for coincident points")
-    _, j1, _, y1 = bessel_j0j1y0y1(np.atleast_1d(k * r))
-    h1 = j1 + 1j * y1
-    proj = np.sum(diff * n_arr, axis=-1) / r
-    val = 0.25j * k * h1.reshape(np.shape(r)) * proj
-    if np.ndim(r) == 0:
-        return complex(val)
-    return val
-
-
-def green_dnx(k: float, x, y, n):
-    """Normal derivative of the kernel at the observation point x.
-
-    Equals green_dny with x and y exchanged (the kernel depends on x - y
-    only through r, and the difference flips sign).
-    """
-    return green_dny(k, y, x, n)

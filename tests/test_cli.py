@@ -1,10 +1,16 @@
 """Command-line interface: scene files, report formats, exit codes."""
 
 import csv
+import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import multiscat
 from multiscat import cli, formulations, geometry, linalg, verify
 
 
@@ -16,6 +22,34 @@ def read_csv(path):
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     return rows[0], rows[1:]
+
+
+COMMANDS = ("scene", "verify", "spectrum", "solve", "validate-disk")
+COUPLING_FLAGS = ("--alpha", "--eta-re", "--eta-im", "--eta-bw-re", "--eta-bw-im")
+FLOAT_FLAGS = {
+    "scene": ("--ppw",),
+    "verify": ("--ppw", *COUPLING_FLAGS, "--tol"),
+    "spectrum": ("--ppw", *COUPLING_FLAGS),
+    "solve": ("--ppw", *COUPLING_FLAGS, "--tol"),
+    "validate-disk": ("--ppw", *COUPLING_FLAGS, "--k"),
+}
+NON_FINITE = ("nan", "inf", "-inf")
+
+
+def numeric_paths(doc, prefix=()):
+    """Key paths of every number in a scene document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from numeric_paths(value, (*prefix, key))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield (*prefix, key)
+
+
+SCENE_NUMBERS = [
+    path for path in numeric_paths(cli.scene_to_dict(verify.desk_scene()))
+    if path != ("schema_version",)
+]
 
 
 class TestSceneFiles:
@@ -311,3 +345,51 @@ class TestExitCodes:
             run("--help")
         assert info.value.code == 0
         assert "scene" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(command, flag) for command, flags in FLOAT_FLAGS.items() for flag in flags],
+    )
+    def test_non_finite_flag_rejected(self, command, flag, value, tmp_path, capsys):
+        assert run(command, f"{flag}={value}", "--out", str(tmp_path)) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("path", SCENE_NUMBERS, ids=lambda p: ".".join(map(str, p)))
+    def test_non_finite_scene_number_rejected(self, path, value, tmp_path, capsys):
+        doc = cli.scene_to_dict(verify.desk_scene())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = float(value)
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_text(json.dumps(doc))
+        assert run("verify", "--scene", str(scene_file), "--out", str(tmp_path)) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_flags_give_run_config_defaults(self, command):
+        args = cli.build_parser().parse_args([command])
+        defaults = cli.RunConfig()
+        exposed = [
+            field.name for field in dataclasses.fields(cli.RunConfig)
+            if field.name in vars(args)
+        ]
+        assert "ppw" in exposed and "out_dir" in exposed
+        for name in exposed:
+            assert getattr(args, name) in (None, getattr(defaults, name)), name
+        assert cli._config_from_args(args) == defaults
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = pathlib.Path(multiscat.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-m", "multiscat", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "validate-disk" in result.stdout

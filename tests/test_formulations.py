@@ -69,58 +69,15 @@ def build_all(scene, mesh, ops):
     }
 
 
-def diamond_scene_mesh() -> geometry.SceneMesh:
-    """Four-segment diamond whose node 0 sits at the origin with node normal (0, 1)."""
-    nodes = np.array([[0.0, 0.0], [-1.0, -1.0], [0.0, -2.0], [1.0, -1.0]])
-    segments = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-    edges = nodes[segments[:, 1]] - nodes[segments[:, 0]]
-    lengths = np.linalg.norm(edges, axis=1)
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
-    mesh = geometry.ObstacleMesh(
-        nodes=nodes,
-        segments=segments,
-        normals=normals,
-        lengths=lengths,
-        perimeter=float(lengths.sum()),
-    )
-    return geometry.SceneMesh(meshes=(mesh,), block_offsets=(0, 4))
-
-
-class TestIncidentTraces:
-    def test_trace_has_unit_modulus_and_value_one_at_origin(self):
-        mesh = diamond_scene_mesh()
-        wave = formulations.IncidentWave(k=20.0, beta=(0.0, 1.0))
-        trace, _ = formulations.incident_traces(wave, mesh)
-        assert_allclose(np.abs(trace), 1.0, atol=1e-14)
-        assert trace[0] == 1.0 + 0.0j
-
-    def test_normal_trace_at_origin_node_with_vertical_normal(self):
-        mesh = diamond_scene_mesh()
-        wave = formulations.IncidentWave(k=20.0, beta=(0.0, 1.0))
-        _, normal_trace = formulations.incident_traces(wave, mesh)
-        assert_allclose(normal_trace[0], 20.0j, atol=1e-13)
-
-    def test_normal_trace_matches_directional_difference(self, disk):
+class TestIncidentLoads:
+    def test_rejects_non_unit_direction_and_bad_wavenumber(self, disk):
         _, mesh, _ = disk
-        wave = formulations.IncidentWave(k=DISK_K, beta=(0.6, 0.8))
-        trace, normal_trace = formulations.incident_traces(wave, mesh)
-        nodes = mesh.all_nodes
-        normals = mesh.node_normals()
-        beta = np.array([0.6, 0.8])
-        h = 1e-6
-        up = np.exp(1j * DISK_K * ((nodes + h * normals) @ beta))
-        dn = np.exp(1j * DISK_K * ((nodes - h * normals) @ beta))
-        assert_allclose(normal_trace, (up - dn) / (2.0 * h), rtol=1e-7, atol=1e-8)
-        assert_allclose(trace, np.exp(1j * DISK_K * (nodes @ beta)), rtol=1e-14)
-
-    def test_rejects_non_unit_direction_and_bad_wavenumber(self):
-        mesh = diamond_scene_mesh()
         with pytest.raises(ValueError):
-            formulations.incident_traces(
+            formulations.incident_loads(
                 formulations.IncidentWave(k=1.0, beta=(1.0, 1.0)), mesh
             )
         with pytest.raises(ValueError):
-            formulations.incident_traces(
+            formulations.incident_loads(
                 formulations.IncidentWave(k=0.0, beta=(0.0, 1.0)), mesh
             )
 

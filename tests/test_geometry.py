@@ -147,8 +147,6 @@ def test_mesh_scene_offsets():
     assert sm.block_offsets[-1] == sm.n_nodes
     assert sm.block_offsets[1] == sm.meshes[0].n_nodes
     assert sm.all_nodes.shape == (sm.n_nodes, 2)
-    node_normals = sm.node_normals()
-    assert_allclose(np.linalg.norm(node_normals, axis=1), 1.0, atol=1e-12)
 
 
 def config_for_generation(m_per_kind: int = 1) -> geometry.Scene:

@@ -186,14 +186,3 @@ def test_inf_norm_values():
     assert linalg.inf_norm(np.array([[1.0, -2.0], [3.0j, 0.0]])) == 3.0
     with pytest.raises(ValueError):
         linalg.inf_norm(np.ones(3))
-
-
-def test_matmul_matsub():
-    rng = np.random.default_rng(47)
-    a = random_complex(rng, 4, 6)
-    assert np.array_equal(linalg.matmul(a, np.eye(6)), a)
-    assert np.array_equal(linalg.matsub(a, a), np.zeros_like(a))
-    with pytest.raises(ValueError):
-        linalg.matmul(a, np.eye(5))
-    with pytest.raises(ValueError):
-        linalg.matsub(a, np.eye(4))

@@ -1,8 +1,9 @@
-"""Special-function layer: piecewise Bessel evaluation and the 2D kernel.
+"""Special-function layer: the Bessel wrappers and the smooth H0 remainder.
 
-scipy.special (an independent implementation) serves as the reference,
-together with a handful of high-precision spot values frozen from a
-30-digit computation.
+The wrappers are checked for their contract (domain errors, values at the
+origin, overflow reporting) and against a handful of high-precision spot
+values frozen from a 30-digit computation.  The H0 remainder, the one
+series summed here, is checked against scipy.special.
 """
 
 import numpy as np
@@ -98,103 +99,30 @@ def test_arrays_domain():
         specfun.bessel_arrays(201, 1.0)
 
 
-def test_hankel1_values():
-    assert_allclose(specfun.hankel1(0, 1.0), J0_1 + 1j * Y0_1, atol=1e-8)
-    assert_allclose(specfun.hankel1(1, 1.0), J1_1 + 1j * Y1_1, atol=1e-8)
+@pytest.mark.parametrize("k", [0.5, 5.0, 40.0])
+def test_h0_smooth_remainder_matches_split_hankel(k):
+    x = np.linspace(1e-3, 8.0, 400)
+    r = x / k
+    split = sp.hankel1(0, x) - (2j / np.pi) * np.log(r) * sp.j0(x)
+    assert_allclose(specfun.h0_smooth_remainder(k, r), split, rtol=0, atol=1e-12)
 
 
-def test_hankel1_conjugate():
-    x = np.linspace(0.3, 30.0, 57)
-    h = specfun.hankel1(0, x)
-    j0, _, y0, _ = specfun.bessel_j0j1y0y1(x)
-    assert_allclose(np.conj(h), j0 - 1j * y0, rtol=0, atol=0)
+def test_h0_smooth_remainder_finite_at_origin():
+    k = 3.0
+    w0 = specfun.h0_smooth_remainder(k, 0.0)
+    assert isinstance(w0, complex)
+    # at r = 0 only the constant terms survive: J0(0) = 1 and S0(0) = 0
+    expected = 1.0 + (2j / np.pi) * (np.log(0.5 * k) + specfun.EULER_GAMMA)
+    assert_allclose(w0, expected, rtol=1e-15)
+    assert np.all(np.isfinite(specfun.h0_smooth_remainder(k, np.array([0.0, 1e-8]))))
 
 
-def test_hankel1_domain():
+def test_h0_smooth_remainder_domain():
+    with pytest.raises(ValueError, match="k r <= 8"):
+        specfun.h0_smooth_remainder(2.0, 4.001)
     with pytest.raises(ValueError):
-        specfun.hankel1(0, 0.0)
+        specfun.h0_smooth_remainder(2.0, np.array([0.5, 5.0]))
     with pytest.raises(ValueError):
-        specfun.hankel1(2, 1.0)
-
-
-def test_green_value():
-    val = specfun.green(1.0, (1.0, 0.0), (0.0, 0.0))
-    assert_allclose(val, -0.022064241053919242 + 0.19129942163949165j, atol=1e-8)
-
-
-def test_green_symmetry_and_translation():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x, y, t = rng.normal(size=(3, 2))
-        k = float(rng.uniform(0.5, 10.0))
-        gxy = specfun.green(k, x, y)
-        assert specfun.green(k, y, x) == gxy
-        # exact for the argument swap; translation shifts the rounding of
-        # the coordinate differences, so compare at roundoff level there
-        assert_allclose(specfun.green(k, x + t, y + t), gxy, rtol=1e-12)
-
-
-def test_green_coincident_points():
+        specfun.h0_smooth_remainder(0.0, 0.5)
     with pytest.raises(ValueError):
-        specfun.green(1.0, (0.5, 0.5), (0.5, 0.5))
-
-
-def test_green_dny_value():
-    val = specfun.green_dny(1.0, (1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
-    assert_allclose(val, 0.19530320532507217 + 0.11001264643623337j, atol=1e-8)
-
-
-def test_green_dny_orthogonal_and_antisymmetric():
-    val = specfun.green_dny(2.0, (1.0, 0.0), (0.0, 0.0), (0.0, 1.0))
-    assert val == 0.0
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        x, y = rng.normal(size=(2, 2))
-        th = rng.uniform(0, 2 * np.pi)
-        n = np.array([np.cos(th), np.sin(th)])
-        assert specfun.green_dny(1.3, x, y, -n) == -specfun.green_dny(1.3, x, y, n)
-
-
-def test_green_dnx_is_swapped_dny():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        x, y = rng.normal(size=(2, 2))
-        th = rng.uniform(0, 2 * np.pi)
-        n = np.array([np.cos(th), np.sin(th)])
-        assert specfun.green_dnx(2.0, x, y, n) == specfun.green_dny(2.0, y, x, n)
-
-
-def test_green_dnx_value():
-    val = specfun.green_dnx(1.0, (1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
-    assert_allclose(val, -0.19530320532507217 - 0.11001264643623337j, atol=1e-8)
-
-
-@pytest.mark.parametrize("h,factor", [(1e-2, 1.0), (1e-3, 0.01)])
-def test_green_dny_finite_difference(h, factor):
-    # centered differences converge at second order: the h=1e-3 error
-    # should sit two orders below the h=1e-2 error scale
-    k = 2.0
-    x = np.array([1.3, 0.4])
-    y = np.array([0.1, -0.2])
-    n = np.array([0.6, 0.8])
-    fd = (specfun.green(k, x, y + h * n) - specfun.green(k, x, y - h * n)) / (2 * h)
-    exact = specfun.green_dny(k, x, y, n)
-    assert abs(fd - exact) < 5e-3 * factor
-
-
-def test_green_helmholtz_identity():
-    # (lap + k^2) green ~ 0 through a 5-point stencil away from the source
-    k = 1.0
-    h = 1e-3
-    worst = 0.0
-    src = np.zeros(2)
-    for r in np.linspace(0.5, 20.0, 25):
-        x0 = np.array([r, 0.3])
-        gc = specfun.green(k, x0, src)
-        stencil = sum(
-            specfun.green(k, x0 + d, src)
-            for d in ([h, 0], [-h, 0], [0, h], [0, -h])
-        )
-        residual = (stencil - 4 * gc) / h**2 + k * k * gc
-        worst = max(worst, abs(residual))
-    assert worst < 1e-4
+        specfun.h0_smooth_remainder(1.0, -0.5)
