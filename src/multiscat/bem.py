@@ -1,10 +1,9 @@
 """Galerkin boundary-element assembly for the 2D Helmholtz layer operators.
 
 Conventions.  With G(x, y) = (i/4) H0^(1)(k ||x - y||) the outgoing kernel,
-the three boundary operators assembled here are
+the two boundary operators assembled here are
 
     L  : kernel  G(x, y)                      (single layer)
-    M  : kernel  -d/dn(y) G(x, y)             (double layer)
     N  : kernel  +d/dn(x) G(x, y)             (adjoint double layer)
 
 tested and trialed against continuous piecewise-linear hat functions on the
@@ -13,9 +12,16 @@ phi_i(x) K(x, y) phi_j(y) over pairs of panels.  The mass matrix pairs the
 same hats with kernel 1.  Global numbering is node-based and contiguous per
 obstacle, which makes each obstacle a contiguous diagonal block.
 
+The double layer M, with kernel -d/dn(y) G(x, y), is never assembled.  Its
+kernel is that of N with x and y swapped and the sign flipped, and the
+Galerkin pairing runs the same tensor rule on both sides of every panel
+pair, so its matrix is exactly -N^T; the Brakhage-Werner system reads it
+from there.  The off-surface double-layer potential, which is not a
+Galerkin matrix, is still evaluated by ``evaluate_potentials``.
+
 Quadrature.  Separated panel pairs use a tensor Gauss rule of order 8 and
 adjacent pairs (sharing a node) one of order 16; both kernels are smooth
-there.  On a panel paired with itself the M and N kernels vanish identically
+there.  On a panel paired with itself the N kernel vanishes identically
 because (x - y) is parallel to a flat panel, and the single-layer kernel is
 integrated by splitting off the logarithm,
 
@@ -31,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -39,7 +46,7 @@ from . import geometry, specfun
 _FAR_ORDER = 8
 _NEAR_ORDER = 16
 _CHUNK_PAIR_POINTS = 4_000_000
-_OPERATOR_KINDS = ("single_layer", "double_layer", "adjoint_double_layer")
+_OPERATOR_KINDS = ("single_layer", "adjoint_double_layer")
 
 _LOG_J0_TERMS = 8
 
@@ -108,8 +115,8 @@ def gauss_rule(order: int) -> QuadratureRule:
 class AssembledOperator:
     """A dense Galerkin matrix together with what it discretizes.
 
-    ``kind`` is one of single_layer, double_layer, adjoint_double_layer or
-    mass; ``k`` is None for the mass matrix.  The matrix is read-only.
+    ``kind`` is one of single_layer, adjoint_double_layer or mass; ``k`` is
+    None for the mass matrix.  The matrix is read-only.
     """
 
     kind: str
@@ -214,11 +221,11 @@ def assemble_operators(
     far_order: int = _FAR_ORDER,
     near_order: int = _NEAR_ORDER,
 ) -> dict:
-    """Assemble any subset of {L, M, N} in one sweep over panel pairs.
+    """Assemble any subset of {L, N} in one sweep over panel pairs.
 
     The distance computation and Bessel evaluations dominate the cost and
-    are shared between the requested kernels, so asking for all three is
-    barely slower than asking for one.  Returns a dict keyed by kind.
+    are shared between the requested kernels, so asking for both is barely
+    slower than asking for one.  Returns a dict keyed by kind.
     """
     if k <= 0.0:
         raise ValueError("assembly requires k > 0")
@@ -230,6 +237,13 @@ def assemble_operators(
         return {}
     pd = _panel_data(mesh)
     n = pd.count
+    needed = len(kinds) * n * n * np.dtype(complex).itemsize
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        raise ValueError(
+            f"{len(kinds)} dense {n} x {n} operator matrices need {needed / 2**30:.1f} GiB, "
+            f"more than the {physical / 2**30:.1f} GiB of physical memory"
+        )
     mats = {kind: np.zeros((n, n), dtype=complex) for kind in kinds}
 
     _far_sweep(mats, pd, k, gauss_rule(far_order))
@@ -253,7 +267,6 @@ def _far_sweep(mats, pd: _PanelData, k: float, rule: QuadratureRule):
     g = rule.points.size
     ys = _quad_points(pd, rule)
     wphi = _basis_weights(rule)
-    need_dny = ("double_layer" in mats)
     need_dnx = ("adjoint_double_layer" in mats)
     chunk = max(1, _CHUNK_PAIR_POINTS // max(1, g * g * n))
     for lo in range(0, n, chunk):
@@ -268,11 +281,10 @@ def _far_sweep(mats, pd: _PanelData, k: float, rule: QuadratureRule):
         r = np.where(excluded[:, None, :, None], 1.0, r)
         if not np.all(r > 0.0):
             raise RuntimeError("coincident quadrature points on non-adjacent panels")
-        dny = np.einsum("iqjrd,jd->iqjr", diff, pd.normal) if need_dny else None
         dnx = np.einsum("iqjrd,id->iqjr", diff, pd.normal[sel]) if need_dnx else None
         del diff
         j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(k * r)
-        grad_factor = (-0.25j * k) * (j1 + 1j * y1) / r if (need_dny or need_dnx) else None
+        grad_factor = (-0.25j * k) * (j1 + 1j * y1) / r if need_dnx else None
         del j1, y1
         scale = np.multiply.outer(pd.length[sel], pd.length)
         excl_rows = np.repeat(local, 3)
@@ -280,8 +292,6 @@ def _far_sweep(mats, pd: _PanelData, k: float, rule: QuadratureRule):
         for kind in mats:
             if kind == "single_layer":
                 kernel = 0.25j * (j0 + 1j * y0)
-            elif kind == "double_layer":
-                kernel = grad_factor * dny
             else:
                 kernel = grad_factor * dnx
             local_blocks = np.einsum("aq,iqjr,br->iajb", wphi, kernel, wphi)
@@ -305,22 +315,18 @@ def _adjacent_pairs(mats, pd: _PanelData, k: float, rule: QuadratureRule):
     if not np.all(r > 0.0):
         raise RuntimeError("coincident quadrature points on adjacent panels")
     j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(k * r)
-    need_grad = ("double_layer" in mats) or ("adjoint_double_layer" in mats)
-    grad_factor = (-0.25j * k) * (j1 + 1j * y1) / r if need_grad else None
     pair_scale = (pd.length[ti] * pd.length[si])[:, None, None]
-    row_nodes = (pd.node0, pd.node1)
-    col_nodes = (pd.node0, pd.node1)
+    nodes = (pd.node0, pd.node1)
     for kind in mats:
         if kind == "single_layer":
             kernel = 0.25j * (j0 + 1j * y0)
-        elif kind == "double_layer":
-            kernel = grad_factor * np.einsum("pqrd,pd->pqr", diff, pd.normal[si])
         else:
+            grad_factor = (-0.25j * k) * (j1 + 1j * y1) / r
             kernel = grad_factor * np.einsum("pqrd,pd->pqr", diff, pd.normal[ti])
         blocks = np.einsum("aq,pqr,br->pab", wphi, kernel, wphi) * pair_scale
         for a in (0, 1):
             for b in (0, 1):
-                np.add.at(mats[kind], (row_nodes[a][ti], col_nodes[b][si]), blocks[:, a, b])
+                np.add.at(mats[kind], (nodes[a][ti], nodes[b][si]), blocks[:, a, b])
 
 
 def _same_panel_single_layer(matrix, pd: _PanelData, k: float, rule: QuadratureRule):
@@ -372,11 +378,6 @@ def assemble_mass(mesh) -> AssembledOperator:
     matrix[pd.node1, pd.node0] += sixth
     matrix.flags.writeable = False
     return AssembledOperator(kind="mass", matrix=matrix, mesh=mesh, k=None)
-
-
-def assemble_single_layer(mesh, k: float) -> AssembledOperator:
-    """Galerkin matrix of the single-layer operator L."""
-    return assemble_operators(mesh, k, kinds=("single_layer",))["single_layer"]
 
 
 def evaluate_potentials(

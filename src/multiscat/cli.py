@@ -352,11 +352,19 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "passed": passed,
     }
     _write_json(out / "spectrum.json", doc)
+    # Canonical row order: EFIE sorted by (real, imag), every other
+    # formulation in its matching to EFIE, so row i of each block holds the
+    # same matched eigenvalue and LAPACK's output order never shows.
+    reference = report.eigenvalues["EFIE"]
+    order = np.lexsort((reference.imag, reference.real))
     with open(out / "eigenvalues.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(EIGENVALUE_COLUMNS)
         for kind in formulations.FORMULATION_KINDS:
-            for value in report.eigenvalues[kind]:
+            values = report.eigenvalues[kind]
+            if kind != "EFIE":
+                values = values[report.permutations[kind]]
+            for value in values[order]:
                 writer.writerow([kind, float(value.real), float(value.imag)])
     return EXIT_PASS if passed else EXIT_THRESHOLD
 

@@ -8,15 +8,16 @@ the mass matrix Mh so that every system lives in the same Galerkin pairing:
     MFIE:  A = Mh/2 + Nh                       b = -l_v
     CFIE:  A = (1-alpha)(Mh/2 + Nh) + alpha eta Lh
                                                b = -[(1-alpha) l_v + alpha eta l_u]
-    BW:    A = -eta_bw Lh - Mdlh + Mh/2        b = -l_u
+    BW:    A = -eta_bw Lh + Nh^T + Mh/2        b = -l_u
 
 where l_u and l_v are the Galerkin load vectors (u, phi_i) and (v, phi_i) of
 the incident wave u and its normal derivative v on the flat panels (see
-``incident_loads``), Lh, Mdlh, Nh the single, double and adjoint double layer
-matrices, and alpha, eta, eta_bw the combination parameters.  The direct
-formulations solve for a physical density whose single-layer potential is
-the scattered field; BW solves for an artificial density with a combined
-representation.
+``incident_loads``), Lh and Nh the single and adjoint double layer matrices,
+and alpha, eta, eta_bw the combination parameters.  BW's double layer enters
+as -Nh^T, which is its Galerkin matrix exactly (see ``bem``), so BW and CFIE
+share one pair of assembled operators.  The direct formulations solve for a
+physical density whose single-layer potential is the scattered field; BW
+solves for an artificial density with a combined representation.
 
 Obstacles own contiguous index blocks.  The single-scattering preconditioner
 factorizes the diagonal block of each obstacle and applies the inverses
@@ -144,9 +145,7 @@ def _required_kinds(kind: str) -> tuple[str, ...]:
         return ("single_layer",)
     if kind == "MFIE":
         return ("adjoint_double_layer",)
-    if kind == "CFIE":
-        return ("single_layer", "adjoint_double_layer")
-    return ("single_layer", "double_layer")
+    return ("single_layer", "adjoint_double_layer")
 
 
 def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
@@ -188,7 +187,7 @@ def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
     else:
         matrix = (
             -form.eta_bw * ops["single_layer"].matrix
-            - ops["double_layer"].matrix
+            + ops["adjoint_double_layer"].matrix.T
             + 0.5 * mass
         )
         rhs = -load

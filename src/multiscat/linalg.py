@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-_EIG_DIM_LIMIT = 3000
+EIG_DIM_LIMIT = 3000
 _PIVOT_FLOOR = 1e-300
 
 
@@ -182,9 +182,9 @@ def gmres(apply, b, restart: int = 50, tol: float = 1e-6, maxiter: int = 1000,
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a square matrix of dimension at most 3000."""
     a = _require_square(a, "eigenvalues")
-    if a.shape[0] > _EIG_DIM_LIMIT:
+    if a.shape[0] > EIG_DIM_LIMIT:
         raise ValueError(
-            f"eigenvalues is guarded to dimension {_EIG_DIM_LIMIT}, got {a.shape[0]}"
+            f"eigenvalues is guarded to dimension {EIG_DIM_LIMIT}, got {a.shape[0]}"
         )
     if not np.all(np.isfinite(a)):
         raise ValueError("eigenvalues requires finite entries")

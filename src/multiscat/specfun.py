@@ -87,12 +87,10 @@ def bessel_arrays(nmax: int, x: float):
     """J_0..J_nmax and Y_0..Y_nmax at a positive scalar argument.
 
     Raises OverflowError naming the first order at which Y_n leaves the
-    representable range, and ValueError for nmax < 1, nmax > 200 or x <= 0.
+    representable range, and ValueError for nmax < 1 or x <= 0.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    if nmax > 200:
-        raise ValueError("orders above 200 are not supported")
     x = float(x)
     if x <= 0.0:
         raise ValueError("bessel_arrays requires x > 0")

@@ -209,7 +209,14 @@ def check_spectra(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
 
     MFIE/CFIE/BW spectra are matched against the EFIE spectrum; the report
     carries the worst matched relative mismatch and the permutations.
+    Meshes above ``linalg.EIG_DIM_LIMIT`` unknowns are refused before any
+    assembly.
     """
+    if mesh.n_nodes > linalg.EIG_DIM_LIMIT:
+        raise ValueError(
+            f"spectrum is limited to {linalg.EIG_DIM_LIMIT} unknowns, "
+            f"the mesh has {mesh.n_nodes}"
+        )
     ops = _assemble_all(scene, mesh, operators)
     forms = _formulation_set(alpha, eta, eta_bw)
     eigenvalues = {}

@@ -31,6 +31,14 @@ def test_boundary_condition_cancels_incident_wave():
     assert np.max(np.abs(total)) <= 1e-10
 
 
+def test_boundary_condition_holds_past_order_200():
+    cfg = config(k=160.0)
+    assert cfg.order() > 200
+    pts = ring(1.0, m=256)
+    total = analytic.mie_scattered(cfg, pts) + incident(cfg.k, cfg.beta, pts)
+    assert np.max(np.abs(total)) <= 1e-10
+
+
 def test_reflection_symmetry_across_beta():
     cfg = config()
     rng = np.random.default_rng(2)

@@ -8,10 +8,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import multiscat
-from multiscat import cli, formulations, geometry, linalg, verify
+from multiscat import bem, cli, formulations, geometry, linalg, verify
 
 
 def run(*argv) -> int:
@@ -169,11 +170,17 @@ class TestSpectrumCommand:
         header, rows = read_csv(out / "eigenvalues.csv")
         assert header == list(cli.EIGENVALUE_COLUMNS)
         assert len(rows) == 4 * doc["unknowns"]
-        per_kind = {kind: 0 for kind in formulations.FORMULATION_KINDS}
+        per_kind = {kind: [] for kind in formulations.FORMULATION_KINDS}
         for kind, re, im in rows:
-            per_kind[kind] += 1
-            complex(float(re), float(im))
-        assert set(per_kind.values()) == {doc["unknowns"]}
+            per_kind[kind].append(complex(float(re), float(im)))
+        assert {len(values) for values in per_kind.values()} == {doc["unknowns"]}
+        # canonical order: EFIE sorted by (real, imag), and row i of every
+        # other block is the eigenvalue matched to EFIE row i
+        efie = per_kind["EFIE"]
+        assert efie == sorted(efie, key=lambda z: (z.real, z.imag))
+        for kind in ("MFIE", "CFIE", "BW"):
+            for value, reference in zip(per_kind[kind], efie):
+                assert abs(value - reference) <= doc["threshold"] * abs(reference)
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +336,30 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "disk_field_errors", boom)
         assert run("validate-disk", "--out", str(tmp_path)) == 3
         capsys.readouterr()
+
+    def test_size_beyond_physical_memory_refused_before_allocating(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        numpy_zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            assert np.prod(shape) < 10**8, "a dense operator matrix was allocated"
+            return numpy_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        assert run("verify", "--preset", "desk", "--ppw", "5000", "--out", str(tmp_path)) == 2
+        assert "GiB of physical memory" in capsys.readouterr().err
+
+    def test_spectrum_beyond_eigenvalue_limit_refused_before_assembly(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("operators were assembled")
+
+        monkeypatch.setattr(bem, "assemble_operators", no_assembly)
+        assert run("spectrum", "--preset", "desk", "--ppw", "250", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"limited to {linalg.EIG_DIM_LIMIT} unknowns" in err
 
     def test_scene_and_preset_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as info:

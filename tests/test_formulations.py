@@ -169,7 +169,7 @@ class TestSystemAssembly:
         eta_bw = 0.5j * DISK_K
         expected = (
             -eta_bw * ops["single_layer"].matrix
-            - ops["double_layer"].matrix
+            + ops["adjoint_double_layer"].matrix.T
             + 0.5 * ops["mass"].matrix
         )
         assert np.array_equal(sys_.matrix, expected)
