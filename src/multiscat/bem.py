@@ -19,11 +19,15 @@ pair, so its matrix is exactly -N^T; the Brakhage-Werner system reads it
 from there.  The off-surface double-layer potential, which is not a
 Galerkin matrix, is still evaluated by ``evaluate_potentials``.
 
-Quadrature.  Separated panel pairs use a tensor Gauss rule of order 8 and
-adjacent pairs (sharing a node) one of order 16; both kernels are smooth
-there.  On a panel paired with itself the N kernel vanishes identically
-because (x - y) is parallel to a flat panel, and the single-layer kernel is
-integrated by splitting off the logarithm,
+Quadrature.  One routine integrates every pair of distinct panels: given a
+list of pairs and a tensor Gauss rule, it adds their blocks to each
+requested matrix.  It takes the separated pairs (sharing no node), a chunk
+of rows at a time, with a rule of order 8, then the adjacent pairs (sharing
+a node) with one of order 16; both kernels are smooth there, and the same
+kernel formulas serve ``evaluate_potentials``.  On a panel paired with
+itself the N kernel vanishes identically because (x - y) is parallel to a
+flat panel, and the single-layer kernel is integrated by splitting off the
+logarithm,
 
     H0^(1)(k r) = (2i/pi) ln(r) J0(k r) + W(r),
 
@@ -195,23 +199,33 @@ def _basis_weights(rule: QuadratureRule) -> np.ndarray:
     return np.stack([1.0 - u, u]) * rule.weights[None, :]
 
 
-def _quad_points(pd: _PanelData, rule: QuadratureRule, sel=None) -> np.ndarray:
-    a = pd.start if sel is None else pd.start[sel]
-    b = pd.end if sel is None else pd.end[sel]
-    return a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+def _quad_points(pd: _PanelData, rule: QuadratureRule) -> np.ndarray:
+    return pd.start[:, None, :] + rule.points[None, :, None] * (pd.end - pd.start)[:, None, :]
 
 
-def _scatter_swept(matrix, pd: _PanelData, row_sel, blocks):
-    """Add (nrows, 2, npanels, 2) local blocks into the global matrix.
+def _separation(x, y, normal):
+    """r = |x - y| and, given a normal n, (x - y).n (else None); the
+    arguments broadcast over all but their last axis, of length 2."""
+    dx = x[..., 0] - y[..., 0]
+    dy = x[..., 1] - y[..., 1]
+    r = np.sqrt(dx ** 2 + dy ** 2)
+    if normal is None:
+        return r, None
+    # formed in place, to hold no temporaries
+    dx *= normal[..., 0]
+    dy *= normal[..., 1]
+    return r, np.add(dx, dy, out=dx)
 
-    Endpoint node indices are a permutation of the panel indices, so each
-    fancy-index assignment below touches distinct entries.
-    """
-    nodes = (pd.node0, pd.node1)
-    for a in (0, 1):
-        rows = nodes[a][row_sel]
-        for b in (0, 1):
-            matrix[np.ix_(rows, nodes[b])] += blocks[:, a, :, b]
+
+def _kernels(k: float, r: np.ndarray, dn: np.ndarray | None, single: bool):
+    """(G, dG) at distances r > 0: G = (i/4) H0^(1)(k r) if ``single``, and
+    dG = G'(r) (x - y).n / r given dn = (x - y).n, which is d/dn(x) G, or
+    -d/dn(y) G when n belongs to y.  A kernel not asked for is None."""
+    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(k * r)
+    g = 0.25j * (j0 + 1j * y0) if single else None
+    del j0, y0
+    dg = (-0.25j * k) * (j1 + 1j * y1) / r * dn if dn is not None else None
+    return g, dg
 
 
 def assemble_operators(
@@ -221,7 +235,7 @@ def assemble_operators(
     far_order: int = _FAR_ORDER,
     near_order: int = _NEAR_ORDER,
 ) -> dict:
-    """Assemble any subset of {L, N} in one sweep over panel pairs.
+    """Assemble any subset of {L, N} in one pass over panel pairs.
 
     The distance computation and Bessel evaluations dominate the cost and
     are shared between the requested kernels, so asking for both is barely
@@ -246,8 +260,19 @@ def assemble_operators(
         )
     mats = {kind: np.zeros((n, n), dtype=complex) for kind in kinds}
 
-    _far_sweep(mats, pd, k, gauss_rule(far_order))
-    _adjacent_pairs(mats, pd, k, gauss_rule(near_order))
+    far = gauss_rule(far_order)
+    chunk = max(1, _CHUNK_PAIR_POINTS // max(1, far.points.size ** 2 * n))
+    for lo in range(0, n, chunk):
+        rows = np.arange(lo, min(lo + chunk, n))
+        apart = np.ones((rows.size, n), dtype=bool)
+        for cols in (rows, pd.next_panel[rows], pd.prev_panel[rows]):
+            apart[np.arange(rows.size), cols] = False
+        ti, si = np.nonzero(apart)
+        _add_panel_pairs(mats, pd, k, far, rows[ti], si)
+    # The shared endpoint of adjacent panels is never a Gauss point, so the
+    # kernels stay finite there.
+    adjacent = np.concatenate([pd.next_panel, pd.prev_panel])
+    _add_panel_pairs(mats, pd, k, gauss_rule(near_order), np.tile(np.arange(n), 2), adjacent)
     if "single_layer" in mats:
         _same_panel_single_layer(mats["single_layer"], pd, k, gauss_rule(near_order))
 
@@ -260,73 +285,26 @@ def assemble_operators(
     return out
 
 
-def _far_sweep(mats, pd: _PanelData, k: float, rule: QuadratureRule):
-    """All panel pairs with the smooth rule; self and adjacent pairs are
-    masked out here and handled by the dedicated passes."""
-    n = pd.count
-    g = rule.points.size
-    ys = _quad_points(pd, rule)
-    wphi = _basis_weights(rule)
-    need_dnx = ("adjoint_double_layer" in mats)
-    chunk = max(1, _CHUNK_PAIR_POINTS // max(1, g * g * n))
-    for lo in range(0, n, chunk):
-        sel = np.arange(lo, min(lo + chunk, n))
-        ni = sel.size
-        diff = ys[sel][:, :, None, None, :] - ys[None, None, :, :, :]
-        r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
-        excluded = np.zeros((ni, n), dtype=bool)
-        local = np.arange(ni)
-        for cols in (sel, pd.next_panel[sel], pd.prev_panel[sel]):
-            excluded[local, cols] = True
-        r = np.where(excluded[:, None, :, None], 1.0, r)
-        if not np.all(r > 0.0):
-            raise RuntimeError("coincident quadrature points on non-adjacent panels")
-        dnx = np.einsum("iqjrd,id->iqjr", diff, pd.normal[sel]) if need_dnx else None
-        del diff
-        j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(k * r)
-        grad_factor = (-0.25j * k) * (j1 + 1j * y1) / r if need_dnx else None
-        del j1, y1
-        scale = np.multiply.outer(pd.length[sel], pd.length)
-        excl_rows = np.repeat(local, 3)
-        excl_cols = np.stack([sel, pd.next_panel[sel], pd.prev_panel[sel]], axis=1).ravel()
-        for kind in mats:
-            if kind == "single_layer":
-                kernel = 0.25j * (j0 + 1j * y0)
-            else:
-                kernel = grad_factor * dnx
-            local_blocks = np.einsum("aq,iqjr,br->iajb", wphi, kernel, wphi)
-            del kernel
-            local_blocks[excl_rows, :, excl_cols, :] = 0.0
-            local_blocks *= scale[:, None, :, None]
-            _scatter_swept(mats[kind], pd, sel, local_blocks)
-
-
-def _adjacent_pairs(mats, pd: _PanelData, k: float, rule: QuadratureRule):
-    """Panels sharing a node, integrated with the higher-order rule.  The
-    shared endpoint is never a Gauss point, so the kernel stays finite."""
-    n = pd.count
-    ti = np.concatenate([np.arange(n), np.arange(n)])
-    si = np.concatenate([pd.next_panel, pd.prev_panel])
-    xt = _quad_points(pd, rule, ti)
-    ys = _quad_points(pd, rule, si)
-    wphi = _basis_weights(rule)
-    diff = xt[:, :, None, :] - ys[:, None, :, :]
-    r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+def _add_panel_pairs(mats, pd: _PanelData, k: float, rule: QuadratureRule, ti, si):
+    """Add the tensor-rule Galerkin blocks of the distinct panel pairs
+    (ti[p], si[p]), tested on ti[p] and trialed on si[p], to every matrix in
+    ``mats``.  Endpoint node indices are a permutation of the panel indices,
+    so each fancy-index addition below touches distinct entries."""
+    xs = _quad_points(pd, rule)
+    normal = pd.normal[ti, None, None] if "adjoint_double_layer" in mats else None
+    r, dn = _separation(xs[ti, :, None], xs[si, None, :], normal)
     if not np.all(r > 0.0):
-        raise RuntimeError("coincident quadrature points on adjacent panels")
-    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(k * r)
-    pair_scale = (pd.length[ti] * pd.length[si])[:, None, None]
+        raise RuntimeError("coincident quadrature points on distinct panels")
+    kernels = dict(zip(_OPERATOR_KINDS, _kernels(k, r, dn, "single_layer" in mats)))
+    del r, dn
+    wphi = _basis_weights(rule)
+    scale = (pd.length[ti] * pd.length[si])[:, None, None]
     nodes = (pd.node0, pd.node1)
-    for kind in mats:
-        if kind == "single_layer":
-            kernel = 0.25j * (j0 + 1j * y0)
-        else:
-            grad_factor = (-0.25j * k) * (j1 + 1j * y1) / r
-            kernel = grad_factor * np.einsum("pqrd,pd->pqr", diff, pd.normal[ti])
-        blocks = np.einsum("aq,pqr,br->pab", wphi, kernel, wphi) * pair_scale
+    for kind, mat in mats.items():
+        blocks = np.einsum("aq,pqr,br->pab", wphi, kernels.pop(kind), wphi) * scale
         for a in (0, 1):
             for b in (0, 1):
-                np.add.at(mats[kind], (nodes[a][ti], nodes[b][si]), blocks[:, a, b])
+                mat[nodes[a][ti], nodes[b][si]] += blocks[:, a, b]
 
 
 def _same_panel_single_layer(matrix, pd: _PanelData, k: float, rule: QuadratureRule):
@@ -410,7 +388,6 @@ def evaluate_potentials(
 
     rule = gauss_rule(order)
     u = rule.points
-    g = u.size
     ys = _quad_points(pd, rule)
     coeff = (rho[pd.node0, None] * (1.0 - u)[None, :] + rho[pd.node1, None] * u[None, :])
     coeff = coeff * (rule.weights[None, :] * pd.length[:, None])
@@ -418,20 +395,15 @@ def evaluate_potentials(
     m = pts.shape[0]
     values = np.empty(m, dtype=complex)
     near = np.empty(m, dtype=bool)
-    chunk = max(1, _CHUNK_PAIR_POINTS // max(1, pd.count * g))
+    chunk = max(1, _CHUNK_PAIR_POINTS // max(1, pd.count * u.size))
+    normal = pd.normal[None, :, None] if layer == "double" else None
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        diff = pts[lo:hi][:, None, None, :] - ys[None, :, :, :]
-        r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+        r, dn = _separation(pts[lo:hi, None, None], ys[None], normal)
         near[lo:hi] = np.any(r < pd.length[None, :, None], axis=(1, 2))
-        r = np.maximum(r, 1e-12)
-        j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(k * r)
-        if layer == "single":
-            kernel = 0.25j * (j0 + 1j * y0)
-        else:
-            dny = np.einsum("cprd,pd->cpr", diff, pd.normal)
-            kernel = (-0.25j * k) * (j1 + 1j * y1) * dny / r
-        values[lo:hi] = np.einsum("cpr,pr->c", kernel, coeff)
+        single, double = _kernels(k, np.maximum(r, 1e-12, out=r), dn, layer == "single")
+        del r, dn
+        values[lo:hi] = np.einsum("cpr,pr->c", single if double is None else double, coeff)
     if single_point:
         return PotentialField(values=values[:1], near_boundary=near[:1])
     return PotentialField(values=values, near_boundary=near)

@@ -222,8 +222,8 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _parameter_doc(cfg: RunConfig, k: float) -> dict:
-    eta = cfg.eta if cfg.eta is not None else -1j * k
-    eta_bw = cfg.eta_bw if cfg.eta_bw is not None else 0.5j * k
+    eta = cfg.eta if cfg.eta is not None else formulations.ETA_PER_K * k
+    eta_bw = cfg.eta_bw if cfg.eta_bw is not None else formulations.ETA_BW_PER_K * k
     return {
         "alpha": cfg.alpha,
         "eta": _complex_pair(complex(eta)),
@@ -615,7 +615,7 @@ def main(argv=None) -> int:
     except linalg.SingularMatrixError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RuntimeError, FloatingPointError) as exc:

@@ -36,6 +36,9 @@ from . import bem, linalg
 
 FORMULATION_KINDS = ("EFIE", "MFIE", "CFIE", "BW")
 _LOAD_ORDER = 8
+# The standard couplings per unit wavenumber: eta = -ik (CFIE), eta_bw = ik/2 (BW).
+ETA_PER_K = -1j
+ETA_BW_PER_K = 0.5j
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,11 +62,11 @@ class Formulation:
         if self.kind == "CFIE":
             if not 0.0 < alpha < 1.0:
                 raise ValueError("CFIE requires alpha strictly inside (0, 1)")
-            eta = complex(eta) if eta is not None else -1j * k
+            eta = complex(eta) if eta is not None else ETA_PER_K * k
             if eta.imag == 0.0:
                 raise ValueError("CFIE requires a coupling eta with nonzero imaginary part")
         if self.kind == "BW":
-            eta_bw = complex(eta_bw) if eta_bw is not None else 0.5j * k
+            eta_bw = complex(eta_bw) if eta_bw is not None else ETA_BW_PER_K * k
             if eta_bw.imag == 0.0:
                 raise ValueError("BW requires eta_bw with nonzero imaginary part")
         return Formulation(kind=self.kind, alpha=alpha, eta=eta, eta_bw=eta_bw)
@@ -250,10 +253,7 @@ def preconditioned_matrix(system: BlockSystem, pre: BlockPreconditioner) -> np.n
     """
     if pre.block_offsets != system.block_offsets:
         raise ValueError("preconditioner blocks do not match the system")
-    out = np.empty_like(system.matrix)
-    for factor, lo, hi in zip(pre.factors, pre.block_offsets, pre.block_offsets[1:]):
-        out[lo:hi, :] = linalg.lu_solve(factor, system.matrix[lo:hi, :])
-    return out
+    return _block_solve(pre, system.matrix)
 
 
 def solve(system: BlockSystem, pre: BlockPreconditioner | None = None,

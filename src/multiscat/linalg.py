@@ -110,6 +110,9 @@ def gmres(apply, b, restart: int = 50, tol: float = 1e-6, maxiter: int = 1000,
             iterations=0, residual_history=np.array([0.0]), converged=True
         )
 
+    # no cycle runs more than maxiter inner iterations, so a longer basis
+    # would never be filled
+    restart = max(1, min(restart, maxiter))
     x = np.zeros(n, dtype=complex)
     history = [1.0]
     total = 0

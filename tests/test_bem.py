@@ -207,6 +207,39 @@ def test_far_entries_match_direct_quadrature():
         assert abs(got - direct_entry(kind)) <= 1e-7 * abs(got)
 
 
+def test_every_panel_pair_integrated_once_with_its_rule():
+    """The whole N matrix of a 10-panel polygon rebuilt pair by pair from
+    scipy Hankel functions: order 16 on panels sharing a node, the far order
+    elsewhere, nothing on a panel with itself (the kernel vanishes there).
+    The polygon has far pairs inside the one obstacle, and a pair skipped,
+    added twice or given the wrong rule moves entries far beyond the bound."""
+    k = WAVENUMBER
+    theta = 2.0 * np.pi * np.arange(10) / 10
+    radius = 1.0 + 0.3 * np.cos(3.0 * theta)
+    mesh = polygon_mesh(np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1))
+    segments = mesh.segments
+    start, end = mesh.nodes[segments[:, 0]], mesh.nodes[segments[:, 1]]
+    expected = np.zeros((10, 10), dtype=complex)
+    for p in range(10):
+        for q in range(10):
+            if p == q:
+                continue
+            shared = set(segments[p]) & set(segments[q])
+            x, w = leggauss(16 if shared else 8)
+            u, w = 0.5 * (x + 1.0), 0.5 * w
+            xs = start[p] + u[:, None] * (end[p] - start[p])
+            ys = start[q] + u[:, None] * (end[q] - start[q])
+            d = xs[:, None, :] - ys[None, :, :]
+            r = np.linalg.norm(d, axis=-1)
+            kern = -0.25j * k * scipy_hankel1(1, k * r) * (d @ mesh.normals[p]) / r
+            hats = np.stack([1.0 - u, u]) * w
+            block = mesh.lengths[p] * mesh.lengths[q] * (hats @ kern @ hats.T)
+            expected[np.ix_(segments[p], segments[q])] += block
+    got = bem.assemble_operators(mesh, k, kinds=("adjoint_double_layer",))
+    error = np.abs(got["adjoint_double_layer"].matrix - expected)
+    assert np.max(error) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_flat_panel_kills_double_layer_kernel():
     """(x - y) lies along the panel for same-panel pairs, and chord normals
     are orthogonal to it, so the M and N kernels vanish there identically."""

@@ -37,6 +37,20 @@ FLOAT_FLAGS = {
 NON_FINITE = ("nan", "inf", "-inf")
 
 
+def refuse_large_allocations(monkeypatch):
+    """Make np.empty and np.zeros fail as an exhausted memory would, above
+    1e8 entries, so that a missing size guard cannot exhaust it for real."""
+    for name in ("empty", "zeros"):
+        allocate = getattr(np, name)
+
+        def guarded(shape, *args, _allocate=allocate, **kwargs):
+            if np.prod(shape) >= 10**8:
+                raise MemoryError(f"refused an array of shape {shape}")
+            return _allocate(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, guarded)
+
+
 def numeric_paths(doc, prefix=()):
     """Key paths of every number in a scene document."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
@@ -247,6 +261,21 @@ class TestSolveCommand:
         _, rows = read_csv(tmp_path / "residuals.csv")
         assert rows == [["CFIE", "true", "0", "1.0"]]
 
+    def test_restart_beyond_maxiter_runs_as_restart_equal_to_maxiter(
+        self, tmp_path, monkeypatch
+    ):
+        refuse_large_allocations(monkeypatch)
+        outs = {}
+        for restart in ("1000", "1000000000"):
+            outs[restart] = tmp_path / restart
+            code = run("solve", "--preset", "desk", "--ppw", "10", "--restart", restart,
+                       "--out", str(outs[restart]))
+            assert code == 0
+        docs = {key: json.loads((out / "solve.json").read_text()) for key, out in outs.items()}
+        assert docs["1000000000"]["iterations"] == docs["1000"]["iterations"]
+        for name in ("density.csv", "residuals.csv"):
+            assert (outs["1000"] / name).read_bytes() == (outs["1000000000"] / name).read_bytes()
+
     def test_coupling_flags_reach_the_report(self, tmp_path):
         code = run("solve", "--preset", "desk", "--ppw", "4", "--formulation", "BW",
                    "--eta-bw-im", "4.0", "--out", str(tmp_path))
@@ -349,6 +378,14 @@ class TestExitCodes:
         monkeypatch.setattr(np, "zeros", small_zeros)
         assert run("verify", "--preset", "desk", "--ppw", "5000", "--out", str(tmp_path)) == 2
         assert "GiB of physical memory" in capsys.readouterr().err
+
+    def test_out_of_memory_maps_to_input_error(self, tmp_path, monkeypatch, capsys):
+        # a Krylov basis of 10^9 vectors cannot be allocated
+        refuse_large_allocations(monkeypatch)
+        code = run("solve", "--preset", "desk", "--ppw", "10", "--restart", "1000000000",
+                   "--maxiter", "1000000000", "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_spectrum_beyond_eigenvalue_limit_refused_before_assembly(
         self, tmp_path, monkeypatch, capsys
