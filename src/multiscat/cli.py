@@ -89,8 +89,8 @@ class RunConfig:
             raise ValueError("points per wavelength must be at least 4")
         if self.restart < 1:
             raise ValueError("restart must be at least 1")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError("tolerance must be in (0, 1)")
         if self.maxiter < 0:
             raise ValueError("maxiter must be nonnegative")
         if self.formulation not in formulations.FORMULATION_KINDS:

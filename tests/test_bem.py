@@ -1,5 +1,7 @@
 """Galerkin assembly of the layer operators and potential evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -7,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.special import hankel1 as scipy_hankel1
 from scipy.special import jv, jvp, yv, yvp
 
-from multiscat import bem, geometry
+from multiscat import bem, geometry, specfun
 
 WAVENUMBER = 2.0
 
@@ -18,7 +20,7 @@ def circle_mesh(ppw: int = 15) -> geometry.ObstacleMesh:
     )
 
 
-def two_circle_scene_mesh() -> geometry.SceneMesh:
+def two_circle_scene_mesh(ppw: int = 12) -> geometry.SceneMesh:
     scene = geometry.Scene(
         k=WAVENUMBER,
         beta=(0.0, 1.0),
@@ -29,7 +31,7 @@ def two_circle_scene_mesh() -> geometry.SceneMesh:
         box=(-3.0, -3.0, 9.0, 3.0),
         min_center_distance=3.0,
     )
-    return geometry.mesh_scene(scene, ppw=12)
+    return geometry.mesh_scene(scene, ppw=ppw)
 
 
 def hankel(n, x):
@@ -49,15 +51,47 @@ def circle_symbol(kind: str, n: int, k: float) -> complex:
     return 0.5 + 1j * np.pi * k / 2 * jv(n, k) * hankel_deriv(n, k)
 
 
-def operator_matrix(mesh, kind: str, **orders) -> np.ndarray:
+def operator_matrix(mesh, kind: str) -> np.ndarray:
     """Galerkin matrix of L, M or N.  The double layer M is read as -N^T,
     the form in which the program uses it."""
     if kind == "double_layer":
-        ops = bem.assemble_operators(
-            mesh, WAVENUMBER, kinds=("adjoint_double_layer",), **orders
-        )
+        ops = bem.assemble_operators(mesh, WAVENUMBER, kinds=("adjoint_double_layer",))
         return -ops["adjoint_double_layer"].matrix.T
-    return bem.assemble_operators(mesh, WAVENUMBER, kinds=(kind,), **orders)[kind].matrix
+    return bem.assemble_operators(mesh, WAVENUMBER, kinds=(kind,))[kind].matrix
+
+
+def separated_order(pd, p: int, q: int, k: float) -> int:
+    """The Gauss order the assembly should give panels p and q, which share
+    no node: the band of their midpoint distance over the longer panel and
+    of k times that panel's length."""
+    h = max(pd.length[p], pd.length[q])
+    ratio = math.dist(0.5 * (pd.start[p] + pd.end[p]), 0.5 * (pd.start[q] + pd.end[q])) / h
+    if ratio >= 16.0 and k * h <= 0.25:
+        return 3
+    if ratio >= 4.0 and k * h <= 0.8:
+        return 4
+    if ratio >= 2.5 and k * h <= 1.6:
+        return 5
+    return 8
+
+
+def pair_blocks(pd, p: int, q: int, k: float, order: int) -> dict:
+    """2 x 2 Galerkin blocks of L and N, tested on panel p and trialed on
+    panel q, by a tensor Gauss rule of ``order`` points on scipy Hankel
+    functions; rows and columns follow the panels' start and end nodes."""
+    x, w = leggauss(order)
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    xs = pd.start[p] + u[:, None] * (pd.end[p] - pd.start[p])
+    ys = pd.start[q] + u[:, None] * (pd.end[q] - pd.start[q])
+    d = xs[:, None, :] - ys[None, :, :]
+    r = np.linalg.norm(d, axis=-1)
+    kernels = {
+        "single_layer": 0.25j * scipy_hankel1(0, k * r),
+        "adjoint_double_layer": -0.25j * k * scipy_hankel1(1, k * r) * (d @ pd.normal[p]) / r,
+    }
+    hats = np.stack([1.0 - u, u]) * w
+    scale = pd.length[p] * pd.length[q]
+    return {kind: scale * (hats @ kern @ hats.T) for kind, kern in kernels.items()}
 
 
 def rayleigh_quotients(mesh, kind: str, modes) -> dict:
@@ -140,12 +174,24 @@ def test_refinement_improves_circle_oracle():
 
 
 def test_quadrature_doubling_far_pairs():
+    """The blocks between the two obstacles, where every panel pair is
+    separated, against an order-16 reference built pair by pair from scipy
+    Hankel functions, in both directions (the lower N block is -M^T)."""
     mesh = two_circle_scene_mesh()
+    pd = bem._panel_data(mesh)
     cut = mesh.block_offsets[1]
-    for kind in ("single_layer", "double_layer", "adjoint_double_layer"):
-        off_c = operator_matrix(mesh, kind, far_order=8)[:cut, cut:]
-        off_f = operator_matrix(mesh, kind, far_order=16)[:cut, cut:]
-        assert np.max(np.abs(off_c - off_f)) / np.max(np.abs(off_f)) <= 1e-8
+    ops = bem.assemble_operators(mesh, WAVENUMBER)
+    reference = {kind: np.zeros((pd.count, pd.count), dtype=complex) for kind in ops}
+    for p in range(cut):
+        for q in range(cut, pd.count):
+            for a, b in ((p, q), (q, p)):
+                entries = np.ix_([pd.node0[a], pd.node1[a]], [pd.node0[b], pd.node1[b]])
+                for kind, block in pair_blocks(pd, a, b, WAVENUMBER, 16).items():
+                    reference[kind][entries] += block
+    for kind, op in ops.items():
+        for rows, cols in ((slice(None, cut), slice(cut, None)), (slice(cut, None), slice(None, cut))):
+            ref = reference[kind][rows, cols]
+            assert np.max(np.abs(op.matrix[rows, cols] - ref)) / np.max(np.abs(ref)) <= 1e-8
 
 
 def test_far_entries_match_direct_quadrature():
@@ -199,45 +245,84 @@ def test_far_entries_match_direct_quadrature():
                 )
         return total
 
-    # both sides run the same order-8 rule on scipy's Hankel values, so they
-    # agree to roundoff (about 3e-16 measured); a wrong kernel, normal, sign
-    # or hat pairing moves the entry far beyond the bound
+    # the assembly integrates this pair at order 4, the order of its
+    # separation band, and the reference at order 8; the two agree to about
+    # 4e-11 relative (measured), and a wrong kernel, normal, sign or hat
+    # pairing moves the entry far beyond the bound
     for kind in ("single_layer", "double_layer", "adjoint_double_layer"):
         got = matrices[kind][i, j]
         assert abs(got - direct_entry(kind)) <= 1e-7 * abs(got)
 
 
 def test_every_panel_pair_integrated_once_with_its_rule():
-    """The whole N matrix of a 10-panel polygon rebuilt pair by pair from
-    scipy Hankel functions: order 16 on panels sharing a node, the far order
-    elsewhere, nothing on a panel with itself (the kernel vanishes there).
-    The polygon has far pairs inside the one obstacle, and a pair skipped,
-    added twice or given the wrong rule moves entries far beyond the bound."""
-    k = WAVENUMBER
+    """The whole N matrix of three 10-panel polygons rebuilt pair by pair
+    from scipy Hankel functions: order 16 on panels sharing a node, the
+    order of the pair's separation band elsewhere, nothing on a panel with
+    itself (the kernel vanishes there).  The polygons are placed so that
+    all four bands occur, and a pair skipped, added twice or given the
+    wrong rule moves entries far beyond the bound."""
+    k = 0.3
     theta = 2.0 * np.pi * np.arange(10) / 10
     radius = 1.0 + 0.3 * np.cos(3.0 * theta)
-    mesh = polygon_mesh(np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1))
-    segments = mesh.segments
-    start, end = mesh.nodes[segments[:, 0]], mesh.nodes[segments[:, 1]]
-    expected = np.zeros((10, 10), dtype=complex)
-    for p in range(10):
-        for q in range(10):
+    loop = np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1)
+    parts = tuple(polygon_mesh(loop + np.array(c)) for c in ((0.0, 0.0), (6.0, 0.0), (0.0, 20.0)))
+    mesh = geometry.SceneMesh(meshes=parts, block_offsets=(0, 10, 20, 30))
+    pd = bem._panel_data(mesh)
+    expected = np.zeros((30, 30), dtype=complex)
+    orders = set()
+    for p in range(30):
+        for q in range(30):
             if p == q:
                 continue
-            shared = set(segments[p]) & set(segments[q])
-            x, w = leggauss(16 if shared else 8)
-            u, w = 0.5 * (x + 1.0), 0.5 * w
-            xs = start[p] + u[:, None] * (end[p] - start[p])
-            ys = start[q] + u[:, None] * (end[q] - start[q])
-            d = xs[:, None, :] - ys[None, :, :]
-            r = np.linalg.norm(d, axis=-1)
-            kern = -0.25j * k * scipy_hankel1(1, k * r) * (d @ mesh.normals[p]) / r
-            hats = np.stack([1.0 - u, u]) * w
-            block = mesh.lengths[p] * mesh.lengths[q] * (hats @ kern @ hats.T)
-            expected[np.ix_(segments[p], segments[q])] += block
+            ends_p, ends_q = (pd.node0[p], pd.node1[p]), (pd.node0[q], pd.node1[q])
+            order = 16 if set(ends_p) & set(ends_q) else separated_order(pd, p, q, k)
+            orders.add(order)
+            expected[np.ix_(ends_p, ends_q)] += pair_blocks(pd, p, q, k, order)["adjoint_double_layer"]
+    assert orders == {3, 4, 5, 8, 16}
     got = bem.assemble_operators(mesh, k, kinds=("adjoint_double_layer",))
     error = np.abs(got["adjoint_double_layer"].matrix - expected)
     assert np.max(error) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_one_bessel_evaluation_per_unordered_pair(monkeypatch):
+    """Every quadrature point pair of every unordered pair of distinct
+    panels reaches the Bessel routine exactly once: order 16 squared for
+    panels sharing a node, the separation band's order squared otherwise,
+    and none for a panel with itself (its rule splits off the logarithm)."""
+    mesh = two_circle_scene_mesh(ppw=30)
+    pd = bem._panel_data(mesh)
+    expected = 0
+    for p in range(pd.count):
+        for q in range(p + 1, pd.count):
+            shared = {pd.node0[p], pd.node1[p]} & {pd.node0[q], pd.node1[q]}
+            expected += (16 if shared else separated_order(pd, p, q, WAVENUMBER)) ** 2
+    received = []
+    bessel = specfun.bessel_j0j1y0y1
+
+    def counting(x):
+        received.append(np.size(x))
+        return bessel(x)
+
+    monkeypatch.setattr(specfun, "bessel_j0j1y0y1", counting)
+    bem.assemble_operators(mesh, WAVENUMBER)
+    assert sum(received) == expected
+    assert max(received) <= bem._CHUNK_PAIR_POINTS
+
+
+@pytest.mark.parametrize("case", ["desk-ppw4", "two-circles"])
+def test_separated_pairs_meet_order_16_reference(case, desk, monkeypatch):
+    """L and N within 1e-8 of the largest entry of matrices assembled with
+    order 16 on every separated pair (the near and self rules unchanged)."""
+    if case == "desk-ppw4":
+        mesh, k = geometry.mesh_scene(desk, ppw=4), desk.k
+    else:
+        mesh, k = two_circle_scene_mesh(), WAVENUMBER
+    got = bem.assemble_operators(mesh, k)
+    monkeypatch.setattr(bem, "_SEPARATED_ORDERS", ((0.0, math.inf, 16),))
+    reference = bem.assemble_operators(mesh, k)
+    for kind, ref in reference.items():
+        error = np.max(np.abs(got[kind].matrix - ref.matrix))
+        assert error <= 1e-8 * np.max(np.abs(ref.matrix))
 
 
 def test_flat_panel_kills_double_layer_kernel():

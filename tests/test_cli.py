@@ -333,11 +333,16 @@ class TestExitCodes:
     def test_ppw_too_low(self, tmp_path):
         assert run("solve", "--preset", "desk", "--ppw", "3", "--out", str(tmp_path)) == 2
 
-    def test_bad_solver_parameters(self, tmp_path):
+    def test_bad_solver_parameters(self, tmp_path, capsys):
         out = str(tmp_path)
         assert run("solve", "--preset", "desk", "--restart", "0", "--out", out) == 2
         assert run("solve", "--preset", "desk", "--maxiter", "-1", "--out", out) == 2
         assert run("solve", "--preset", "desk", "--tol", "0", "--out", out) == 2
+        # a relative residual of 1 is met before the first iteration
+        assert run("solve", "--preset", "desk", "--tol", "1", "--out", out) == 2
+        capsys.readouterr()
+        assert run("verify", "--preset", "desk", "--tol", "2", "--out", out) == 2
+        assert "tolerance must be in (0, 1)" in capsys.readouterr().err
 
     def test_real_coupling_rejected(self, tmp_path):
         code = run("solve", "--preset", "desk", "--ppw", "4", "--eta-re", "2.0",
