@@ -30,10 +30,12 @@ length h, and by k h (see ``_SEPARATED_ORDERS``); pairs sharing a node take
 order 16.  Both keys are symmetric in the pair, so M = -N^T stays exact.
 On node-sharing pairs neither kernel is smooth: L has a ln r singularity at
 the shared vertex and N's kernel is homogeneous of degree -1 there, so the
-tensor rule converges only algebraically on them.  The same kernel formulas
-serve ``evaluate_potentials``.  On a panel paired with itself the N kernel
-vanishes identically because (x - y) is parallel to a flat panel, and the
-single-layer kernel is integrated by splitting off the logarithm,
+tensor rule converges only algebraically on them.  ``evaluate_potentials``
+uses the same kernels and bands: a receiver x takes, on every panel, the
+largest band order over the panels p keyed on |x - mid_p| / h_p and k h_p.
+On a panel paired with itself the N kernel vanishes identically because
+(x - y) is parallel to a flat panel, and the single-layer kernel is
+integrated by splitting off the logarithm,
 
     H0^(1)(k r) = (2i/pi) ln(r) J0(k r) + W(r),
 
@@ -54,7 +56,6 @@ import numpy as np
 from . import geometry, specfun
 
 _NEAR_ORDER = 16
-_POTENTIAL_ORDER = 8
 # Tensor Gauss order of a pair of panels sharing no node.  With h the longer
 # panel's length and s the distance between the midpoints over h, a pair
 # takes the order of the first row whose s >= its first column and k h <= its
@@ -242,7 +243,8 @@ def _kernels(k: float, r: np.ndarray, single: bool, double: bool):
     H0^(1)(k r) if ``single``, and F = G'(r) / r if ``double``, else None.
     F (x - y).n is d/dn(x) G when n belongs to x, and -d/dn(y) G when it
     belongs to y."""
-    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(k * r)
+    orders = tuple(n for n, wanted in ((0, single), (1, double)) if wanted)
+    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(k * r, orders)
     g = 0.25j * (j0 + 1j * y0) if single else None
     del j0, y0
     f = (-0.25j * k) * (j1 + 1j * y1) / r if double else None
@@ -315,15 +317,19 @@ def _separated_pairs(pd: _PanelData, k: float):
         ti, si = np.nonzero(apart)
         ti += lo
         h = np.maximum(pd.length[ti], pd.length[si])
-        ratio = np.hypot(*(mid[ti] - mid[si]).T) / h
-        order = np.select(
-            [(ratio >= s) & (k * h <= kh) for s, kh, _ in _SEPARATED_ORDERS],
-            [o for *_, o in _SEPARATED_ORDERS],
-        )
+        order = _band_order(np.hypot(*(mid[ti] - mid[si]).T) / h, k * h)
         for o in np.unique(order):
             sel = order == o
             yield int(o), ti[sel], si[sel]
         lo = hi
+
+
+def _band_order(ratio, kh):
+    """The ``_SEPARATED_ORDERS`` order of each separation ``ratio`` and k h."""
+    return np.select(
+        [(ratio >= s) & (kh <= band_kh) for s, band_kh, _ in _SEPARATED_ORDERS],
+        [o for *_, o in _SEPARATED_ORDERS],
+    )
 
 
 def _add_panel_pairs(mats, pd: _PanelData, k: float, rule: QuadratureRule, ti, si):
@@ -426,13 +432,16 @@ def evaluate_potentials(
     k: float,
     points,
     layer: str = "single",
-    order: int = _POTENTIAL_ORDER,
+    order: int = 1,
 ) -> PotentialField:
     """Evaluate a layer potential of a nodal P1 density off the boundary.
 
     layer "single" integrates G(x, y) rho(y); layer "double" integrates the
     double-layer kernel -d/dn(y) G(x, y).  Points closer to a panel than its
     own length are flagged near_boundary and their values are unreliable.
+    Each point takes one Gauss order on every panel, its band order (see the
+    module docstring) or ``order`` if that is larger: ``order`` is the least
+    order any point takes, so ``order=32`` is an order-32 rule everywhere.
     """
     if k <= 0.0:
         raise ValueError("evaluate_potentials requires k > 0")
@@ -442,32 +451,32 @@ def evaluate_potentials(
     rho = np.asarray(density)
     if rho.shape != (pd.count,):
         raise ValueError(f"density must have one value per node ({pd.count})")
-    pts = np.asarray(points, dtype=float)
-    single_point = pts.ndim == 1
-    pts = np.atleast_2d(pts)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
 
-    rule = gauss_rule(order)
-    u = rule.points
-    ys = _quad_points(pd, rule)
-    coeff = (rho[pd.node0, None] * (1.0 - u)[None, :] + rho[pd.node1, None] * u[None, :])
-    coeff = coeff * (rule.weights[None, :] * pd.length[:, None])
-
+    mid = 0.5 * (pd.start + pd.end)
     m = pts.shape[0]
     values = np.empty(m, dtype=complex)
     near = np.empty(m, dtype=bool)
-    chunk = max(1, _CHUNK_PAIR_POINTS // max(1, pd.count * u.size))
+    top = max(order, *(o for *_, o in _SEPARATED_ORDERS))
+    chunk = max(1, _CHUNK_PAIR_POINTS // (pd.count * top))
     normals = (pd.normal[None, :, None],) if layer == "double" else ()
     for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        r, along = _separation(pts[lo:hi, None, None], ys[None], normals)
-        near[lo:hi] = np.any(r < pd.length[None, :, None], axis=(1, 2))
-        g, f = _kernels(k, np.maximum(r, 1e-12, out=r), layer == "single", layer == "double")
-        del r
-        kernel = g if f is None else f * along[0]
-        del along, g, f
-        values[lo:hi] = np.einsum("cpr,pr->c", kernel, coeff)
-    if single_point:
-        return PotentialField(values=values[:1], near_boundary=near[:1])
+        rows = np.arange(lo, min(lo + chunk, m))
+        ratio = np.hypot(*(pts[rows, None] - mid[None]).transpose(2, 0, 1)) / pd.length
+        orders = np.maximum(order, _band_order(ratio, k * pd.length).max(axis=1))
+        for o in np.unique(orders):
+            sel = rows[orders == o]
+            rule = gauss_rule(int(o))
+            u = rule.points
+            w = rule.weights * pd.length[:, None]
+            coeff = (rho[pd.node0, None] * (1.0 - u) + rho[pd.node1, None] * u) * w
+            r, along = _separation(pts[sel, None, None], _quad_points(pd, rule)[None], normals)
+            near[sel] = np.any(r < pd.length[None, :, None], axis=(1, 2))
+            g, f = _kernels(k, np.maximum(r, 1e-12, out=r), layer == "single", layer == "double")
+            del r
+            kernel = g if f is None else f * along[0]
+            del along, g, f
+            values[sel] = np.einsum("cpr,pr->c", kernel, coeff)
     return PotentialField(values=values, near_boundary=near)

@@ -25,6 +25,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import pathlib
 import sys
 
@@ -51,6 +52,11 @@ EXIT_PASS = 0
 EXIT_THRESHOLD = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+
+# Peak bytes per squared unknown of a whole command, from the growth of peak
+# RSS on the desk preset at ppw 60 and 90 (887 and 1330 unknowns): 204 and
+# 200 for verify, 124 and 120 for spectrum (tracemalloc: 192 and 104).
+_BYTES_PER_ENTRY = {"verify": 204, "spectrum": 124}
 
 _PARAM_FIELDS = {
     "ellipse": ("a", "b"),
@@ -244,6 +250,26 @@ def _write_residuals(path: pathlib.Path, records) -> None:
                 writer.writerow([rec.formulation, tag, i, float(residual)])
 
 
+def _available_memory() -> int:
+    """Bytes of physical memory available: MemAvailable from /proc/meminfo,
+    or all physical memory where that is not readable."""
+    try:
+        with open("/proc/meminfo") as handle:
+            fields = dict(line.split(":", 1) for line in handle)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _refuse_beyond_memory(command: str, n: int) -> None:
+    """Raise ValueError when the command's dense matrices on n unknowns
+    would not fit in the available memory."""
+    needed, available = _BYTES_PER_ENTRY[command] * n * n, _available_memory()
+    if needed > available:
+        raise ValueError(f"{command} on {n} unknowns needs about {needed / 2**30:.1f} GiB, "
+                         f"more than the {available / 2**30:.1f} GiB of physical memory available")
+
+
 def _print_check(name: str, value: float, bound: float, ok: bool) -> None:
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.6e} (bound {bound:.1e})")
 
@@ -266,6 +292,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     scene = _resolve_scene(cfg)
     mesh = geometry.mesh_scene(scene, cfg.ppw)
     logger.info("verify: %d unknowns over %d obstacles", mesh.n_nodes, len(mesh.meshes))
+    _refuse_beyond_memory("verify", mesh.n_nodes)
     ops = bem.assemble_operators(mesh, scene.k)
     ops["mass"] = bem.assemble_mass(mesh)
 
@@ -334,6 +361,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     scene = _resolve_scene(cfg)
     mesh = geometry.mesh_scene(scene, cfg.ppw)
     logger.info("spectrum: %d unknowns", mesh.n_nodes)
+    _refuse_beyond_memory("spectrum", mesh.n_nodes)
     report = verify.check_spectra(scene, mesh, cfg.alpha, cfg.eta, cfg.eta_bw)
     passed = report.matched_max_rel_error <= verify.DESK_SPECTRUM_THRESHOLD
     _print_check("matched spectra", report.matched_max_rel_error,
@@ -615,7 +643,7 @@ def main(argv=None) -> int:
     except linalg.SingularMatrixError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, TypeError, KeyError, OSError, MemoryError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (RuntimeError, FloatingPointError) as exc:

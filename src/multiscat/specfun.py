@@ -55,7 +55,7 @@ def _horner(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
     return acc
 
 
-def bessel_j0j1y0y1(x):
+def bessel_j0j1y0y1(x, orders=(0, 1)):
     """Evaluate J0, J1, Y0 and Y1 at x (scalar or array), elementwise.
 
     Parameters
@@ -63,10 +63,12 @@ def bessel_j0j1y0y1(x):
     x : float or array_like
         Argument(s); must be nonnegative.  At x = 0 the J values are exact
         (1 and 0) and the Y values are -inf, their limiting value.
+    orders : collection of 0 and 1
+        J0 and Y0 are computed only if 0 is in it, J1 and Y1 only if 1 is.
 
     Returns
     -------
-    (J0, J1, Y0, Y1) : tuple of floats or ndarrays matching x
+    (J0, J1, Y0, Y1) : floats or ndarrays matching x, None where not asked for
 
     Raises
     ------
@@ -77,9 +79,10 @@ def bessel_j0j1y0y1(x):
     if np.any(x_arr < 0.0):
         raise ValueError("bessel_j0j1y0y1 requires x >= 0")
     sp = scipy.special
-    values = (sp.j0(x_arr), sp.j1(x_arr), sp.y0(x_arr), sp.y1(x_arr))
+    functions = ((sp.j0, 0), (sp.j1, 1), (sp.y0, 0), (sp.y1, 1))
+    values = tuple(fn(x_arr) if n in orders else None for fn, n in functions)
     if x_arr.ndim == 0:
-        return tuple(float(v) for v in values)
+        return tuple(None if v is None else float(v) for v in values)
     return values
 
 

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.special import hankel1 as scipy_hankel1
 from scipy.special import jv, jvp, yv, yvp
 
-from multiscat import bem, geometry, specfun
+from multiscat import bem, formulations, geometry, specfun
 
 WAVENUMBER = 2.0
 
@@ -60,19 +60,51 @@ def operator_matrix(mesh, kind: str) -> np.ndarray:
     return bem.assemble_operators(mesh, WAVENUMBER, kinds=(kind,))[kind].matrix
 
 
+def band_order(ratio: float, kh: float) -> int:
+    """The Gauss order of a separation ``ratio`` (distance over a panel
+    length h) and of k h."""
+    if ratio >= 16.0 and kh <= 0.25:
+        return 3
+    if ratio >= 4.0 and kh <= 0.8:
+        return 4
+    if ratio >= 2.5 and kh <= 1.6:
+        return 5
+    return 8
+
+
 def separated_order(pd, p: int, q: int, k: float) -> int:
     """The Gauss order the assembly should give panels p and q, which share
     no node: the band of their midpoint distance over the longer panel and
     of k times that panel's length."""
     h = max(pd.length[p], pd.length[q])
     ratio = math.dist(0.5 * (pd.start[p] + pd.end[p]), 0.5 * (pd.start[q] + pd.end[q])) / h
-    if ratio >= 16.0 and k * h <= 0.25:
-        return 3
-    if ratio >= 4.0 and k * h <= 0.8:
-        return 4
-    if ratio >= 2.5 and k * h <= 1.6:
-        return 5
-    return 8
+    return band_order(ratio, k * h)
+
+
+def receiver_order(pd, x, k: float) -> int:
+    """The Gauss order a potential should take at receiver x on every panel:
+    the largest band, over the panels p, of the distance from x to p's
+    midpoint over p's length and of k times that length."""
+    return max(
+        band_order(math.dist(x, 0.5 * (pd.start[p] + pd.end[p])) / pd.length[p], k * pd.length[p])
+        for p in range(pd.count)
+    )
+
+
+def reference_potentials(pd, rho, k: float, x) -> tuple[complex, complex]:
+    """Single- and double-layer potentials of the nodal density rho at x,
+    with an order-32 Gauss rule on every panel and scipy Hankel functions."""
+    t, w = leggauss(32)
+    u, w = 0.5 * (t + 1.0), 0.5 * w
+    single = double = 0.0j
+    for p in range(pd.count):
+        ys = pd.start[p] + u[:, None] * (pd.end[p] - pd.start[p])
+        d = x - ys
+        r = np.linalg.norm(d, axis=1)
+        weights = (rho[pd.node0[p]] * (1.0 - u) + rho[pd.node1[p]] * u) * w * pd.length[p]
+        single += weights @ (0.25j * scipy_hankel1(0, k * r))
+        double += weights @ (-0.25j * k * scipy_hankel1(1, k * r) * (d @ pd.normal[p]) / r)
+    return single, double
 
 
 def pair_blocks(pd, p: int, q: int, k: float, order: int) -> dict:
@@ -299,14 +331,100 @@ def test_one_bessel_evaluation_per_unordered_pair(monkeypatch):
     received = []
     bessel = specfun.bessel_j0j1y0y1
 
-    def counting(x):
+    def counting(x, orders=(0, 1)):
         received.append(np.size(x))
-        return bessel(x)
+        return bessel(x, orders)
 
     monkeypatch.setattr(specfun, "bessel_j0j1y0y1", counting)
     bem.assemble_operators(mesh, WAVENUMBER)
     assert sum(received) == expected
     assert max(received) <= bem._CHUNK_PAIR_POINTS
+
+
+def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
+    """The single layer needs J0 and Y0 and the double layer J1 and Y1, so
+    a potential or an assembly of one kind asks for its order only, BW's
+    combined field for each order once, and an assembly of both kinds for
+    both orders in every call."""
+    scene = geometry.Scene(
+        k=WAVENUMBER, beta=(0.0, 1.0), obstacles=(geometry.Shape(kind="ellipse"),),
+        box=(-3.0, -3.0, 3.0, 3.0),
+    )
+    mesh = geometry.mesh_scene(scene, ppw=6)
+    bw = formulations.build_system(formulations.Formulation(kind="BW"), scene, mesh)
+    rho = np.ones(mesh.n_nodes, dtype=complex)
+    point = np.array([[3.0, 1.0]])
+    asked = []
+    bessel = specfun.bessel_j0j1y0y1
+
+    def recording(x, orders=(0, 1)):
+        asked.append(tuple(orders))
+        return bessel(x, orders)
+
+    monkeypatch.setattr(specfun, "bessel_j0j1y0y1", recording)
+
+    def orders_asked(call):
+        asked.clear()
+        call()
+        return asked
+
+    assert orders_asked(lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, point)) == [(0,)]
+    assert orders_asked(
+        lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, point, layer="double")
+    ) == [(1,)]
+    assert orders_asked(lambda: formulations.scattered_field(bw, rho, point)) == [(0,), (1,)]
+    for kinds, wanted in (
+        (("single_layer",), (0,)),
+        (("adjoint_double_layer",), (1,)),
+        (("single_layer", "adjoint_double_layer"), (0, 1)),
+    ):
+        calls = orders_asked(lambda: bem.assemble_operators(mesh, WAVENUMBER, kinds=kinds))
+        assert calls and set(calls) == {wanted}
+
+
+@pytest.mark.parametrize("k", [0.3, 2.0, 3.5])
+def test_receiver_orders_meet_order_32_reference(k, monkeypatch):
+    """Both layer potentials of two 10-panel polygons at receivers in every
+    band, against an order-32 reference per panel: within 1e-9 of the
+    largest value.  At k = 0.3 (k h at most 0.21) the receivers take orders
+    3, 4, 5 and 8 by their distance; at k = 2 (k h 0.97 to 1.39) orders 5
+    and 8; at k = 3.5 (k h above 1.6) order 8.  The Bessel routine receives
+    exactly n_panels times each receiver's order points per layer, and
+    n_panels times 32 per receiver when asked for order 32."""
+    theta = 2.0 * np.pi * np.arange(10) / 10
+    radius = 1.0 + 0.3 * np.cos(3.0 * theta)
+    loop = np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1)
+    parts = tuple(polygon_mesh(loop + np.array(c)) for c in ((0.0, 0.0), (6.0, 0.0)))
+    mesh = geometry.SceneMesh(meshes=parts, block_offsets=(0, 10, 20))
+    pd = bem._panel_data(mesh)
+    points = np.array(
+        [[0.0, 0.7 + d] for d in (0.8, 1.2, 1.5, 2.2, 3.0, 4.0, 6.0, 9.0, 30.0)]
+        + [[3.0, 0.0], [3.0, 2.0], [3.0, 25.0], [-20.0, -20.0]]
+    )
+    orders = [receiver_order(pd, x, k) for x in points]
+    assert set(orders) == {0.3: {3, 4, 5, 8}, 2.0: {5, 8}, 3.5: {8}}[k]
+    rng = np.random.default_rng(5)
+    rho = rng.standard_normal(pd.count) + 1j * rng.standard_normal(pd.count)
+    reference = np.array([reference_potentials(pd, rho, k, x) for x in points]).T
+
+    received = []
+    bessel = specfun.bessel_j0j1y0y1
+
+    def counting(x, orders=(0, 1)):
+        received.append(np.size(x))
+        return bessel(x, orders)
+
+    monkeypatch.setattr(specfun, "bessel_j0j1y0y1", counting)
+    for layer, ref in zip(("single", "double"), reference):
+        received.clear()
+        got = bem.evaluate_potentials(mesh, rho, k, points, layer=layer)
+        assert not np.any(got.near_boundary)
+        assert np.max(np.abs(got.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert sum(received) == pd.count * sum(orders)
+        # ``order`` is the least order a receiver takes
+        received.clear()
+        bem.evaluate_potentials(mesh, rho, k, points, layer=layer, order=32)
+        assert sum(received) == pd.count * 32 * len(points)
 
 
 @pytest.mark.parametrize("case", ["desk-ppw4", "two-circles"])

@@ -392,6 +392,36 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_absurd_wavenumber_is_an_input_error(self, tmp_path, capsys):
+        # the disk series needs Y_4(1e-100), which overflows a float
+        assert run("validate-disk", "--k", "1e-100", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: Y_n overflows at order 4")
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_command_beyond_available_memory_refused_before_assembly(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # desk at the default ppw 15 has 223 unknowns
+        needed = cli._BYTES_PER_ENTRY[command] * 223 ** 2
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("operators were assembled")
+
+        monkeypatch.setattr(bem, "assemble_operators", no_assembly)
+        monkeypatch.setattr(cli, "_available_memory", lambda: needed - 1)
+        assert run(command, "--preset", "desk", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command} on 223 unknowns needs about 0.0 GiB, ")
+        assert "GiB of physical memory available" in err
+        # with the estimate available the command goes on to assembly
+        monkeypatch.setattr(cli, "_available_memory", lambda: needed)
+        with pytest.raises(AssertionError, match="operators were assembled"):
+            run(command, "--preset", "desk", "--out", str(tmp_path))
+
+    def test_memory_reader_reports_available_within_physical(self):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert 0 < cli._available_memory() <= physical
+
     def test_spectrum_beyond_eigenvalue_limit_refused_before_assembly(
         self, tmp_path, monkeypatch, capsys
     ):

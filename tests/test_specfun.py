@@ -38,6 +38,24 @@ def test_negative_argument_rejected():
         specfun.bessel_j0j1y0y1(-0.5)
 
 
+@pytest.mark.parametrize("orders", [(0,), (1,), ()])
+def test_only_the_requested_orders_are_evaluated(orders):
+    x = np.linspace(0.1, 20.0, 50)
+    full = specfun.bessel_j0j1y0y1(x)
+    part = specfun.bessel_j0j1y0y1(x, orders)
+    for slot, n in enumerate((0, 1, 0, 1)):
+        if n in orders:
+            assert np.array_equal(part[slot], full[slot])
+        else:
+            assert part[slot] is None
+
+
+def test_scalar_with_one_order():
+    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(1.0, (1,))
+    assert j0 is None and y0 is None
+    assert_allclose([j1, y1], [J1_1, Y1_1], atol=1e-8)
+
+
 def test_grid_against_scipy():
     # the acceptance budget: 1e-8 absolute on 1e4 points in (0, 50]
     x = np.linspace(50.0 / 10_000, 50.0, 10_000)
