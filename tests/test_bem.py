@@ -1,6 +1,8 @@
 """Galerkin assembly of the layer operators and potential evaluation."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -151,6 +153,33 @@ def polygon_mesh(nodes) -> geometry.ObstacleMesh:
         lengths=lengths,
         perimeter=float(lengths.sum()),
     )
+
+
+def two_polygons_and_banded_receivers():
+    """Two 10-panel polygons and 13 receivers at distances that fall in
+    every ``_SEPARATED_ORDERS`` band at k = 0.3."""
+    theta = 2.0 * np.pi * np.arange(10) / 10
+    radius = 1.0 + 0.3 * np.cos(3.0 * theta)
+    loop = np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1)
+    parts = tuple(polygon_mesh(loop + np.array(c)) for c in ((0.0, 0.0), (6.0, 0.0)))
+    mesh = geometry.SceneMesh(meshes=parts, block_offsets=(0, 10, 20))
+    points = np.array(
+        [[0.0, 0.7 + d] for d in (0.8, 1.2, 1.5, 2.2, 3.0, 4.0, 6.0, 9.0, 30.0)]
+        + [[3.0, 0.0], [3.0, 2.0], [3.0, 25.0], [-20.0, -20.0]]
+    )
+    return mesh, points
+
+
+def disk_field_grid():
+    """The unit disk at k = 5, ppw 15 (75 panels) and 2148 receivers: a
+    48 x 48 grid over [-4, 4]^2 without the points within 1.2 of the center."""
+    scene = geometry.Scene(
+        k=5.0, beta=(0.0, 1.0), obstacles=(geometry.Shape(kind="ellipse"),),
+        box=(-5.0, -5.0, 5.0, 5.0),
+    )
+    axis = np.linspace(-4.0, 4.0, 48)
+    points = np.stack([c.ravel() for c in np.meshgrid(axis, axis)], axis=1)
+    return geometry.mesh_scene(scene, ppw=15), points[np.hypot(*points.T) > 1.2]
 
 
 def triangle_mesh() -> geometry.ObstacleMesh:
@@ -391,16 +420,8 @@ def test_receiver_orders_meet_order_32_reference(k, monkeypatch):
     and 8; at k = 3.5 (k h above 1.6) order 8.  The Bessel routine receives
     exactly n_panels times each receiver's order points per layer, and
     n_panels times 32 per receiver when asked for order 32."""
-    theta = 2.0 * np.pi * np.arange(10) / 10
-    radius = 1.0 + 0.3 * np.cos(3.0 * theta)
-    loop = np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1)
-    parts = tuple(polygon_mesh(loop + np.array(c)) for c in ((0.0, 0.0), (6.0, 0.0)))
-    mesh = geometry.SceneMesh(meshes=parts, block_offsets=(0, 10, 20))
+    mesh, points = two_polygons_and_banded_receivers()
     pd = bem._panel_data(mesh)
-    points = np.array(
-        [[0.0, 0.7 + d] for d in (0.8, 1.2, 1.5, 2.2, 3.0, 4.0, 6.0, 9.0, 30.0)]
-        + [[3.0, 0.0], [3.0, 2.0], [3.0, 25.0], [-20.0, -20.0]]
-    )
     orders = [receiver_order(pd, x, k) for x in points]
     assert set(orders) == {0.3: {3, 4, 5, 8}, 2.0: {5, 8}, 3.5: {8}}[k]
     rng = np.random.default_rng(5)
@@ -568,6 +589,68 @@ def test_double_layer_constant_density_decays_and_matches_direct_integral():
     kern = -0.25j * WAVENUMBER * scipy_hankel1(1, WAVENUMBER * r) * np.sum(d * y, axis=1) / r
     direct = kern.sum() * (2.0 * np.pi / theta.size)
     assert abs(res.values[0] - direct) / abs(direct) <= 1e-2
+
+
+def test_potentials_do_not_depend_on_the_split_into_pieces(monkeypatch):
+    """Each receiver's value depends on that receiver alone: evaluating the
+    whole set (in pieces, on any number of workers) gives exactly the values
+    of evaluating slices of it, single receivers included."""
+    mesh, points = two_polygons_and_banded_receivers()
+    rng = np.random.default_rng(8)
+    rho = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
+    splits = [[(i, i + 1) for i in range(len(points))], [(0, 5), (5, 6), (6, 13)]]
+    for layer in ("single", "double"):
+        whole = bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer)
+        for bounds in splits:
+            parts = [bem.evaluate_potentials(mesh, rho, 0.3, points[lo:hi], layer=layer)
+                     for lo, hi in bounds]
+            assert np.array_equal(np.concatenate([p.values for p in parts]), whole.values)
+            assert np.array_equal(
+                np.concatenate([p.near_boundary for p in parts]), whole.near_boundary
+            )
+        for cpus in (1, 3, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            again = bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer)
+            assert np.array_equal(again.values, whole.values)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the process may use one CPU")
+def test_field_evaluation_runs_on_several_threads(monkeypatch):
+    mesh, points = disk_field_grid()
+    rho = np.ones(mesh.n_nodes, dtype=complex)
+    threads = set()
+    bessel = specfun.bessel_j0j1y0y1
+
+    def recording(x, orders=(0, 1)):
+        threads.add(threading.get_ident())
+        return bessel(x, orders)
+
+    monkeypatch.setattr(specfun, "bessel_j0j1y0y1", recording)
+    bem.evaluate_potentials(mesh, rho, 5.0, points)
+    assert len(threads) >= 2
+
+
+def test_an_error_in_a_piece_reaches_the_caller(monkeypatch):
+    mesh, points = disk_field_grid()
+    rho = np.ones(mesh.n_nodes, dtype=complex)
+
+    def failing(x, orders=(0, 1)):
+        raise ValueError("Bessel evaluation failed")
+
+    monkeypatch.setattr(specfun, "bessel_j0j1y0y1", failing)
+    raised = []
+
+    def evaluate():
+        try:
+            bem.evaluate_potentials(mesh, rho, 5.0, points)
+        except ValueError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=evaluate, daemon=True)
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["Bessel evaluation failed"]
 
 
 def test_potential_input_validation():

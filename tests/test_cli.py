@@ -343,6 +343,19 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("verify", "--preset", "desk", "--tol", "2", "--out", out) == 2
         assert "tolerance must be in (0, 1)" in capsys.readouterr().err
+        # CFIE's and BW's parameters are checked whichever formulation runs
+        for formulation, flag, value, message in (
+            ("EFIE", "--alpha", "1.5", "alpha strictly inside (0, 1)"),
+            ("EFIE", "--eta-im", "0", "eta with nonzero imaginary part"),
+            ("MFIE", "--eta-bw-im", "0", "eta_bw with nonzero imaginary part"),
+            ("BW", "--alpha", "0", "alpha strictly inside (0, 1)"),
+        ):
+            assert run("solve", "--preset", "desk", "--formulation", formulation,
+                       flag, value, "--out", out) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "solve.json").exists()
+        assert run("validate-disk", "--eta-bw-im", "0", "--out", out) == 2
+        assert "eta_bw with nonzero imaginary part" in capsys.readouterr().err
 
     def test_real_coupling_rejected(self, tmp_path):
         code = run("solve", "--preset", "desk", "--ppw", "4", "--eta-re", "2.0",
@@ -397,26 +410,32 @@ class TestExitCodes:
         assert run("validate-disk", "--k", "1e-100", "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error: Y_n overflows at order 4")
 
-    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    # desk at the default ppw 15 has 223 unknowns, the unit disk 75
+    @pytest.mark.parametrize("argv,unknowns", [
+        (["verify", "--preset", "desk"], 223),
+        (["spectrum", "--preset", "desk"], 223),
+        (["solve", "--preset", "desk"], 223),
+        (["validate-disk"], 75),
+    ], ids=["verify", "spectrum", "solve", "validate-disk"])
     def test_command_beyond_available_memory_refused_before_assembly(
-        self, command, tmp_path, monkeypatch, capsys
+        self, argv, unknowns, tmp_path, monkeypatch, capsys
     ):
-        # desk at the default ppw 15 has 223 unknowns
-        needed = cli._BYTES_PER_ENTRY[command] * 223 ** 2
+        command = argv[0]
+        needed = cli._BYTES_PER_ENTRY[command] * unknowns ** 2
 
         def no_assembly(*args, **kwargs):
             raise AssertionError("operators were assembled")
 
         monkeypatch.setattr(bem, "assemble_operators", no_assembly)
         monkeypatch.setattr(cli, "_available_memory", lambda: needed - 1)
-        assert run(command, "--preset", "desk", "--out", str(tmp_path)) == 2
+        assert run(*argv, "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {command} on 223 unknowns needs about 0.0 GiB, ")
+        assert err.startswith(f"error: {command} on {unknowns} unknowns needs about 0.0 GiB, ")
         assert "GiB of physical memory available" in err
         # with the estimate available the command goes on to assembly
         monkeypatch.setattr(cli, "_available_memory", lambda: needed)
         with pytest.raises(AssertionError, match="operators were assembled"):
-            run(command, "--preset", "desk", "--out", str(tmp_path))
+            run(*argv, "--out", str(tmp_path))
 
     def test_memory_reader_reports_available_within_physical(self):
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -432,6 +451,13 @@ class TestExitCodes:
         assert run("spectrum", "--preset", "desk", "--ppw", "250", "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert f"limited to {linalg.EIG_DIM_LIMIT} unknowns" in err
+
+    def test_spectrum_eigenvalue_limit_reported_whatever_memory_is_free(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "_available_memory", lambda: 0)
+        assert run("spectrum", "--preset", "desk", "--ppw", "250", "--out", str(tmp_path)) == 2
+        assert f"limited to {linalg.EIG_DIM_LIMIT} unknowns" in capsys.readouterr().err
 
     def test_scene_and_preset_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as info:
