@@ -53,13 +53,13 @@ EXIT_THRESHOLD = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-# Peak bytes per squared unknown of a whole command, from the growth of peak
-# RSS on the desk preset at ppw 60 and 90 (887 and 1330 unknowns): 204 and
-# 200 for verify, 124 and 120 for spectrum (tracemalloc: 192 and 104), 110
-# and 93 for solve (CFIE, the largest of the four formulations); and on the
-# disk at ppw 180 and 270 (900 and 1350 unknowns), 134 and 124 for
-# validate-disk.
-_BYTES_PER_ENTRY = {"verify": 204, "spectrum": 124, "solve": 110, "validate-disk": 134}
+# Peak bytes per squared unknown of a whole command (solve: per formulation),
+# the largest growth of peak RSS over the command, from a fresh interpreter,
+# in three runs each on the desk preset at ppw 60 and 90 (887 and 1330
+# unknowns) and for validate-disk on the disk at ppw 180 and 270 (900 and
+# 1350 unknowns); every one was largest at the smaller size.
+_BYTES_PER_ENTRY = {"verify": 170, "spectrum": 130, "validate-disk": 140, "solve EFIE": 67,
+                    "solve MFIE": 88, "solve CFIE": 119, "solve BW": 111}
 
 _PARAM_FIELDS = {
     "ellipse": ("a", "b"),
@@ -237,12 +237,12 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _parameter_doc(cfg: RunConfig, k: float) -> dict:
-    eta = cfg.eta if cfg.eta is not None else formulations.ETA_PER_K * k
-    eta_bw = cfg.eta_bw if cfg.eta_bw is not None else formulations.ETA_BW_PER_K * k
+    cfie = formulations.Formulation(kind="CFIE", alpha=cfg.alpha, eta=cfg.eta).resolved(k)
+    bw = formulations.Formulation(kind="BW", eta_bw=cfg.eta_bw).resolved(k)
     return {
         "alpha": cfg.alpha,
-        "eta": _complex_pair(complex(eta)),
-        "eta_bw": _complex_pair(complex(eta_bw)),
+        "eta": _complex_pair(cfie.eta),
+        "eta_bw": _complex_pair(bw.eta_bw),
         "restart": cfg.restart,
         "tol": cfg.tol,
         "maxiter": cfg.maxiter,
@@ -412,7 +412,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     """Solve one formulation on the scene and write density and history."""
     scene = _resolve_scene(cfg)
     mesh = geometry.mesh_scene(scene, cfg.ppw)
-    _refuse_beyond_memory("solve", mesh.n_nodes)
+    _refuse_beyond_memory(f"solve {cfg.formulation}", mesh.n_nodes)
     form = formulations.Formulation(
         kind=cfg.formulation, alpha=cfg.alpha, eta=cfg.eta, eta_bw=cfg.eta_bw
     )

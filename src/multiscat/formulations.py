@@ -195,8 +195,8 @@ def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
         )
         rhs = -load
 
-    matrix = np.array(matrix) if matrix.flags.writeable else matrix.copy()
-    matrix = np.ascontiguousarray(matrix)
+    # a C-order copy, so the read-only flag never reaches the caller's operators
+    matrix = np.array(matrix, order="C")
     matrix.flags.writeable = False
     rhs.flags.writeable = False
     return BlockSystem(
@@ -232,16 +232,6 @@ def _block_solve(pre: BlockPreconditioner, vector: np.ndarray) -> np.ndarray:
     for factor, lo, hi in zip(pre.factors, pre.block_offsets, pre.block_offsets[1:]):
         out[lo:hi] = linalg.lu_solve(factor, vector[lo:hi])
     return out
-
-
-def apply_preconditioned(system: BlockSystem, pre: BlockPreconditioner, v) -> np.ndarray:
-    """Blockwise inverse of the diagonal applied to A v."""
-    v = np.asarray(v)
-    if v.shape != (system.n,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({system.n},)")
-    if pre.block_offsets != system.block_offsets:
-        raise ValueError("preconditioner blocks do not match the system")
-    return _block_solve(pre, system.matrix @ v)
 
 
 def preconditioned_matrix(system: BlockSystem, pre: BlockPreconditioner) -> np.ndarray:

@@ -4,9 +4,12 @@ Two exact statements drive this module.  First, the preconditioned direct
 systems coincide: left-multiplying the EFIE, MFIE and CFIE matrices by the
 inverses of their own diagonal (single-obstacle) blocks yields one and the
 same operator, up to discretization error.  Second, the preconditioned BW
-system is similar to that common operator through T = A_E^{-1} A_BW.  Both
-are checked here with explicit matrices at configurable scale, together with
-the spectral and GMRES-history consequences.
+system is similar to that common operator through T = A_E^{-1} A_BW; since
+P_BW = D_BW^{-1} A_BW with D_BW the block diagonal of A_BW, the conjugate is
+T P_BW T^{-1} = A_E^{-1} A_BW D_BW^{-1} A_E, which needs one LU of A_E and
+never T itself.  Both are checked here with explicit matrices at
+configurable scale, together with the spectral and GMRES-history
+consequences.
 
 The desk configuration (three obstacles, one of each shape, around 400
 unknowns) keeps every check in the seconds range; the paper-scale
@@ -116,24 +119,17 @@ class ConvergenceReport:
         raise KeyError(f"no record for {formulation} preconditioned={preconditioned}")
 
 
-def _formulation_set(alpha, eta, eta_bw) -> dict[str, formulations.Formulation]:
-    return {
-        kind: formulations.Formulation(kind=kind, alpha=alpha, eta=eta, eta_bw=eta_bw)
-        for kind in formulations.FORMULATION_KINDS
-    }
-
-
-def _assemble_all(scene, mesh, operators):
-    if operators is not None:
-        return operators
-    ops = bem.assemble_operators(mesh, scene.k)
-    ops["mass"] = bem.assemble_mass(mesh)
-    return ops
-
-
-def _preconditioned(system) -> np.ndarray:
-    pre = formulations.single_scattering_preconditioner(system)
-    return formulations.preconditioned_matrix(system, pre)
+def _preconditioned_systems(scene, mesh, kinds, alpha, eta, eta_bw, operators):
+    """Yield ``(kind, system, block_preconditioner)`` for each of ``kinds``,
+    each built once and one at a time, so a caller need not hold them all.
+    L, N and the mass are assembled here only when ``operators`` is None."""
+    if operators is None:
+        operators = bem.assemble_operators(mesh, scene.k)
+        operators["mass"] = bem.assemble_mass(mesh)
+    for kind in kinds:
+        form = formulations.Formulation(kind=kind, alpha=alpha, eta=eta, eta_bw=eta_bw)
+        system = formulations.build_system(form, scene, mesh, operators=operators)
+        yield kind, system, formulations.single_scattering_preconditioner(system)
 
 
 def check_direct_equality(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
@@ -143,12 +139,12 @@ def check_direct_equality(scene, mesh, alpha: float = 0.2, eta: complex | None =
     Each difference is ||P_X - P_Y||_inf / ||P_Y||_inf with the denominator
     taken from the second formulation of the pair.
     """
-    ops = _assemble_all(scene, mesh, operators)
-    forms = _formulation_set(alpha, eta, None)
-    pre_mats = {}
-    for kind in DIRECT_KINDS:
-        system = formulations.build_system(forms[kind], scene, mesh, operators=ops)
-        pre_mats[kind] = _preconditioned(system)
+    pre_mats = {
+        kind: formulations.preconditioned_matrix(system, pre)
+        for kind, system, pre in _preconditioned_systems(
+            scene, mesh, DIRECT_KINDS, alpha, eta, None, operators
+        )
+    }
     if thresholds is None:
         thresholds = {f"{x}/{y}": DESK_DIRECT_THRESHOLD for x, y in DIRECT_PAIRS}
     differences = {}
@@ -174,26 +170,30 @@ def check_bw_similarity(scene, mesh, alpha: float = 0.2, eta: complex | None = N
     """Conjugate the preconditioned BW matrix by T = A_E^{-1} A_BW and
     compare with the preconditioned EFIE matrix.
 
-    Reports ||P_E - T P_BW T^{-1}||_inf / ||P_BW||_inf.
+    Reports ||P_E - T P_BW T^{-1}||_inf / ||P_BW||_inf.  With
+    P_BW = D_BW^{-1} A_BW, where D_BW is BW's block diagonal, the conjugate
+    is exactly T P_BW T^{-1} = A_E^{-1} A_BW D_BW^{-1} A_E, so T is never
+    formed and A_E is the only full-size matrix factored.
     """
-    ops = _assemble_all(scene, mesh, operators)
-    forms = _formulation_set(alpha, eta, eta_bw)
-    efie = formulations.build_system(forms["EFIE"], scene, mesh, operators=ops)
-    bw = formulations.build_system(forms["BW"], scene, mesh, operators=ops)
-    p_efie = _preconditioned(efie)
-    p_bw = _preconditioned(bw)
+    (_, efie, efie_pre), (_, bw, bw_pre) = _preconditioned_systems(
+        scene, mesh, ("EFIE", "BW"), alpha, eta, eta_bw, operators
+    )
+    p_efie = formulations.preconditioned_matrix(efie, efie_pre)
+    p_bw_norm = linalg.inf_norm(formulations.preconditioned_matrix(bw, bw_pre))
     try:
-        efie_lu = linalg.lu_factor(np.array(efie.matrix))
+        efie_lu = linalg.lu_factor(efie.matrix)
     except linalg.SingularMatrixError as exc:
         raise linalg.SingularMatrixError(
             f"the single-layer system matrix is singular, so the similarity "
             f"transport T is not defined; the wavenumber may be an irregular "
             f"frequency ({exc})"
         ) from exc
-    transport = linalg.lu_solve(efie_lu, np.array(bw.matrix))
-    conjugated_t = linalg.lu_factor(transport.T)
-    conjugated = linalg.lu_solve(conjugated_t, (transport @ p_bw).T).T
-    difference = linalg.inf_norm(p_efie - conjugated) / linalg.inf_norm(p_bw)
+    # both systems take their blocks from the mesh, so BW's block factors
+    # apply to A_E's rows: the inner factor is D_BW^{-1} A_E
+    conjugated = linalg.lu_solve(
+        efie_lu, bw.matrix @ formulations.preconditioned_matrix(efie, bw_pre)
+    )
+    difference = linalg.inf_norm(p_efie - conjugated) / p_bw_norm
     logger.info("BW similarity difference: %.3e", difference)
     return TheoremReport(
         differences={},
@@ -217,12 +217,13 @@ def check_spectra(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
             f"spectrum is limited to {linalg.EIG_DIM_LIMIT} unknowns, "
             f"the mesh has {mesh.n_nodes}"
         )
-    ops = _assemble_all(scene, mesh, operators)
-    forms = _formulation_set(alpha, eta, eta_bw)
     eigenvalues = {}
-    for kind in formulations.FORMULATION_KINDS:
-        system = formulations.build_system(forms[kind], scene, mesh, operators=ops)
-        eigenvalues[kind] = linalg.eigenvalues(_preconditioned(system))
+    for kind, system, pre in _preconditioned_systems(
+        scene, mesh, formulations.FORMULATION_KINDS, alpha, eta, eta_bw, operators
+    ):
+        eigenvalues[kind] = linalg.eigenvalues(formulations.preconditioned_matrix(system, pre))
+        # not held while the next system is built, where spectrum peaks
+        del pre
     reference = eigenvalues["EFIE"]
     permutations = {}
     worst = 0.0
@@ -250,12 +251,10 @@ def convergence_histories(scene, mesh, alpha: float = 0.2, eta: complex | None =
     raised; preconditioned histories are measured in the preconditioned
     residual norm.
     """
-    ops = _assemble_all(scene, mesh, operators)
-    forms = _formulation_set(alpha, eta, eta_bw)
     records = []
-    for kind in formulations.FORMULATION_KINDS:
-        system = formulations.build_system(forms[kind], scene, mesh, operators=ops)
-        pre = formulations.single_scattering_preconditioner(system)
+    for kind, system, pre in _preconditioned_systems(
+        scene, mesh, formulations.FORMULATION_KINDS, alpha, eta, eta_bw, operators
+    ):
         for preconditioned, chosen in ((False, None), (True, pre)):
             _, report = formulations.solve(
                 system, chosen, restart=restart, tol=tol, maxiter=maxiter

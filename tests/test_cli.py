@@ -162,6 +162,12 @@ class TestVerifyCommand:
         assert len(pre) == 4
         assert max(pre) - min(pre) <= 1
 
+    def test_rerun_writes_identical_reports(self, verify_run, tmp_path):
+        _, out = verify_run
+        assert run("verify", "--preset", "desk", "--ppw", "10", "--out", str(tmp_path)) == 0
+        for name in ("verify.json", "residuals.csv"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
 
 @pytest.fixture(scope="module")
 def spectrum_run(tmp_path_factory):
@@ -195,6 +201,12 @@ class TestSpectrumCommand:
         for kind in ("MFIE", "CFIE", "BW"):
             for value, reference in zip(per_kind[kind], efie):
                 assert abs(value - reference) <= doc["threshold"] * abs(reference)
+
+    def test_rerun_writes_identical_reports(self, spectrum_run, tmp_path):
+        _, out = spectrum_run
+        assert run("spectrum", "--preset", "desk", "--ppw", "10", "--out", str(tmp_path)) == 0
+        for name in ("spectrum.json", "eigenvalues.csv"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -411,16 +423,16 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: Y_n overflows at order 4")
 
     # desk at the default ppw 15 has 223 unknowns, the unit disk 75
-    @pytest.mark.parametrize("argv,unknowns", [
-        (["verify", "--preset", "desk"], 223),
-        (["spectrum", "--preset", "desk"], 223),
-        (["solve", "--preset", "desk"], 223),
-        (["validate-disk"], 75),
-    ], ids=["verify", "spectrum", "solve", "validate-disk"])
+    @pytest.mark.parametrize("argv,command,unknowns", [
+        (["verify", "--preset", "desk"], "verify", 223),
+        (["spectrum", "--preset", "desk"], "spectrum", 223),
+        (["solve", "--preset", "desk"], "solve CFIE", 223),
+        (["solve", "--preset", "desk", "--formulation", "EFIE"], "solve EFIE", 223),
+        (["validate-disk"], "validate-disk", 75),
+    ], ids=["verify", "spectrum", "solve", "solve-EFIE", "validate-disk"])
     def test_command_beyond_available_memory_refused_before_assembly(
-        self, argv, unknowns, tmp_path, monkeypatch, capsys
+        self, argv, command, unknowns, tmp_path, monkeypatch, capsys
     ):
-        command = argv[0]
         needed = cli._BYTES_PER_ENTRY[command] * unknowns ** 2
 
         def no_assembly(*args, **kwargs):

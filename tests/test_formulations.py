@@ -217,10 +217,6 @@ class TestPreconditioner:
         )
         pre = formulations.single_scattering_preconditioner(sys_)
         assert len(pre.factors) == 1
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal(sys_.n) + 1j * rng.standard_normal(sys_.n)
-        out = formulations.apply_preconditioned(sys_, pre, v)
-        assert_allclose(out, v, rtol=1e-8)
         explicit = formulations.preconditioned_matrix(sys_, pre)
         assert linalg.inf_norm(explicit - np.eye(sys_.n)) <= 1e-10
 
@@ -236,31 +232,6 @@ class TestPreconditioner:
             lo, hi = sys_.block_range(p)
             block = explicit[lo:hi, lo:hi]
             assert linalg.inf_norm(block - np.eye(hi - lo)) <= 1e-10
-
-    def test_apply_matches_the_explicit_matrix(self, coarse_pair):
-        scene, mesh, ops = coarse_pair
-        sys_ = formulations.build_system(
-            formulations.Formulation(kind="CFIE"), scene, mesh, operators=ops
-        )
-        pre = formulations.single_scattering_preconditioner(sys_)
-        explicit = formulations.preconditioned_matrix(sys_, pre)
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(sys_.n) + 1j * rng.standard_normal(sys_.n)
-        assert_allclose(
-            formulations.apply_preconditioned(sys_, pre, v),
-            explicit @ v,
-            rtol=1e-10,
-            atol=1e-12,
-        )
-
-    def test_zero_vector_maps_to_zero(self, coarse_pair):
-        scene, mesh, ops = coarse_pair
-        sys_ = formulations.build_system(
-            formulations.Formulation(kind="EFIE"), scene, mesh, operators=ops
-        )
-        pre = formulations.single_scattering_preconditioner(sys_)
-        out = formulations.apply_preconditioned(sys_, pre, np.zeros(sys_.n))
-        assert np.all(out == 0.0)
 
     def test_block_sizes_match_per_obstacle_node_counts(self, coarse_pair):
         scene, mesh, ops = coarse_pair
@@ -298,15 +269,6 @@ class TestPreconditioner:
             lo1, hi1 = sys_.block_range(1)
             norms[distance] = linalg.inf_norm(explicit[lo0:hi0, lo1:hi1])
         assert norms[50.0] < norms[5.0]
-
-    def test_dimension_mismatch_rejected(self, coarse_pair):
-        scene, mesh, ops = coarse_pair
-        sys_ = formulations.build_system(
-            formulations.Formulation(kind="EFIE"), scene, mesh, operators=ops
-        )
-        pre = formulations.single_scattering_preconditioner(sys_)
-        with pytest.raises(ValueError):
-            formulations.apply_preconditioned(sys_, pre, np.zeros(sys_.n + 1))
 
 
 class TestSolve:

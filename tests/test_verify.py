@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from multiscat import bem, formulations, geometry, verify
+from multiscat import bem, formulations, geometry, linalg, verify
 
 DIRECT_PAIR_KEYS = ("EFIE/MFIE", "MFIE/CFIE", "EFIE/CFIE")
 
@@ -94,6 +94,88 @@ class TestBwSimilarity:
             for mesh, ops in (desk10, desk15, desk30)
         ]
         assert values[0] > values[1] > values[2]
+
+
+def explicit_similarity_difference(scene, mesh, ops):
+    """||P_E - T P_BW T^{-1}||_inf / ||P_BW||_inf with T = A_E^{-1} A_BW and
+    every product and inverse formed explicitly."""
+
+    def system_matrix(kind):
+        form = formulations.Formulation(kind=kind)
+        return formulations.build_system(form, scene, mesh, operators=ops).matrix
+
+    def block_preconditioned(a):
+        out = np.empty_like(a)
+        for lo, hi in zip(mesh.block_offsets, mesh.block_offsets[1:]):
+            out[lo:hi] = np.linalg.solve(a[lo:hi, lo:hi], a[lo:hi])
+        return out
+
+    def inf_norm(a):
+        return np.abs(a).sum(axis=1).max()
+
+    a_efie, a_bw = system_matrix("EFIE"), system_matrix("BW")
+    p_bw = block_preconditioned(a_bw)
+    transport = np.linalg.solve(a_efie, a_bw)
+    conjugated = np.linalg.solve(transport.T, (transport @ p_bw).T).T
+    return inf_norm(block_preconditioned(a_efie) - conjugated) / inf_norm(p_bw)
+
+
+class TestBwSimilarityReference:
+    def test_matches_the_explicit_conjugation(self, desk, desk10):
+        mesh, ops = desk10
+        report = verify.check_bw_similarity(desk, mesh, operators=ops)
+        reference = explicit_similarity_difference(desk, mesh, ops)
+        assert abs(report.similarity_difference - reference) <= 1e-10 * reference
+
+
+CHECK_KINDS = {
+    "check_direct_equality": verify.DIRECT_KINDS,
+    "check_bw_similarity": ("EFIE", "BW"),
+    "check_spectra": formulations.FORMULATION_KINDS,
+    "convergence_histories": formulations.FORMULATION_KINDS,
+}
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["operators", "no-operators"])
+@pytest.mark.parametrize("check", sorted(CHECK_KINDS))
+def test_each_check_builds_and_factors_each_system_once(desk, desk10, monkeypatch,
+                                                        check, given):
+    """Every system and its block factors are built once per check, the
+    operators are assembled only when none are given, and the similarity
+    check factors exactly one full-size matrix."""
+    mesh, ops = desk10
+    calls = {"build": [], "precondition": [], "assemble": 0, "full_lu": 0}
+    build = formulations.build_system
+    precondition = formulations.single_scattering_preconditioner
+    assemble = bem.assemble_operators
+    lu_factor = linalg.lu_factor
+
+    def counting_build(form, *args, **kwargs):
+        calls["build"].append(form.kind)
+        return build(form, *args, **kwargs)
+
+    def counting_precondition(system):
+        calls["precondition"].append(system.formulation.kind)
+        return precondition(system)
+
+    def counting_assemble(*args, **kwargs):
+        calls["assemble"] += 1
+        return assemble(*args, **kwargs)
+
+    def counting_lu_factor(a):
+        calls["full_lu"] += np.shape(a)[0] == mesh.n_nodes
+        return lu_factor(a)
+
+    monkeypatch.setattr(formulations, "build_system", counting_build)
+    monkeypatch.setattr(formulations, "single_scattering_preconditioner", counting_precondition)
+    monkeypatch.setattr(bem, "assemble_operators", counting_assemble)
+    monkeypatch.setattr(linalg, "lu_factor", counting_lu_factor)
+    getattr(verify, check)(desk, mesh, operators=ops if given else None)
+    kinds = list(CHECK_KINDS[check])
+    assert calls["build"] == kinds
+    assert calls["precondition"] == kinds
+    assert calls["assemble"] == (0 if given else 1)
+    assert calls["full_lu"] == (1 if check == "check_bw_similarity" else 0)
 
 
 class TestSpectra:
