@@ -9,8 +9,8 @@ the two boundary operators assembled here are
 tested and trialed against continuous piecewise-linear hat functions on the
 polygonal boundary, so entry (i, j) is the double integral of
 phi_i(x) K(x, y) phi_j(y) over pairs of panels.  The mass matrix pairs the
-same hats with kernel 1.  Global numbering is node-based and contiguous per
-obstacle, which makes each obstacle a contiguous diagonal block.
+same hats with kernel 1.  Panel i runs from node i to node ``next_node[i]`` of
+the mesh (see ``geometry``), so each obstacle owns a contiguous diagonal block.
 
 The double layer M, with kernel -d/dn(y) G(x, y), is never assembled.  Its
 kernel is that of N with x and y swapped and the sign flipped, and the
@@ -154,7 +154,6 @@ class AssembledOperator:
 
     kind: str
     matrix: np.ndarray
-    mesh: object
     k: float | None = None
 
     @property
@@ -174,52 +173,9 @@ class PotentialField:
     near_boundary: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
-class _PanelData:
-    start: np.ndarray
-    end: np.ndarray
-    normal: np.ndarray
-    length: np.ndarray
-    node0: np.ndarray
-    node1: np.ndarray
-    next_panel: np.ndarray
-    prev_panel: np.ndarray
-    count: int
-
-
-def _panel_data(mesh) -> _PanelData:
-    if isinstance(mesh, geometry.SceneMesh):
-        parts = mesh.meshes
-        offsets = list(mesh.block_offsets)
-    elif isinstance(mesh, geometry.ObstacleMesh):
-        parts = [mesh]
-        offsets = [0, mesh.n_nodes]
-    else:
+def _check_mesh(mesh) -> None:
+    if not isinstance(mesh, (geometry.SceneMesh, geometry.ObstacleMesh)):
         raise TypeError("expected a SceneMesh or ObstacleMesh")
-    starts, ends, normals, lengths = [], [], [], []
-    node0, node1, nxt, prv = [], [], [], []
-    for om, off in zip(parts, offsets[:-1]):
-        nseg = om.segments.shape[0]
-        starts.append(om.nodes[om.segments[:, 0]])
-        ends.append(om.nodes[om.segments[:, 1]])
-        normals.append(om.normals)
-        lengths.append(om.lengths)
-        node0.append(off + om.segments[:, 0])
-        node1.append(off + om.segments[:, 1])
-        idx = np.arange(nseg)
-        nxt.append(off + (idx + 1) % nseg)
-        prv.append(off + (idx - 1) % nseg)
-    return _PanelData(
-        start=np.concatenate(starts),
-        end=np.concatenate(ends),
-        normal=np.concatenate(normals),
-        length=np.concatenate(lengths),
-        node0=np.concatenate(node0),
-        node1=np.concatenate(node1),
-        next_panel=np.concatenate(nxt),
-        prev_panel=np.concatenate(prv),
-        count=offsets[-1],
-    )
 
 
 def _basis_weights(rule: QuadratureRule) -> np.ndarray:
@@ -228,8 +184,9 @@ def _basis_weights(rule: QuadratureRule) -> np.ndarray:
     return np.stack([1.0 - u, u]) * rule.weights[None, :]
 
 
-def _quad_points(pd: _PanelData, rule: QuadratureRule) -> np.ndarray:
-    return pd.start[:, None, :] + rule.points[None, :, None] * (pd.end - pd.start)[:, None, :]
+def _quad_points(mesh, rule: QuadratureRule) -> np.ndarray:
+    edge = mesh.nodes[mesh.next_node] - mesh.nodes
+    return mesh.nodes[:, None, :] + rule.points[None, :, None] * edge[:, None, :]
 
 
 def _separation(x, y, normals=()):
@@ -275,8 +232,8 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
             raise ValueError(f"unknown operator kind {kind!r}")
     if not kinds:
         return {}
-    pd = _panel_data(mesh)
-    n = pd.count
+    _check_mesh(mesh)
+    n = mesh.n_nodes
     needed = len(kinds) * n * n * np.dtype(complex).itemsize
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > physical:
@@ -286,46 +243,49 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
         )
     mats = {kind: np.zeros((n, n), dtype=complex) for kind in kinds}
 
-    for order, ti, si in _separated_pairs(pd, k):
-        _add_panel_pairs(mats, pd, k, gauss_rule(order), ti, si)
-    # Each panel with the next one, lower index first.  The shared endpoint
-    # is never a Gauss point, so the kernels stay finite there.
-    first = np.minimum(np.arange(n), pd.next_panel)
-    second = np.maximum(np.arange(n), pd.next_panel)
+    for order, ti, si in _separated_pairs(mesh, k):
+        _add_panel_pairs(mats, mesh, k, gauss_rule(order), ti, si)
+    # Each panel i with panel next_node[i], lower index first.  The node they
+    # share is never a Gauss point, so the kernels stay finite there.
+    first = np.minimum(np.arange(n), mesh.next_node)
+    second = np.maximum(np.arange(n), mesh.next_node)
     near = gauss_rule(_NEAR_ORDER)
     step = _CHUNK_PAIR_POINTS // _NEAR_ORDER ** 2
     for lo in range(0, n, step):
-        _add_panel_pairs(mats, pd, k, near, first[lo:lo + step], second[lo:lo + step])
+        _add_panel_pairs(mats, mesh, k, near, first[lo:lo + step], second[lo:lo + step])
     if "single_layer" in mats:
-        _same_panel_single_layer(mats["single_layer"], pd, k, near)
+        _same_panel_single_layer(mats["single_layer"], mesh, k, near)
 
     out = {}
     for kind, mat in mats.items():
         if not np.all(np.isfinite(mat)):
             raise RuntimeError(f"non-finite entries in {kind} assembly")
         mat.flags.writeable = False
-        out[kind] = AssembledOperator(kind=kind, matrix=mat, mesh=mesh, k=k)
+        out[kind] = AssembledOperator(kind=kind, matrix=mat, k=k)
     return out
 
 
-def _separated_pairs(pd: _PanelData, k: float):
+def _separated_pairs(mesh, k: float):
     """Yield groups (order, ti, si) that hold every pair of panels sharing
     no node exactly once, with ti < si, each at its ``_SEPARATED_ORDERS``
     order.  They come a block of rows at a time, so that no group holds more
     than ``_CHUNK_PAIR_POINTS`` pairs of quadrature points."""
-    n = pd.count
-    mid = 0.5 * (pd.start + pd.end)
+    n, nxt = mesh.n_nodes, mesh.next_node
+    # panel i shares a node with panels next_node[i] and prev[i] only
+    prev = np.empty_like(nxt)
+    prev[nxt] = np.arange(n)
+    mid = 0.5 * (mesh.nodes + mesh.nodes[nxt])
     top = max(order for *_, order in _SEPARATED_ORDERS)
     lo = 0
     while lo < n:
         hi = min(n, lo + max(1, _CHUNK_PAIR_POINTS // (top ** 2 * (n - lo))))
         rows = np.arange(lo, hi)
         apart = rows[:, None] < np.arange(n)[None, :]
-        for cols in (pd.next_panel[rows], pd.prev_panel[rows]):
+        for cols in (nxt[rows], prev[rows]):
             apart[rows - lo, cols] = False
         ti, si = np.nonzero(apart)
         ti += lo
-        h = np.maximum(pd.length[ti], pd.length[si])
+        h = np.maximum(mesh.lengths[ti], mesh.lengths[si])
         order = _band_order(np.hypot(*(mid[ti] - mid[si]).T) / h, k * h)
         for o in np.unique(order):
             sel = order == o
@@ -341,31 +301,31 @@ def _band_order(ratio, kh):
     )
 
 
-def _add_panel_pairs(mats, pd: _PanelData, k: float, rule: QuadratureRule, ti, si):
+def _add_panel_pairs(mats, mesh, k: float, rule: QuadratureRule, ti, si):
     """Add the tensor-rule Galerkin blocks of the distinct panel pairs
     {ti[p], si[p]}, in both orders, to every matrix in ``mats``.  One
     distance and one Bessel evaluation serve the block tested on ti[p] and
     the one tested on si[p]: L's second block is the transpose of its
     first, and N's takes the other panel's normal and -(x - y)."""
-    xs = _quad_points(pd, rule)
+    xs = _quad_points(mesh, rule)
     double = "adjoint_double_layer" in mats
-    normals = (pd.normal[ti, None, None], -pd.normal[si, None, None]) if double else ()
+    normals = (mesh.normals[ti, None, None], -mesh.normals[si, None, None]) if double else ()
     r, along = _separation(xs[ti, :, None], xs[si, None, :], normals)
     if not np.all(r > 0.0):
         raise RuntimeError("coincident quadrature points on distinct panels")
     g, f = _kernels(k, r, "single_layer" in mats, double)
     del r
     wphi = _basis_weights(rule)
-    scale = pd.length[ti] * pd.length[si]
+    scale = mesh.lengths[ti] * mesh.lengths[si]
     if g is not None:
         blocks = _contract(g, wphi, scale)
         del g
-        _scatter(mats["single_layer"], pd, ti, si, blocks)
-        _scatter(mats["single_layer"], pd, si, ti, blocks.transpose(0, 2, 1))
+        _scatter(mats["single_layer"], mesh, ti, si, blocks)
+        _scatter(mats["single_layer"], mesh, si, ti, blocks.transpose(0, 2, 1))
     if f is not None:
         mat = mats["adjoint_double_layer"]
-        _scatter(mat, pd, ti, si, _contract(f * along[0], wphi, scale))
-        _scatter(mat, pd, si, ti, _contract(f * along[1], wphi, scale).transpose(0, 2, 1))
+        _scatter(mat, mesh, ti, si, _contract(f * along[0], wphi, scale))
+        _scatter(mat, mesh, si, ti, _contract(f * along[1], wphi, scale).transpose(0, 2, 1))
 
 
 def _contract(kernel, wphi, scale):
@@ -377,31 +337,32 @@ def _contract(kernel, wphi, scale):
     return (wphi @ half).reshape(2, p, 2).transpose(1, 0, 2) * scale[:, None, None]
 
 
-def _scatter(matrix, pd: _PanelData, ti, si, blocks):
+def _scatter(matrix, mesh, ti, si, blocks):
     """Add blocks[p], tested on panel ti[p] and trialed on panel si[p], at
-    those panels' endpoint nodes.  Endpoint node indices are a permutation of
-    the panel indices, so for distinct pairs each fancy-index addition
-    touches distinct entries."""
-    nodes = (pd.node0, pd.node1)
+    those panels' end nodes: panel i's are i and next_node[i].  next_node is
+    a permutation, so for distinct pairs each fancy-index addition touches
+    distinct entries."""
+    rows = (ti, mesh.next_node[ti])
+    cols = (si, mesh.next_node[si])
     for a in (0, 1):
         for b in (0, 1):
-            matrix[nodes[a][ti], nodes[b][si]] += blocks[:, a, b]
+            matrix[rows[a], cols[b]] += blocks[:, a, b]
 
 
-def _same_panel_single_layer(matrix, pd: _PanelData, k: float, rule: QuadratureRule):
+def _same_panel_single_layer(matrix, mesh, k: float, rule: QuadratureRule):
     """Each panel against itself: closed-form log moments plus Gauss on the
     smooth remainder of H0."""
     u = rule.points
     udiff = np.abs(u[:, None] - u[None, :])
-    remainder = specfun.h0_smooth_remainder(k, pd.length[:, None, None] * udiff[None, :, :])
-    blocks = _contract(0.25j * remainder, _basis_weights(rule), pd.length ** 2)
+    remainder = specfun.h0_smooth_remainder(k, mesh.lengths[:, None, None] * udiff[None, :, :])
+    blocks = _contract(0.25j * remainder, _basis_weights(rule), mesh.lengths ** 2)
 
-    log_diag = np.zeros(pd.count)
-    log_off = np.zeros(pd.count)
-    ln_ell = np.log(pd.length)
+    log_diag = np.zeros(mesh.n_nodes)
+    log_off = np.zeros(mesh.n_nodes)
+    ln_ell = np.log(mesh.lengths)
     cm = 1.0
     for m in range(_LOG_J0_TERMS):
-        power = pd.length ** (2 * m + 2)
+        power = mesh.lengths ** (2 * m + 2)
         factor = cm * k ** (2 * m)
         log_diag += factor * power * (ln_ell * _LOG_B[m, 0] + _LOG_C[m, 0])
         log_off += factor * power * (ln_ell * _LOG_B[m, 1] + _LOG_C[m, 1])
@@ -413,8 +374,8 @@ def _same_panel_single_layer(matrix, pd: _PanelData, k: float, rule: QuadratureR
     blocks[:, 0, 1] += log_off
     blocks[:, 1, 0] += log_off
 
-    panels = np.arange(pd.count)
-    _scatter(matrix, pd, panels, panels, blocks)
+    panels = np.arange(mesh.n_nodes)
+    _scatter(matrix, mesh, panels, panels, blocks)
 
 
 def assemble_mass(mesh) -> AssembledOperator:
@@ -423,16 +384,18 @@ def assemble_mass(mesh) -> AssembledOperator:
     The local block on a panel of length l is l [[1/3, 1/6], [1/6, 1/3]],
     accumulated exactly with no quadrature.
     """
-    pd = _panel_data(mesh)
-    matrix = np.zeros((pd.count, pd.count))
-    third = pd.length / 3.0
-    sixth = pd.length / 6.0
-    matrix[pd.node0, pd.node0] += third
-    matrix[pd.node1, pd.node1] += third
-    matrix[pd.node0, pd.node1] += sixth
-    matrix[pd.node1, pd.node0] += sixth
+    _check_mesh(mesh)
+    n, nxt = mesh.n_nodes, mesh.next_node
+    panels = np.arange(n)
+    matrix = np.zeros((n, n))
+    third = mesh.lengths / 3.0
+    sixth = mesh.lengths / 6.0
+    matrix[panels, panels] += third
+    matrix[nxt, nxt] += third
+    matrix[panels, nxt] += sixth
+    matrix[nxt, panels] += sixth
     matrix.flags.writeable = False
-    return AssembledOperator(kind="mass", matrix=matrix, mesh=mesh, k=None)
+    return AssembledOperator(kind="mass", matrix=matrix, k=None)
 
 
 def evaluate_potentials(
@@ -458,38 +421,40 @@ def evaluate_potentials(
         raise ValueError("evaluate_potentials requires k > 0")
     if layer not in ("single", "double"):
         raise ValueError("layer must be 'single' or 'double'")
-    pd = _panel_data(mesh)
+    _check_mesh(mesh)
+    n, length = mesh.n_nodes, mesh.lengths
     rho = np.asarray(density)
-    if rho.shape != (pd.count,):
-        raise ValueError(f"density must have one value per node ({pd.count})")
+    if rho.shape != (n,):
+        raise ValueError(f"density must have one value per node ({n})")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
 
-    mid = 0.5 * (pd.start + pd.end)
+    mid = 0.5 * (mesh.nodes + mesh.nodes[mesh.next_node])
     m = pts.shape[0]
     values = np.empty(m, dtype=complex)
     near = np.empty(m, dtype=bool)
     top = max(order, *(o for *_, o in _SEPARATED_ORDERS))
-    workers = len(os.sched_getaffinity(0))
+    # os.sched_getaffinity, the CPUs the process may use, is missing on macOS
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # each piece holds at most _FIELD_PIECE_POINTS points, and the pieces in
     # flight together at most _CHUNK_PAIR_POINTS
     budget = min(_FIELD_PIECE_POINTS, _CHUNK_PAIR_POINTS // workers)
-    piece = max(1, min(m // workers, budget // (pd.count * top)))
-    normals = (pd.normal[None, :, None],) if layer == "double" else ()
+    piece = max(1, min(m // workers, budget // (n * top)))
+    normals = (mesh.normals[None, :, None],) if layer == "double" else ()
 
     def evaluate_piece(lo):
         rows = np.arange(lo, min(lo + piece, m))
-        ratio = np.hypot(*(pts[rows, None] - mid[None]).transpose(2, 0, 1)) / pd.length
-        orders = np.maximum(order, _band_order(ratio, k * pd.length).max(axis=1))
+        ratio = np.hypot(*(pts[rows, None] - mid[None]).transpose(2, 0, 1)) / length
+        orders = np.maximum(order, _band_order(ratio, k * length).max(axis=1))
         for o in np.unique(orders):
             sel = rows[orders == o]
             rule = gauss_rule(int(o))
             u = rule.points
-            w = rule.weights * pd.length[:, None]
-            coeff = (rho[pd.node0, None] * (1.0 - u) + rho[pd.node1, None] * u) * w
-            r, along = _separation(pts[sel, None, None], _quad_points(pd, rule)[None], normals)
-            near[sel] = np.any(r < pd.length[None, :, None], axis=(1, 2))
+            w = rule.weights * length[:, None]
+            coeff = (rho[:, None] * (1.0 - u) + rho[mesh.next_node, None] * u) * w
+            r, along = _separation(pts[sel, None, None], _quad_points(mesh, rule)[None], normals)
+            near[sel] = np.any(r < length[None, :, None], axis=(1, 2))
             g, f = _kernels(k, np.maximum(r, 1e-12, out=r), layer == "single", layer == "double")
             del r
             kernel = g if f is None else f * along[0]

@@ -172,6 +172,8 @@ def scene_from_dict(doc: dict) -> geometry.Scene:
 
     shapes = []
     for i, entry in enumerate(doc["obstacles"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"obstacle {i} must be a JSON object")
         kind = entry.get("kind")
         if kind not in _PARAM_FIELDS:
             raise ValueError(f"obstacle {i}: unknown kind {kind!r}")
@@ -272,7 +274,7 @@ def _available_memory() -> int:
 
 def _refuse_beyond_memory(command: str, n: int) -> None:
     """Raise ValueError when the command's dense matrices on n unknowns
-    would not fit in the available memory."""
+    would not fit in the available memory; n comes before any meshing."""
     needed, available = _BYTES_PER_ENTRY[command] * n * n, _available_memory()
     if needed > available:
         raise ValueError(f"{command} on {n} unknowns needs about {needed / 2**30:.1f} GiB, "
@@ -299,9 +301,9 @@ def cmd_scene(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     """Run the equality and similarity checks plus all GMRES histories."""
     scene = _resolve_scene(cfg)
+    _refuse_beyond_memory("verify", geometry.scene_node_count(scene, cfg.ppw))
     mesh = geometry.mesh_scene(scene, cfg.ppw)
     logger.info("verify: %d unknowns over %d obstacles", mesh.n_nodes, len(mesh.meshes))
-    _refuse_beyond_memory("verify", mesh.n_nodes)
     ops = bem.assemble_operators(mesh, scene.k)
     ops["mass"] = bem.assemble_mass(mesh)
 
@@ -368,11 +370,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     """Eigenvalues of the four preconditioned matrices, matched to EFIE."""
     scene = _resolve_scene(cfg)
+    n = geometry.scene_node_count(scene, cfg.ppw)
+    # the fixed eigenvalue limit is reported before the host-dependent estimate
+    verify.check_spectrum_size(n)
+    _refuse_beyond_memory("spectrum", n)
     mesh = geometry.mesh_scene(scene, cfg.ppw)
     logger.info("spectrum: %d unknowns", mesh.n_nodes)
-    # check_spectra's fixed limit is reported before the host-dependent estimate
-    if mesh.n_nodes <= linalg.EIG_DIM_LIMIT:
-        _refuse_beyond_memory("spectrum", mesh.n_nodes)
     report = verify.check_spectra(scene, mesh, cfg.alpha, cfg.eta, cfg.eta_bw)
     passed = report.matched_max_rel_error <= verify.DESK_SPECTRUM_THRESHOLD
     _print_check("matched spectra", report.matched_max_rel_error,
@@ -411,8 +414,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_solve(cfg: RunConfig) -> int:
     """Solve one formulation on the scene and write density and history."""
     scene = _resolve_scene(cfg)
+    _refuse_beyond_memory(f"solve {cfg.formulation}", geometry.scene_node_count(scene, cfg.ppw))
     mesh = geometry.mesh_scene(scene, cfg.ppw)
-    _refuse_beyond_memory(f"solve {cfg.formulation}", mesh.n_nodes)
     form = formulations.Formulation(
         kind=cfg.formulation, alpha=cfg.alpha, eta=cfg.eta, eta_bw=cfg.eta_bw
     )
@@ -449,7 +452,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     }
     _write_json(out / "solve.json", doc)
     _write_residuals(out / "residuals.csv", [record])
-    nodes = mesh.all_nodes
     with open(out / "density.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(DENSITY_COLUMNS)
@@ -457,7 +459,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             start, stop = mesh.block_range(p)
             for i in range(start, stop):
                 writer.writerow(
-                    [p, i, float(nodes[i, 0]), float(nodes[i, 1]),
+                    [p, i, float(mesh.nodes[i, 0]), float(mesh.nodes[i, 1]),
                      float(density[i].real), float(density[i].imag)]
                 )
     return EXIT_PASS if report.converged else EXIT_THRESHOLD
@@ -479,8 +481,8 @@ def disk_field_errors(k: float = RunConfig.disk_k, ppw: float = RunConfig.ppw,
         obstacles=(geometry.Shape(kind="ellipse", a=1.0, b=1.0),),
         box=(-5.0, -5.0, 5.0, 5.0),
     )
+    _refuse_beyond_memory("validate-disk", geometry.scene_node_count(scene, ppw))
     mesh = geometry.mesh_scene(scene, ppw)
-    _refuse_beyond_memory("validate-disk", mesh.n_nodes)
     ops = bem.assemble_operators(mesh, scene.k)
     ops["mass"] = bem.assemble_mass(mesh)
 

@@ -126,19 +126,17 @@ def incident_loads(wave: IncidentWave, mesh) -> tuple[np.ndarray, np.ndarray]:
     rule of order 8 per panel.
     """
     wave.validate()
-    pd = bem._panel_data(mesh)
     rule = bem.gauss_rule(_LOAD_ORDER)
     beta = np.asarray(wave.beta)
-    trace = np.exp(1j * wave.k * (bem._quad_points(pd, rule) @ beta))
-    normal_trace = (1j * wave.k * (pd.normal @ beta))[:, None] * trace
-    basis = bem._basis_weights(rule)
+    trace = np.exp(1j * wave.k * (bem._quad_points(mesh, rule) @ beta))
+    normal_trace = (1j * wave.k * (mesh.normals @ beta))[:, None] * trace
+    start_weights, end_weights = bem._basis_weights(rule)
     loads = []
     for values in (trace, normal_trace):
-        load = np.zeros(pd.count, dtype=complex)
-        # Endpoint node indices are a permutation of the panel indices, so
-        # each fancy-index addition touches distinct entries.
-        for nodes, weights in zip((pd.node0, pd.node1), basis):
-            load[nodes] += pd.length * (values @ weights)
+        # panel i adds to its start node i and its end node next_node[i], a
+        # permutation, so the fancy-index addition touches distinct entries
+        load = mesh.lengths * (values @ start_weights)
+        load[mesh.next_node] += mesh.lengths * (values @ end_weights)
         loads.append(load)
     return loads[0], loads[1]
 

@@ -10,13 +10,19 @@ scaled by s.  Boundaries are meshed into closed polygons with nodes
 equidistributed in arclength at a points-per-wavelength density, oriented
 counter-clockwise with outward unit normals.  Scenes place several shapes
 in a box by seeded rejection sampling with a minimum center distance.
+
+Numbering.  Panel i of a mesh runs from node i to node ``next_node[i]``, the
+next node of its obstacle's loop, with normal ``normals[i]`` and length
+``lengths[i]``.  A scene numbers its obstacles one contiguous block after
+another; every operator, load vector and field is indexed this way.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,43 +138,40 @@ def parametrize(shape: Shape, t):
 
 @dataclass(frozen=True)
 class ObstacleMesh:
-    """Closed polygonal boundary: one loop of segments with outward normals."""
+    """Closed polygonal boundary, counter-clockwise: panel i runs from node i
+    to node i + 1, the last back to node 0."""
 
     nodes: np.ndarray  # (N, 2)
-    segments: np.ndarray  # (N, 2) node index pairs, consecutive loop
-    normals: np.ndarray  # (N, 2) per-segment outward unit normal
-    lengths: np.ndarray  # (N,)
+    normals: np.ndarray  # (N, 2) outward unit normal of panel i
+    lengths: np.ndarray  # (N,) length of panel i
     perimeter: float
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    @functools.cached_property
+    def next_node(self) -> np.ndarray:
+        return np.roll(np.arange(self.n_nodes), -1)
+
     def signed_area(self) -> float:
-        x, y = self.nodes[:, 0], self.nodes[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
+        x, y = self.nodes.T
+        xn, yn = self.nodes[self.next_node].T
         return 0.5 * float(np.sum(x * yn - xn * y))
 
     def validate(self) -> None:
-        n = self.n_nodes
-        if n < 3:
+        if self.n_nodes < 3:
             raise ValueError("a closed loop needs at least 3 nodes")
-        expected = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-        if not np.array_equal(self.segments, expected):
-            raise ValueError("segments must form one consecutive closed loop")
         if not math.isclose(float(np.sum(self.lengths)), self.perimeter, rel_tol=1e-12):
             raise ValueError("segment lengths do not sum to the perimeter")
         if self.signed_area() <= 0:
             raise ValueError("loop must be counter-clockwise (positive area)")
 
 
-def mesh_boundary(shape: Shape, k: float, ppw: float) -> ObstacleMesh:
-    """Mesh one shape at segment length <= lambda/ppw, lambda = 2 pi / k.
-
-    Nodes are equidistributed in smooth arclength via inversion of a
-    cumulative-trapezoid arclength table, so all segments have nearly
-    equal length.
-    """
+def _arclength_table(shape: Shape, k: float, ppw: float):
+    """The parameters t, the arclength s(t) at each of them by the cumulative
+    trapezoid rule, and the node count at panel length <= lambda/ppw,
+    lambda = 2 pi / k: the count of equal arcs of that length, at least 8."""
     shape.validate()
     if k <= 0:
         raise ValueError("wavenumber must be positive")
@@ -185,8 +188,18 @@ def mesh_boundary(shape: Shape, k: float, ppw: float) -> ObstacleMesh:
         raise ValueError("degenerate shape: zero perimeter")
 
     lam = 2.0 * math.pi / k
-    n_seg = max(int(math.ceil(arc_perimeter / (lam / ppw))), 8)
-    s_targets = np.arange(n_seg) * (arc_perimeter / n_seg)
+    return t_grid, s_table, max(int(math.ceil(arc_perimeter / (lam / ppw))), 8)
+
+
+def mesh_boundary(shape: Shape, k: float, ppw: float) -> ObstacleMesh:
+    """Mesh one shape at panel length <= lambda/ppw, lambda = 2 pi / k.
+
+    Nodes are equidistributed in smooth arclength via inversion of a
+    cumulative-trapezoid arclength table, so all panels have nearly
+    equal length.
+    """
+    t_grid, s_table, n = _arclength_table(shape, k, ppw)
+    s_targets = np.arange(n) * (s_table[-1] / n)
     t_nodes = np.interp(s_targets, s_table, t_grid)
 
     nodes, _ = parametrize(shape, t_nodes)
@@ -195,19 +208,15 @@ def mesh_boundary(shape: Shape, k: float, ppw: float) -> ObstacleMesh:
     if np.any(lengths <= 0):
         raise ValueError("degenerate shape: coincident mesh nodes")
     normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
-    segments = np.stack([np.arange(n_seg), (np.arange(n_seg) + 1) % n_seg], axis=1)
 
     mesh = ObstacleMesh(
         nodes=nodes,
-        segments=segments,
         normals=normals,
         lengths=lengths,
         perimeter=float(np.sum(lengths)),
     )
     mesh.validate()
-    logger.debug(
-        "meshed %s: %d segments, polygon perimeter %.6f", shape.kind, n_seg, mesh.perimeter
-    )
+    logger.debug("meshed %s: %d panels, polygon perimeter %.6f", shape.kind, n, mesh.perimeter)
     return mesh
 
 
@@ -241,9 +250,16 @@ class Scene:
                     )
 
 
+def _concatenated(name: str) -> functools.cached_property:
+    """The obstacles' arrays ``name`` end to end, formed once per mesh."""
+    return functools.cached_property(
+        lambda mesh: np.concatenate([getattr(m, name) for m in mesh.meshes]))
+
+
 @dataclass(frozen=True)
 class SceneMesh:
-    """All obstacle meshes with contiguous per-obstacle global numbering."""
+    """All obstacle meshes in one numbering, contiguous per obstacle; its
+    arrays are the obstacles' arrays in that numbering."""
 
     meshes: tuple[ObstacleMesh, ...]
     block_offsets: tuple[int, ...]  # length M+1; obstacle p owns [off[p], off[p+1])
@@ -255,9 +271,22 @@ class SceneMesh:
     def block_range(self, p: int) -> tuple[int, int]:
         return self.block_offsets[p], self.block_offsets[p + 1]
 
-    @property
-    def all_nodes(self) -> np.ndarray:
-        return np.concatenate([m.nodes for m in self.meshes], axis=0)
+    nodes = _concatenated("nodes")
+    normals = _concatenated("normals")
+    lengths = _concatenated("lengths")
+
+    @functools.cached_property
+    def next_node(self) -> np.ndarray:
+        return np.concatenate(
+            [off + m.next_node for m, off in zip(self.meshes, self.block_offsets)]
+        )
+
+
+def scene_node_count(scene: Scene, ppw: float) -> int:
+    """The unknowns ``mesh_scene(scene, ppw)`` places, found without placing
+    them, so a size can be refused before any node is placed."""
+    scene.validate()
+    return sum(_arclength_table(s, scene.k, ppw)[2] for s in scene.obstacles)
 
 
 def mesh_scene(scene: Scene, ppw: float) -> SceneMesh:

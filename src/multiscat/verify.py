@@ -203,6 +203,12 @@ def check_bw_similarity(scene, mesh, alpha: float = 0.2, eta: complex | None = N
     )
 
 
+def check_spectrum_size(n: int) -> None:
+    """Raise ValueError when n unknowns exceed ``linalg.EIG_DIM_LIMIT``."""
+    if n > linalg.EIG_DIM_LIMIT:
+        raise ValueError(f"spectrum is limited to {linalg.EIG_DIM_LIMIT} unknowns, got {n}")
+
+
 def check_spectra(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
                   eta_bw: complex | None = None, operators=None) -> SpectrumReport:
     """Eigenvalues of the four preconditioned matrices, greedily matched.
@@ -212,11 +218,7 @@ def check_spectra(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
     Meshes above ``linalg.EIG_DIM_LIMIT`` unknowns are refused before any
     assembly.
     """
-    if mesh.n_nodes > linalg.EIG_DIM_LIMIT:
-        raise ValueError(
-            f"spectrum is limited to {linalg.EIG_DIM_LIMIT} unknowns, "
-            f"the mesh has {mesh.n_nodes}"
-        )
+    check_spectrum_size(mesh.n_nodes)
     eigenvalues = {}
     for kind, system, pre in _preconditioned_systems(
         scene, mesh, formulations.FORMULATION_KINDS, alpha, eta, eta_bw, operators

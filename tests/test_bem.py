@@ -74,57 +74,66 @@ def band_order(ratio: float, kh: float) -> int:
     return 8
 
 
-def separated_order(pd, p: int, q: int, k: float) -> int:
+def panel_nodes(mesh, p: int) -> tuple[int, int]:
+    """The start and end node of panel p: p and next_node[p]."""
+    return p, int(mesh.next_node[p])
+
+
+def panel_points(mesh, p: int, u) -> np.ndarray:
+    """Points of panel p at the reference parameters u in [0, 1]."""
+    start, end = mesh.nodes[list(panel_nodes(mesh, p))]
+    return start + np.asarray(u)[..., None] * (end - start)
+
+
+def separated_order(mesh, p: int, q: int, k: float) -> int:
     """The Gauss order the assembly should give panels p and q, which share
     no node: the band of their midpoint distance over the longer panel and
     of k times that panel's length."""
-    h = max(pd.length[p], pd.length[q])
-    ratio = math.dist(0.5 * (pd.start[p] + pd.end[p]), 0.5 * (pd.start[q] + pd.end[q])) / h
+    h = max(mesh.lengths[p], mesh.lengths[q])
+    ratio = math.dist(panel_points(mesh, p, 0.5), panel_points(mesh, q, 0.5)) / h
     return band_order(ratio, k * h)
 
 
-def receiver_order(pd, x, k: float) -> int:
+def receiver_order(mesh, x, k: float) -> int:
     """The Gauss order a potential should take at receiver x on every panel:
     the largest band, over the panels p, of the distance from x to p's
     midpoint over p's length and of k times that length."""
     return max(
-        band_order(math.dist(x, 0.5 * (pd.start[p] + pd.end[p])) / pd.length[p], k * pd.length[p])
-        for p in range(pd.count)
+        band_order(math.dist(x, panel_points(mesh, p, 0.5)) / h, k * h)
+        for p, h in enumerate(mesh.lengths)
     )
 
 
-def reference_potentials(pd, rho, k: float, x) -> tuple[complex, complex]:
+def reference_potentials(mesh, rho, k: float, x) -> tuple[complex, complex]:
     """Single- and double-layer potentials of the nodal density rho at x,
     with an order-32 Gauss rule on every panel and scipy Hankel functions."""
     t, w = leggauss(32)
     u, w = 0.5 * (t + 1.0), 0.5 * w
     single = double = 0.0j
-    for p in range(pd.count):
-        ys = pd.start[p] + u[:, None] * (pd.end[p] - pd.start[p])
-        d = x - ys
+    for p in range(mesh.n_nodes):
+        i, j = panel_nodes(mesh, p)
+        d = x - panel_points(mesh, p, u)
         r = np.linalg.norm(d, axis=1)
-        weights = (rho[pd.node0[p]] * (1.0 - u) + rho[pd.node1[p]] * u) * w * pd.length[p]
+        weights = (rho[i] * (1.0 - u) + rho[j] * u) * w * mesh.lengths[p]
         single += weights @ (0.25j * scipy_hankel1(0, k * r))
-        double += weights @ (-0.25j * k * scipy_hankel1(1, k * r) * (d @ pd.normal[p]) / r)
+        double += weights @ (-0.25j * k * scipy_hankel1(1, k * r) * (d @ mesh.normals[p]) / r)
     return single, double
 
 
-def pair_blocks(pd, p: int, q: int, k: float, order: int) -> dict:
+def pair_blocks(mesh, p: int, q: int, k: float, order: int) -> dict:
     """2 x 2 Galerkin blocks of L and N, tested on panel p and trialed on
     panel q, by a tensor Gauss rule of ``order`` points on scipy Hankel
     functions; rows and columns follow the panels' start and end nodes."""
     x, w = leggauss(order)
     u, w = 0.5 * (x + 1.0), 0.5 * w
-    xs = pd.start[p] + u[:, None] * (pd.end[p] - pd.start[p])
-    ys = pd.start[q] + u[:, None] * (pd.end[q] - pd.start[q])
-    d = xs[:, None, :] - ys[None, :, :]
+    d = panel_points(mesh, p, u)[:, None, :] - panel_points(mesh, q, u)[None, :, :]
     r = np.linalg.norm(d, axis=-1)
     kernels = {
         "single_layer": 0.25j * scipy_hankel1(0, k * r),
-        "adjoint_double_layer": -0.25j * k * scipy_hankel1(1, k * r) * (d @ pd.normal[p]) / r,
+        "adjoint_double_layer": -0.25j * k * scipy_hankel1(1, k * r) * (d @ mesh.normals[p]) / r,
     }
     hats = np.stack([1.0 - u, u]) * w
-    scale = pd.length[p] * pd.length[q]
+    scale = mesh.lengths[p] * mesh.lengths[q]
     return {kind: scale * (hats @ kern @ hats.T) for kind, kern in kernels.items()}
 
 
@@ -141,14 +150,11 @@ def rayleigh_quotients(mesh, kind: str, modes) -> dict:
 
 def polygon_mesh(nodes) -> geometry.ObstacleMesh:
     """One closed loop through ``nodes``, counter-clockwise."""
-    n = nodes.shape[0]
-    segments = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-    edges = nodes[segments[:, 1]] - nodes[segments[:, 0]]
+    edges = np.roll(nodes, -1, axis=0) - nodes
     lengths = np.linalg.norm(edges, axis=1)
     normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
     return geometry.ObstacleMesh(
         nodes=nodes,
-        segments=segments,
         normals=normals,
         lengths=lengths,
         perimeter=float(lengths.sum()),
@@ -239,15 +245,15 @@ def test_quadrature_doubling_far_pairs():
     separated, against an order-16 reference built pair by pair from scipy
     Hankel functions, in both directions (the lower N block is -M^T)."""
     mesh = two_circle_scene_mesh()
-    pd = bem._panel_data(mesh)
+    n = mesh.n_nodes
     cut = mesh.block_offsets[1]
     ops = bem.assemble_operators(mesh, WAVENUMBER)
-    reference = {kind: np.zeros((pd.count, pd.count), dtype=complex) for kind in ops}
+    reference = {kind: np.zeros((n, n), dtype=complex) for kind in ops}
     for p in range(cut):
-        for q in range(cut, pd.count):
+        for q in range(cut, n):
             for a, b in ((p, q), (q, p)):
-                entries = np.ix_([pd.node0[a], pd.node1[a]], [pd.node0[b], pd.node1[b]])
-                for kind, block in pair_blocks(pd, a, b, WAVENUMBER, 16).items():
+                entries = np.ix_(panel_nodes(mesh, a), panel_nodes(mesh, b))
+                for kind, block in pair_blocks(mesh, a, b, WAVENUMBER, 16).items():
                     reference[kind][entries] += block
     for kind, op in ops.items():
         for rows, cols in ((slice(None, cut), slice(cut, None)), (slice(cut, None), slice(None, cut))):
@@ -268,7 +274,6 @@ def test_far_entries_match_direct_quadrature():
         "double_layer": -ops["adjoint_double_layer"].matrix.T,
         "adjoint_double_layer": ops["adjoint_double_layer"].matrix,
     }
-    pd = bem._panel_data(mesh)
     i, j = 3, mesh.block_offsets[1] + 7
     x16, w16 = leggauss(8)
     u = 0.5 * (x16 + 1.0)
@@ -276,32 +281,24 @@ def test_far_entries_match_direct_quadrature():
 
     def direct_entry(kernel_name):
         total = 0.0j
-        for p in range(pd.count):
-            if pd.node0[p] == i:
-                alpha = 0
-            elif pd.node1[p] == i:
-                alpha = 1
-            else:
+        for p in range(mesh.n_nodes):
+            if i not in panel_nodes(mesh, p):
                 continue
-            for q in range(pd.count):
-                if pd.node0[q] == j:
-                    beta = 0
-                elif pd.node1[q] == j:
-                    beta = 1
-                else:
+            alpha = panel_nodes(mesh, p).index(i)
+            for q in range(mesh.n_nodes):
+                if j not in panel_nodes(mesh, q):
                     continue
-                xs = pd.start[p][None, :] + u[:, None] * (pd.end[p] - pd.start[p])[None, :]
-                ys = pd.start[q][None, :] + u[:, None] * (pd.end[q] - pd.start[q])[None, :]
-                d = xs[:, None, :] - ys[None, :, :]
+                beta = panel_nodes(mesh, q).index(j)
+                d = panel_points(mesh, p, u)[:, None, :] - panel_points(mesh, q, u)[None, :, :]
                 r = np.linalg.norm(d, axis=-1)
                 if kernel_name == "single_layer":
                     kern = 0.25j * scipy_hankel1(0, k * r)
                 else:
-                    nvec = pd.normal[q] if kernel_name == "double_layer" else pd.normal[p]
+                    nvec = mesh.normals[q] if kernel_name == "double_layer" else mesh.normals[p]
                     kern = -0.25j * k * scipy_hankel1(1, k * r) * (d @ nvec) / r
                 pa = (1.0 - u) if alpha == 0 else u
                 pb = (1.0 - u) if beta == 0 else u
-                total += pd.length[p] * pd.length[q] * np.einsum(
+                total += mesh.lengths[p] * mesh.lengths[q] * np.einsum(
                     "q,qr,r->", w * pa, kern, w * pb
                 )
         return total
@@ -328,17 +325,16 @@ def test_every_panel_pair_integrated_once_with_its_rule():
     loop = np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1)
     parts = tuple(polygon_mesh(loop + np.array(c)) for c in ((0.0, 0.0), (6.0, 0.0), (0.0, 20.0)))
     mesh = geometry.SceneMesh(meshes=parts, block_offsets=(0, 10, 20, 30))
-    pd = bem._panel_data(mesh)
     expected = np.zeros((30, 30), dtype=complex)
     orders = set()
     for p in range(30):
         for q in range(30):
             if p == q:
                 continue
-            ends_p, ends_q = (pd.node0[p], pd.node1[p]), (pd.node0[q], pd.node1[q])
-            order = 16 if set(ends_p) & set(ends_q) else separated_order(pd, p, q, k)
+            ends_p, ends_q = panel_nodes(mesh, p), panel_nodes(mesh, q)
+            order = 16 if set(ends_p) & set(ends_q) else separated_order(mesh, p, q, k)
             orders.add(order)
-            expected[np.ix_(ends_p, ends_q)] += pair_blocks(pd, p, q, k, order)["adjoint_double_layer"]
+            expected[np.ix_(ends_p, ends_q)] += pair_blocks(mesh, p, q, k, order)["adjoint_double_layer"]
     assert orders == {3, 4, 5, 8, 16}
     got = bem.assemble_operators(mesh, k, kinds=("adjoint_double_layer",))
     error = np.abs(got["adjoint_double_layer"].matrix - expected)
@@ -351,12 +347,11 @@ def test_one_bessel_evaluation_per_unordered_pair(monkeypatch):
     panels sharing a node, the separation band's order squared otherwise,
     and none for a panel with itself (its rule splits off the logarithm)."""
     mesh = two_circle_scene_mesh(ppw=30)
-    pd = bem._panel_data(mesh)
     expected = 0
-    for p in range(pd.count):
-        for q in range(p + 1, pd.count):
-            shared = {pd.node0[p], pd.node1[p]} & {pd.node0[q], pd.node1[q]}
-            expected += (16 if shared else separated_order(pd, p, q, WAVENUMBER)) ** 2
+    for p in range(mesh.n_nodes):
+        for q in range(p + 1, mesh.n_nodes):
+            shared = set(panel_nodes(mesh, p)) & set(panel_nodes(mesh, q))
+            expected += (16 if shared else separated_order(mesh, p, q, WAVENUMBER)) ** 2
     received = []
     bessel = specfun.bessel_j0j1y0y1
 
@@ -421,12 +416,12 @@ def test_receiver_orders_meet_order_32_reference(k, monkeypatch):
     exactly n_panels times each receiver's order points per layer, and
     n_panels times 32 per receiver when asked for order 32."""
     mesh, points = two_polygons_and_banded_receivers()
-    pd = bem._panel_data(mesh)
-    orders = [receiver_order(pd, x, k) for x in points]
+    n = mesh.n_nodes
+    orders = [receiver_order(mesh, x, k) for x in points]
     assert set(orders) == {0.3: {3, 4, 5, 8}, 2.0: {5, 8}, 3.5: {8}}[k]
     rng = np.random.default_rng(5)
-    rho = rng.standard_normal(pd.count) + 1j * rng.standard_normal(pd.count)
-    reference = np.array([reference_potentials(pd, rho, k, x) for x in points]).T
+    rho = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    reference = np.array([reference_potentials(mesh, rho, k, x) for x in points]).T
 
     received = []
     bessel = specfun.bessel_j0j1y0y1
@@ -441,11 +436,11 @@ def test_receiver_orders_meet_order_32_reference(k, monkeypatch):
         got = bem.evaluate_potentials(mesh, rho, k, points, layer=layer)
         assert not np.any(got.near_boundary)
         assert np.max(np.abs(got.values - ref)) <= 1e-9 * np.max(np.abs(ref))
-        assert sum(received) == pd.count * sum(orders)
+        assert sum(received) == n * sum(orders)
         # ``order`` is the least order a receiver takes
         received.clear()
         bem.evaluate_potentials(mesh, rho, k, points, layer=layer, order=32)
-        assert sum(received) == pd.count * 32 * len(points)
+        assert sum(received) == n * 32 * len(points)
 
 
 @pytest.mark.parametrize("case", ["desk-ppw4", "two-circles"])
@@ -470,9 +465,8 @@ def test_flat_panel_kills_double_layer_kernel():
     mesh = geometry.mesh_boundary(
         geometry.Shape(kind="kite", s=0.8), k=WAVENUMBER, ppw=12
     )
-    pd = bem._panel_data(mesh)
-    along = pd.end - pd.start
-    assert np.max(np.abs(np.sum(along * pd.normal, axis=1))) <= 1e-14
+    along = mesh.nodes[mesh.next_node] - mesh.nodes
+    assert np.max(np.abs(np.sum(along * mesh.normals, axis=1))) <= 1e-14
 
 
 def test_operator_matrices_are_read_only():
@@ -614,7 +608,24 @@ def test_potentials_do_not_depend_on_the_split_into_pieces(monkeypatch):
             assert np.array_equal(again.values, whole.values)
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the process may use one CPU")
+def test_potentials_without_cpu_affinity_are_unchanged(monkeypatch):
+    """Where os.sched_getaffinity does not exist (macOS), the receivers run
+    on os.cpu_count() threads, to the same values."""
+    mesh, points = two_polygons_and_banded_receivers()
+    rho = np.linspace(1.0, 2.0, mesh.n_nodes) * (1.0 - 0.5j)
+    layers = ("single", "double")
+    before = [bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer) for layer in layers]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for layer, field in zip(layers, before):
+        after = bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer)
+        assert np.array_equal(after.values, field.values)
+        assert np.array_equal(after.near_boundary, field.near_boundary)
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else os.cpu_count() < 2,
+    reason="the process may use one CPU",
+)
 def test_field_evaluation_runs_on_several_threads(monkeypatch):
     mesh, points = disk_field_grid()
     rho = np.ones(mesh.n_nodes, dtype=complex)

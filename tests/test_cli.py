@@ -51,6 +51,23 @@ def refuse_large_allocations(monkeypatch):
         monkeypatch.setattr(np, name, guarded)
 
 
+def fail_on_large_arrays(monkeypatch):
+    """Make np.zeros, np.empty and np.arange fail the test when asked for
+    10^7 entries or more: an AssertionError maps to no exit code."""
+    def shape_size(shape, *args, **kwargs):
+        return np.prod(shape)
+
+    def range_size(*args, **kwargs):
+        return len(range(*args)) if all(isinstance(a, int) for a in args) else 0
+
+    for name, size in (("zeros", shape_size), ("empty", shape_size), ("arange", range_size)):
+        def guarded(*args, _allocate=getattr(np, name), _size=size, _name=name, **kwargs):
+            assert _size(*args, **kwargs) < 10**7, f"np.{_name}{args} was asked for"
+            return _allocate(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, guarded)
+
+
 def numeric_paths(doc, prefix=()):
     """Key paths of every number in a scene document."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
@@ -336,6 +353,12 @@ class TestValidateDisk:
         for kind in formulations.FORMULATION_KINDS:
             assert fine["errors"][kind] < coarse["errors"][kind]
 
+    def test_report_is_unchanged_without_cpu_affinity(self, disk_run, tmp_path, monkeypatch):
+        # macOS has no os.sched_getaffinity; the field then runs on os.cpu_count()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert run("validate-disk", "--out", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "validate_disk.json").read_text()) == disk_run[1]
+
 
 class TestExitCodes:
     def test_missing_scene_file(self, tmp_path, capsys):
@@ -379,6 +402,30 @@ class TestExitCodes:
         bad.write_text("not json")
         assert run("solve", "--scene", str(bad), "--out", str(tmp_path)) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("entry", ["ellipse", 3, None, ["ellipse"]])
+    def test_obstacle_entry_that_is_not_an_object(self, entry, tmp_path, capsys):
+        doc = cli.scene_to_dict(verify.desk_scene())
+        doc["obstacles"][1] = entry
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_text(json.dumps(doc))
+        assert run("verify", "--scene", str(scene_file), "--out", str(tmp_path)) == 2
+        assert "error: obstacle 1 must be a JSON object" in capsys.readouterr().err
+
+    # desk at ppw 1e7 has about 1.5e8 unknowns, whose nodes alone would take
+    # about 13 GB, and the unit disk 5e7
+    @pytest.mark.parametrize("command,message", [
+        ("verify", "GiB of physical memory"),
+        ("spectrum", f"limited to {linalg.EIG_DIM_LIMIT} unknowns"),
+        ("solve", "GiB of physical memory"),
+        ("validate-disk", "GiB of physical memory"),
+    ])
+    def test_absurd_size_refused_before_meshing(
+        self, command, message, tmp_path, monkeypatch, capsys
+    ):
+        fail_on_large_arrays(monkeypatch)
+        assert run(command, "--ppw", "1e7", "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
 
     def test_singular_system_maps_to_numeric_failure(self, tmp_path, monkeypatch, capsys):
         def boom(**kwargs):

@@ -150,8 +150,10 @@ class TestSystemAssembly:
         t, w = 0.5 * (x + 1.0), 0.5 * w
         beta = np.array(scene.beta)
         expected = np.zeros((2, mesh.n_nodes), dtype=complex)
+        # panel i runs from node i to the next node of its obstacle's loop
         for om, offset in zip(mesh.meshes, mesh.block_offsets):
-            for (i0, i1), normal, length in zip(om.segments, om.normals, om.lengths):
+            for i0, (normal, length) in enumerate(zip(om.normals, om.lengths)):
+                i1 = (i0 + 1) % om.n_nodes
                 a, b = om.nodes[i0], om.nodes[i1]
                 u = np.exp(1j * scene.k * ((a + t[:, None] * (b - a)) @ beta))
                 dn = 1j * scene.k * (normal @ beta) * u

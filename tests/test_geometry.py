@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from multiscat import geometry
+from multiscat import geometry, verify
 
 
 def unit_circle() -> geometry.Shape:
@@ -70,7 +70,7 @@ def test_mesh_circle_segment_count():
     # lambda = 1, so the rule gives ceil(2 pi * 15) = 95 segments
     mesh = geometry.mesh_boundary(unit_circle(), k=2 * math.pi, ppw=15)
     assert mesh.n_nodes == 95
-    assert mesh.segments.shape == (95, 2)
+    assert np.array_equal(mesh.next_node, (np.arange(95) + 1) % 95)
 
 
 def test_mesh_circle_perimeter_second_order():
@@ -146,7 +146,33 @@ def test_mesh_scene_offsets():
     assert sm.block_offsets[0] == 0
     assert sm.block_offsets[-1] == sm.n_nodes
     assert sm.block_offsets[1] == sm.meshes[0].n_nodes
-    assert sm.all_nodes.shape == (sm.n_nodes, 2)
+    assert sm.nodes.shape == (sm.n_nodes, 2)
+
+
+def test_scene_mesh_states_one_numbering(desk):
+    """Panel i of a scene mesh runs from node i to node next_node[i], the
+    next node of its obstacle's loop, with that chord's length and outward
+    normal; each array is the obstacles' arrays in block order, formed once."""
+    sm = geometry.mesh_scene(desk, ppw=10)
+    for name in ("nodes", "normals", "lengths"):
+        assert np.array_equal(getattr(sm, name), np.concatenate([getattr(m, name) for m in sm.meshes]))
+        assert getattr(sm, name) is getattr(sm, name)
+    for p, om in enumerate(sm.meshes):
+        lo, hi = sm.block_range(p)
+        assert np.array_equal(sm.next_node[lo:hi], lo + (np.arange(hi - lo) + 1) % (hi - lo))
+        assert np.array_equal(om.next_node, sm.next_node[lo:hi] - lo)
+    chords = sm.nodes[sm.next_node] - sm.nodes
+    assert_allclose(np.linalg.norm(chords, axis=1), sm.lengths, rtol=1e-15)
+    assert np.max(np.abs(np.sum(chords * sm.normals, axis=1))) <= 1e-15
+    # outward: the normal is the chord turned clockwise on a counter-clockwise loop
+    assert np.all(chords[:, 0] * sm.normals[:, 1] - chords[:, 1] * sm.normals[:, 0] < 0.0)
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper"])
+@pytest.mark.parametrize("ppw", [4.0, 10.0, 15.0, 22.5, 30.0])
+def test_node_count_is_the_meshed_count(preset, ppw):
+    scene = verify.desk_scene(3) if preset == "desk" else verify.paper_scene(0)
+    assert geometry.scene_node_count(scene, ppw) == geometry.mesh_scene(scene, ppw).n_nodes
 
 
 def config_for_generation(m_per_kind: int = 1) -> geometry.Scene:
