@@ -28,6 +28,9 @@ Pairs sharing no node come a block of rows at a time, at an order chosen by
 the pair's separation, its midpoint distance over the longer panel's
 length h, and by k h (see ``_SEPARATED_ORDERS``); pairs sharing a node take
 order 16.  Both keys are symmetric in the pair, so M = -N^T stays exact.
+A group's kernels come in pieces of ``_PIECE_PAIR_POINTS`` point pairs at
+most and its blocks are scattered once, in pair order: an entry sums up to
+four pairs' blocks, so any other grouping or order would change its rounding.
 On node-sharing pairs neither kernel is smooth: L has a ln r singularity at
 the shared vertex and N's kernel is homogeneous of degree -1 there, so the
 tensor rule converges only algebraically on them.  ``evaluate_potentials``
@@ -73,6 +76,10 @@ _SEPARATED_ORDERS = (
     (0.0, math.inf, 8),
 )
 _CHUNK_PAIR_POINTS = 4_000_000
+# Quadrature-point pairs per kernel piece.  Desk assembly at ppw 15 and 30
+# took 0.13-0.14 and 0.33-0.35 s (medians of 7) with pieces of 16k or 64k
+# points, and its peak RSS grew 15 MiB at ppw 15 with 16k, 23 MiB with 64k.
+_PIECE_PAIR_POINTS = 16_384
 # Receiver-Gauss-point pairs per piece of field evaluation.  Each thread's
 # allocator arena keeps about its largest piece after freeing it, so small
 # pieces hold peak RSS down: on the disk-field grid on two CPUs, pieces of
@@ -308,24 +315,30 @@ def _add_panel_pairs(mats, mesh, k: float, rule: QuadratureRule, ti, si):
     the one tested on si[p]: L's second block is the transpose of its
     first, and N's takes the other panel's normal and -(x - y)."""
     xs = _quad_points(mesh, rule)
-    double = "adjoint_double_layer" in mats
-    normals = (mesh.normals[ti, None, None], -mesh.normals[si, None, None]) if double else ()
-    r, along = _separation(xs[ti, :, None], xs[si, None, :], normals)
-    if not np.all(r > 0.0):
-        raise RuntimeError("coincident quadrature points on distinct panels")
-    g, f = _kernels(k, r, "single_layer" in mats, double)
-    del r
+    single, double = "single_layer" in mats, "adjoint_double_layer" in mats
     wphi = _basis_weights(rule)
-    scale = mesh.lengths[ti] * mesh.lengths[si]
-    if g is not None:
-        blocks = _contract(g, wphi, scale)
+    # L's blocks tested on ti, then N's tested on ti and on si
+    blocks = np.empty((single + 2 * double, len(ti), 2, 2), dtype=complex)
+    step = max(1, _PIECE_PAIR_POINTS // rule.points.size ** 2)
+    for lo in range(0, len(ti), step):
+        a, b = ti[lo:lo + step], si[lo:lo + step]
+        normals = (mesh.normals[a, None, None], -mesh.normals[b, None, None]) if double else ()
+        r, along = _separation(xs[a, :, None], xs[b, None, :], normals)
+        if not np.all(r > 0.0):
+            raise RuntimeError("coincident quadrature points on distinct panels")
+        g, f = _kernels(k, r, single, double)
+        del r
+        scale = mesh.lengths[a] * mesh.lengths[b]
+        parts = blocks[:, lo:lo + step]
+        if single:
+            parts[0] = _contract(g, wphi, scale)
         del g
-        _scatter(mats["single_layer"], mesh, ti, si, blocks)
-        _scatter(mats["single_layer"], mesh, si, ti, blocks.transpose(0, 2, 1))
-    if f is not None:
-        mat = mats["adjoint_double_layer"]
-        _scatter(mat, mesh, ti, si, _contract(f * along[0], wphi, scale))
-        _scatter(mat, mesh, si, ti, _contract(f * along[1], wphi, scale).transpose(0, 2, 1))
+        for part, side in zip(parts[single:], along):
+            part[...] = _contract(f * side, wphi, scale)
+    for kind, first, second in (("single_layer", 0, 0), ("adjoint_double_layer", -2, -1)):
+        if kind in mats:
+            _scatter(mats[kind], mesh, ti, si, blocks[first])
+            _scatter(mats[kind], mesh, si, ti, blocks[second].transpose(0, 2, 1))
 
 
 def _contract(kernel, wphi, scale):

@@ -58,8 +58,8 @@ EXIT_NUMERIC = 3
 # in three runs each on the desk preset at ppw 60 and 90 (887 and 1330
 # unknowns) and for validate-disk on the disk at ppw 180 and 270 (900 and
 # 1350 unknowns); every one was largest at the smaller size.
-_BYTES_PER_ENTRY = {"verify": 170, "spectrum": 130, "validate-disk": 140, "solve EFIE": 67,
-                    "solve MFIE": 88, "solve CFIE": 119, "solve BW": 111}
+_BYTES_PER_ENTRY = {"verify": 107, "spectrum": 111, "validate-disk": 145, "solve EFIE": 55,
+                    "solve MFIE": 61, "solve CFIE": 89, "solve BW": 88}
 
 _PARAM_FIELDS = {
     "ellipse": ("a", "b"),

@@ -141,12 +141,41 @@ def incident_loads(wave: IncidentWave, mesh) -> tuple[np.ndarray, np.ndarray]:
     return loads[0], loads[1]
 
 
-def _required_kinds(kind: str) -> tuple[str, ...]:
-    if kind == "EFIE":
-        return ("single_layer",)
-    if kind == "MFIE":
-        return ("adjoint_double_layer",)
-    return ("single_layer", "adjoint_double_layer")
+def checked_operators(kinds, scene, mesh, operators=None) -> dict:
+    """``operators`` checked against the mesh and k, with the mass and the
+    operators the formulation ``kinds`` need assembled, in one call, if missing."""
+    ops = dict(operators) if operators is not None else {}
+    for op in ops.values():
+        if op.matrix.shape != (mesh.n_nodes, mesh.n_nodes):
+            raise ValueError("pre-assembled operator does not match the mesh")
+        if op.kind != "mass" and op.k != scene.k:
+            raise ValueError("pre-assembled operator was built for a different k")
+    needed = {"single_layer": set(kinds) - {"MFIE"}, "adjoint_double_layer": set(kinds) - {"EFIE"}}
+    missing = tuple(kind for kind, users in needed.items() if users and kind not in ops)
+    if missing:
+        ops.update(bem.assemble_operators(mesh, scene.k, kinds=missing))
+    if "mass" not in ops:
+        ops["mass"] = bem.assemble_mass(mesh)
+    return ops
+
+
+def system_rows(form: Formulation, operators, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of a resolved formulation's system matrix from L, N and the
+    mass, by the same operations in the same order as ``build_system``'s.
+    EFIE's rows are a view of L, read-only if L is; the others' are new arrays."""
+    mats = {kind: op.matrix for kind, op in operators.items()}
+    if form.kind == "EFIE":
+        return mats["single_layer"][lo:hi]
+    if form.kind == "BW":
+        rows = -form.eta_bw * mats["single_layer"][lo:hi]
+        rows += mats["adjoint_double_layer"][:, lo:hi].T
+        rows += 0.5 * mats["mass"][lo:hi]
+        return rows
+    rows = 0.5 * mats["mass"][lo:hi] + mats["adjoint_double_layer"][lo:hi]
+    if form.kind == "CFIE":
+        rows *= 1.0 - form.alpha
+        rows += (form.alpha * form.eta) * mats["single_layer"][lo:hi]
+    return rows
 
 
 def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
@@ -154,57 +183,39 @@ def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
 
     ``operators`` may carry pre-assembled AssembledOperator objects keyed by
     kind ("mass" included) to share one assembly between formulations; any
-    missing ones are assembled here.
+    missing ones are assembled here.  The matrix is filled an obstacle's
+    rows at a time by ``system_rows``.
     """
     form = form.resolved(scene.k)
-    ops = dict(operators) if operators is not None else {}
-    for op in ops.values():
-        if op.matrix.shape != (mesh.n_nodes, mesh.n_nodes):
-            raise ValueError("pre-assembled operator does not match the mesh")
-        if op.kind != "mass" and op.k != scene.k:
-            raise ValueError("pre-assembled operator was built for a different k")
-    missing = [kind for kind in _required_kinds(form.kind) if kind not in ops]
-    if missing:
-        ops.update(bem.assemble_operators(mesh, scene.k, kinds=tuple(missing)))
-    if "mass" not in ops:
-        ops["mass"] = bem.assemble_mass(mesh)
-    mass = ops["mass"].matrix
-
-    load, normal_load = incident_loads(
-        IncidentWave(k=scene.k, beta=tuple(scene.beta)), mesh
-    )
-    if form.kind == "EFIE":
-        matrix = ops["single_layer"].matrix
-        rhs = -load
-    elif form.kind == "MFIE":
-        matrix = 0.5 * mass + ops["adjoint_double_layer"].matrix
+    ops = checked_operators((form.kind,), scene, mesh, operators)
+    load, normal_load = incident_loads(IncidentWave(k=scene.k, beta=tuple(scene.beta)), mesh)
+    if form.kind == "MFIE":
         rhs = -normal_load
     elif form.kind == "CFIE":
-        mfie_matrix = 0.5 * mass + ops["adjoint_double_layer"].matrix
-        matrix = (1.0 - form.alpha) * mfie_matrix + (form.alpha * form.eta) * ops[
-            "single_layer"
-        ].matrix
         rhs = -((1.0 - form.alpha) * normal_load + (form.alpha * form.eta) * load)
     else:
-        matrix = (
-            -form.eta_bw * ops["single_layer"].matrix
-            + ops["adjoint_double_layer"].matrix.T
-            + 0.5 * mass
-        )
         rhs = -load
 
-    # a C-order copy, so the read-only flag never reaches the caller's operators
-    matrix = np.array(matrix, order="C")
+    matrix = np.empty((mesh.n_nodes, mesh.n_nodes), dtype=complex)
+    for p in range(len(mesh.meshes)):
+        lo, hi = mesh.block_range(p)
+        matrix[lo:hi] = system_rows(form, ops, lo, hi)
     matrix.flags.writeable = False
     rhs.flags.writeable = False
-    return BlockSystem(
-        matrix=matrix,
-        rhs=rhs,
-        block_offsets=tuple(int(o) for o in mesh.block_offsets),
-        formulation=form,
-        mesh=mesh,
-        k=scene.k,
-    )
+    return BlockSystem(matrix=matrix, rhs=rhs, formulation=form, mesh=mesh, k=scene.k,
+                       block_offsets=tuple(int(o) for o in mesh.block_offsets))
+
+
+def factor_diagonal_block(block, p: int) -> linalg.LuFactors:
+    """LU of obstacle p's diagonal block of a system matrix."""
+    try:
+        return linalg.lu_factor(block)
+    except linalg.SingularMatrixError as exc:
+        raise linalg.SingularMatrixError(
+            f"diagonal block of obstacle {p} is singular; the wavenumber may "
+            f"sit on an irregular frequency of that obstacle, or the mesh is "
+            f"degenerate ({exc})"
+        ) from exc
 
 
 def single_scattering_preconditioner(system: BlockSystem) -> BlockPreconditioner:
@@ -212,17 +223,18 @@ def single_scattering_preconditioner(system: BlockSystem) -> BlockPreconditioner
     factors = []
     for p in range(system.n_blocks):
         lo, hi = system.block_range(p)
-        try:
-            factors.append(linalg.lu_factor(system.matrix[lo:hi, lo:hi]))
-        except linalg.SingularMatrixError as exc:
-            raise linalg.SingularMatrixError(
-                f"diagonal block of obstacle {p} is singular; the wavenumber may "
-                f"sit on an irregular frequency of that obstacle, or the mesh is "
-                f"degenerate ({exc})"
-            ) from exc
-    return BlockPreconditioner(
-        factors=tuple(factors), block_offsets=system.block_offsets
-    )
+        factors.append(factor_diagonal_block(system.matrix[lo:hi, lo:hi], p))
+    return BlockPreconditioner(factors=tuple(factors), block_offsets=system.block_offsets)
+
+
+def preconditioned_rows(form: Formulation, operators, p: int, lo: int, hi: int):
+    """Rows lo:hi of obstacle p of a resolved formulation's preconditioned
+    matrix, LU_p^{-1} A[lo:hi, :], in C order like ``preconditioned_matrix``; and LU_p."""
+    rows = system_rows(form, operators, lo, hi)
+    factors = factor_diagonal_block(rows[:, lo:hi], p)
+    solved = linalg.lu_solve(factors, rows)
+    del rows
+    return np.ascontiguousarray(solved), factors
 
 
 def _block_solve(pre: BlockPreconditioner, vector: np.ndarray) -> np.ndarray:

@@ -62,7 +62,7 @@ def lu_factor(a) -> LuFactors:
         # an exactly singular input becomes SingularMatrixError below; the
         # LAPACK wrapper's warning about it is redundant
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     pivots = np.abs(np.diag(lu))
     if np.any(pivots < _PIVOT_FLOOR):
         where = int(np.argmin(pivots))
@@ -70,13 +70,14 @@ def lu_factor(a) -> LuFactors:
     return LuFactors(lu=lu, piv=piv, n=a.shape[0])
 
 
-def lu_solve(factors: LuFactors, b):
+def lu_solve(factors: LuFactors, b, overwrite: bool = False):
+    """x with A x = b; in place if ``overwrite`` and ``b`` is complex, F-ordered."""
     b = np.asarray(b)
     if b.shape[0] != factors.n:
         raise ValueError(
             f"right-hand side has leading dimension {b.shape[0]}, expected {factors.n}"
         )
-    return scipy.linalg.lu_solve((factors.lu, factors.piv), b)
+    return scipy.linalg.lu_solve((factors.lu, factors.piv), b, overwrite_b=overwrite)
 
 
 def _givens(a: complex, b: complex):

@@ -7,9 +7,14 @@ same operator, up to discretization error.  Second, the preconditioned BW
 system is similar to that common operator through T = A_E^{-1} A_BW; since
 P_BW = D_BW^{-1} A_BW with D_BW the block diagonal of A_BW, the conjugate is
 T P_BW T^{-1} = A_E^{-1} A_BW D_BW^{-1} A_E, which needs one LU of A_E and
-never T itself.  Both are checked here with explicit matrices at
-configurable scale, together with the spectral and GMRES-history
-consequences.
+never T itself.  Both are checked here at configurable scale, together with
+the spectral and GMRES-history consequences.
+
+The checks work by obstacle row blocks: row block p of P_X is
+LU_p^{-1} A_X[rows_p, :], built from L, N and the mass and dropped once
+used.  Besides such blocks the direct check holds no full-size matrix, the
+similarity two (A_BW D_BW^{-1} A_E and the LU of A_E), the spectra one P_X
+and the GMRES histories one dense system at a time.
 
 The desk configuration (three obstacles, one of each shape, around 400
 unknowns) keeps every check in the seconds range; the paper-scale
@@ -24,7 +29,7 @@ import logging
 
 import numpy as np
 
-from . import bem, formulations, geometry, linalg
+from . import formulations, geometry, linalg
 
 logger = logging.getLogger(__name__)
 
@@ -119,17 +124,11 @@ class ConvergenceReport:
         raise KeyError(f"no record for {formulation} preconditioned={preconditioned}")
 
 
-def _preconditioned_systems(scene, mesh, kinds, alpha, eta, eta_bw, operators):
-    """Yield ``(kind, system, block_preconditioner)`` for each of ``kinds``,
-    each built once and one at a time, so a caller need not hold them all.
-    L, N and the mass are assembled here only when ``operators`` is None."""
-    if operators is None:
-        operators = bem.assemble_operators(mesh, scene.k)
-        operators["mass"] = bem.assemble_mass(mesh)
-    for kind in kinds:
-        form = formulations.Formulation(kind=kind, alpha=alpha, eta=eta, eta_bw=eta_bw)
-        system = formulations.build_system(form, scene, mesh, operators=operators)
-        yield kind, system, formulations.single_scattering_preconditioner(system)
+def _operators_and_forms(scene, mesh, kinds, alpha, eta, eta_bw, operators):
+    """L, N and the mass, assembled where ``operators`` lacks them; ``kinds`` resolved."""
+    forms = {kind: formulations.Formulation(kind, alpha, eta, eta_bw).resolved(scene.k)
+             for kind in kinds}
+    return formulations.checked_operators(kinds, scene, mesh, operators), forms
 
 
 def check_direct_equality(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
@@ -137,30 +136,31 @@ def check_direct_equality(scene, mesh, alpha: float = 0.2, eta: complex | None =
     """Pairwise differences among the preconditioned EFIE/MFIE/CFIE matrices.
 
     Each difference is ||P_X - P_Y||_inf / ||P_Y||_inf with the denominator
-    taken from the second formulation of the pair.
+    taken from the second formulation of the pair.  Both norms are the
+    largest over the obstacles of their row blocks' norms.
     """
-    pre_mats = {
-        kind: formulations.preconditioned_matrix(system, pre)
-        for kind, system, pre in _preconditioned_systems(
-            scene, mesh, DIRECT_KINDS, alpha, eta, None, operators
-        )
-    }
+    ops, forms = _operators_and_forms(scene, mesh, DIRECT_KINDS, alpha, eta, None, operators)
     if thresholds is None:
         thresholds = {f"{x}/{y}": DESK_DIRECT_THRESHOLD for x, y in DIRECT_PAIRS}
-    differences = {}
-    passed = {}
-    for x, y in DIRECT_PAIRS:
-        key = f"{x}/{y}"
-        differences[key] = linalg.inf_norm(pre_mats[x] - pre_mats[y]) / linalg.inf_norm(
-            pre_mats[y]
-        )
-        passed[key] = differences[key] <= thresholds[key]
-        logger.info("preconditioned difference %s: %.3e", key, differences[key])
+    apart = {f"{x}/{y}": 0.0 for x, y in DIRECT_PAIRS}
+    norms = dict.fromkeys(DIRECT_KINDS, 0.0)
+    for p in range(len(mesh.meshes)):
+        lo, hi = mesh.block_range(p)
+        rows = {kind: formulations.preconditioned_rows(form, ops, p, lo, hi)[0]
+                for kind, form in forms.items()}
+        for x, y in DIRECT_PAIRS:
+            apart[f"{x}/{y}"] = max(apart[f"{x}/{y}"], linalg.inf_norm(rows[x] - rows[y]))
+        for kind, block in rows.items():
+            norms[kind] = max(norms[kind], linalg.inf_norm(block))
+        del rows, block
+    differences = {f"{x}/{y}": apart[f"{x}/{y}"] / norms[y] for x, y in DIRECT_PAIRS}
+    for key, value in differences.items():
+        logger.info("preconditioned difference %s: %.3e", key, value)
     return TheoremReport(
         differences=differences,
         similarity_difference=None,
         thresholds=dict(thresholds),
-        passed=passed,
+        passed={key: value <= thresholds[key] for key, value in differences.items()},
     )
 
 
@@ -175,25 +175,42 @@ def check_bw_similarity(scene, mesh, alpha: float = 0.2, eta: complex | None = N
     is exactly T P_BW T^{-1} = A_E^{-1} A_BW D_BW^{-1} A_E, so T is never
     formed and A_E is the only full-size matrix factored.
     """
-    (_, efie, efie_pre), (_, bw, bw_pre) = _preconditioned_systems(
-        scene, mesh, ("EFIE", "BW"), alpha, eta, eta_bw, operators
-    )
-    p_efie = formulations.preconditioned_matrix(efie, efie_pre)
-    p_bw_norm = linalg.inf_norm(formulations.preconditioned_matrix(bw, bw_pre))
+    ops, forms = _operators_and_forms(scene, mesh, ("EFIE", "BW"), alpha, eta, eta_bw,
+                                      operators)
+    efie, bw = forms["EFIE"], forms["BW"]
+    n = mesh.n_nodes
+    # both systems take their blocks from the mesh, so BW's block factors
+    # apply to A_E's rows: row block p of D_BW^{-1} A_E is LU_p^{-1} A_E[lo:hi]
+    p_bw_norm = 0.0
+    inner = np.empty((n, n), dtype=complex)
+    for p in range(len(mesh.meshes)):
+        lo, hi = mesh.block_range(p)
+        p_bw, bw_factors = formulations.preconditioned_rows(bw, ops, p, lo, hi)
+        p_bw_norm = max(p_bw_norm, linalg.inf_norm(p_bw))
+        inner[lo:hi] = linalg.lu_solve(bw_factors, formulations.system_rows(efie, ops, lo, hi))
+    del p_bw, bw_factors
+    # A_BW D_BW^{-1} A_E by row blocks, in Fortran order to be solved in place
+    conjugated = np.empty((n, n), dtype=complex, order="F")
+    for p in range(len(mesh.meshes)):
+        lo, hi = mesh.block_range(p)
+        conjugated[lo:hi] = formulations.system_rows(bw, ops, lo, hi) @ inner
+    del inner
     try:
-        efie_lu = linalg.lu_factor(efie.matrix)
+        efie_lu = linalg.lu_factor(formulations.system_rows(efie, ops, 0, n))
     except linalg.SingularMatrixError as exc:
         raise linalg.SingularMatrixError(
             f"the single-layer system matrix is singular, so the similarity "
             f"transport T is not defined; the wavenumber may be an irregular "
             f"frequency ({exc})"
         ) from exc
-    # both systems take their blocks from the mesh, so BW's block factors
-    # apply to A_E's rows: the inner factor is D_BW^{-1} A_E
-    conjugated = linalg.lu_solve(
-        efie_lu, bw.matrix @ formulations.preconditioned_matrix(efie, bw_pre)
-    )
-    difference = linalg.inf_norm(p_efie - conjugated) / p_bw_norm
+    conjugated = linalg.lu_solve(efie_lu, conjugated, overwrite=True)
+    del efie_lu
+    difference = 0.0
+    for p in range(len(mesh.meshes)):
+        lo, hi = mesh.block_range(p)
+        p_efie = formulations.preconditioned_rows(efie, ops, p, lo, hi)[0]
+        difference = max(difference, linalg.inf_norm(p_efie - conjugated[lo:hi]))
+    difference /= p_bw_norm
     logger.info("BW similarity difference: %.3e", difference)
     return TheoremReport(
         differences={},
@@ -219,13 +236,16 @@ def check_spectra(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
     assembly.
     """
     check_spectrum_size(mesh.n_nodes)
+    ops, forms = _operators_and_forms(scene, mesh, formulations.FORMULATION_KINDS, alpha, eta,
+                                      eta_bw, operators)
+    matrix = np.empty((mesh.n_nodes, mesh.n_nodes), dtype=complex)
     eigenvalues = {}
-    for kind, system, pre in _preconditioned_systems(
-        scene, mesh, formulations.FORMULATION_KINDS, alpha, eta, eta_bw, operators
-    ):
-        eigenvalues[kind] = linalg.eigenvalues(formulations.preconditioned_matrix(system, pre))
-        # not held while the next system is built, where spectrum peaks
-        del pre
+    for kind, form in forms.items():
+        for p in range(len(mesh.meshes)):
+            lo, hi = mesh.block_range(p)
+            matrix[lo:hi] = formulations.preconditioned_rows(form, ops, p, lo, hi)[0]
+        eigenvalues[kind] = linalg.eigenvalues(matrix)
+    del matrix  # not held while the spectra are matched
     reference = eigenvalues["EFIE"]
     permutations = {}
     worst = 0.0
@@ -253,10 +273,12 @@ def convergence_histories(scene, mesh, alpha: float = 0.2, eta: complex | None =
     raised; preconditioned histories are measured in the preconditioned
     residual norm.
     """
+    ops, forms = _operators_and_forms(scene, mesh, formulations.FORMULATION_KINDS, alpha, eta,
+                                      eta_bw, operators)
     records = []
-    for kind, system, pre in _preconditioned_systems(
-        scene, mesh, formulations.FORMULATION_KINDS, alpha, eta, eta_bw, operators
-    ):
+    for kind, form in forms.items():
+        system = formulations.build_system(form, scene, mesh, operators=ops)
+        pre = formulations.single_scattering_preconditioner(system)
         for preconditioned, chosen in ((False, None), (True, pre)):
             _, report = formulations.solve(
                 system, chosen, restart=restart, tol=tol, maxiter=maxiter
@@ -277,4 +299,5 @@ def convergence_histories(scene, mesh, alpha: float = 0.2, eta: complex | None =
                 report.iterations,
                 report.converged,
             )
+        del system, pre, chosen  # not held while the next system is built
     return ConvergenceReport(records=tuple(records))

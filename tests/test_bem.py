@@ -362,7 +362,24 @@ def test_one_bessel_evaluation_per_unordered_pair(monkeypatch):
     monkeypatch.setattr(specfun, "bessel_j0j1y0y1", counting)
     bem.assemble_operators(mesh, WAVENUMBER)
     assert sum(received) == expected
-    assert max(received) <= bem._CHUNK_PAIR_POINTS
+    assert max(received) <= bem._PIECE_PAIR_POINTS
+
+
+@pytest.mark.parametrize("case,piece", [("desk-ppw15", bem._NEAR_ORDER ** 2), ("two-circles", 1)])
+def test_operators_do_not_depend_on_the_piece_size(case, piece, desk, desk15, monkeypatch):
+    """L and N are the same bit for bit whatever the number of quadrature
+    point pairs per kernel piece: here one node-sharing pair's points (so
+    every such pair is a piece of its own) or a single point (every pair
+    is), against the default."""
+    if case == "desk-ppw15":
+        (mesh, default), k = desk15, desk.k
+    else:
+        mesh, k = two_circle_scene_mesh(), WAVENUMBER
+        default = bem.assemble_operators(mesh, k)
+    monkeypatch.setattr(bem, "_PIECE_PAIR_POINTS", piece)
+    pieces = bem.assemble_operators(mesh, k)
+    for kind, op in pieces.items():
+        assert np.array_equal(op.matrix, default[kind].matrix)
 
 
 def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):

@@ -1,5 +1,7 @@
 """Theorem checks: preconditioned systems coincide, BW is similar, spectra match."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,42 +142,104 @@ CHECK_KINDS = {
 @pytest.mark.parametrize("check", sorted(CHECK_KINDS))
 def test_each_check_builds_and_factors_each_system_once(desk, desk10, monkeypatch,
                                                         check, given):
-    """Every system and its block factors are built once per check, the
-    operators are assembled only when none are given, and the similarity
-    check factors exactly one full-size matrix."""
+    """Each formulation's diagonal block is factored once per obstacle, the
+    operators are assembled only when none are given, the similarity check
+    factors exactly one full-size matrix, and only the GMRES histories build
+    dense systems, one per formulation.  A factored block is told apart by
+    its entries, from the formulations' dense matrices."""
     mesh, ops = desk10
-    calls = {"build": [], "precondition": [], "assemble": 0, "full_lu": 0}
-    build = formulations.build_system
-    precondition = formulations.single_scattering_preconditioner
+    calls = {"blocks": [], "assemble": 0, "full_lu": 0, "build": []}
     assemble = bem.assemble_operators
     lu_factor = linalg.lu_factor
-
-    def counting_build(form, *args, **kwargs):
-        calls["build"].append(form.kind)
-        return build(form, *args, **kwargs)
-
-    def counting_precondition(system):
-        calls["precondition"].append(system.formulation.kind)
-        return precondition(system)
+    build = formulations.build_system
 
     def counting_assemble(*args, **kwargs):
         calls["assemble"] += 1
         return assemble(*args, **kwargs)
 
     def counting_lu_factor(a):
-        calls["full_lu"] += np.shape(a)[0] == mesh.n_nodes
+        if np.shape(a)[0] == mesh.n_nodes:
+            calls["full_lu"] += 1
+        else:
+            calls["blocks"].append(np.array(a))
         return lu_factor(a)
 
-    monkeypatch.setattr(formulations, "build_system", counting_build)
-    monkeypatch.setattr(formulations, "single_scattering_preconditioner", counting_precondition)
+    def counting_build(form, *args, **kwargs):
+        calls["build"].append(form.kind)
+        return build(form, *args, **kwargs)
+
     monkeypatch.setattr(bem, "assemble_operators", counting_assemble)
+    monkeypatch.setattr(formulations, "build_system", counting_build)
     monkeypatch.setattr(linalg, "lu_factor", counting_lu_factor)
     getattr(verify, check)(desk, mesh, operators=ops if given else None)
-    kinds = list(CHECK_KINDS[check])
-    assert calls["build"] == kinds
-    assert calls["precondition"] == kinds
+    monkeypatch.undo()
+    factored = {}
+    for kind in CHECK_KINDS[check]:
+        matrix = formulations.build_system(
+            formulations.Formulation(kind=kind), desk, mesh, operators=ops).matrix
+        for p in range(len(mesh.meshes)):
+            lo, hi = mesh.block_range(p)
+            factored[kind, p] = sum(np.array_equal(block, matrix[lo:hi, lo:hi])
+                                    for block in calls["blocks"])
+    assert set(factored.values()) == {1}
+    assert len(calls["blocks"]) == len(factored)
     assert calls["assemble"] == (0 if given else 1)
     assert calls["full_lu"] == (1 if check == "check_bw_similarity" else 0)
+    assert calls["build"] == (list(CHECK_KINDS[check]) if check == "convergence_histories"
+                              else [])
+
+
+# Bounds on each check's working set beside pre-assembled operators, in
+# complex n x n matrices, as tracemalloc counts it (LAPACK's own workspace
+# is not counted).  Each check holds at most a few obstacle row blocks
+# besides the full-size buffers it needs: none for the direct check, the
+# product and the LU of A_E for the similarity, one preconditioned matrix for
+# the spectra and one system for the GMRES histories.
+CHECK_MEMORY_BOUNDS = {
+    "check_direct_equality": 2.0,
+    "check_bw_similarity": 3.5,
+    "check_spectra": 2.5,
+    "convergence_histories": 2.0,
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECK_MEMORY_BOUNDS))
+def test_each_check_holds_a_bounded_working_set(desk, desk15, check):
+    mesh, ops = desk15
+    tracemalloc.start()
+    try:
+        getattr(verify, check)(desk, mesh, operators=ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHECK_MEMORY_BOUNDS[check] * 16 * mesh.n_nodes ** 2
+
+
+class TestDenseReference:
+    """The row-block checks against the whole preconditioned matrices."""
+
+    @staticmethod
+    def dense_preconditioned(desk, mesh, ops, kind):
+        system = formulations.build_system(
+            formulations.Formulation(kind=kind), desk, mesh, operators=ops)
+        pre = formulations.single_scattering_preconditioner(system)
+        return formulations.preconditioned_matrix(system, pre)
+
+    def test_direct_differences(self, desk, desk10):
+        mesh, ops = desk10
+        dense = {kind: self.dense_preconditioned(desk, mesh, ops, kind)
+                 for kind in verify.DIRECT_KINDS}
+        report = verify.check_direct_equality(desk, mesh, operators=ops)
+        for x, y in verify.DIRECT_PAIRS:
+            reference = linalg.inf_norm(dense[x] - dense[y]) / linalg.inf_norm(dense[y])
+            assert abs(report.differences[f"{x}/{y}"] - reference) <= 1e-13 * reference
+
+    def test_eigenvalues(self, desk, desk10):
+        mesh, ops = desk10
+        report = verify.check_spectra(desk, mesh, operators=ops)
+        for kind in formulations.FORMULATION_KINDS:
+            dense = self.dense_preconditioned(desk, mesh, ops, kind)
+            assert np.array_equal(report.eigenvalues[kind], linalg.eigenvalues(dense))
 
 
 class TestSpectra:
