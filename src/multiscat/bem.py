@@ -39,14 +39,15 @@ largest band order over the panels p keyed on |x - mid_p| / h_p and k h_p.
 The receivers are evaluated in pieces on a thread per CPU the process may
 use; a receiver's value depends on that receiver alone, so the values do
 not depend on the split.  On a panel paired with itself the N kernel
-vanishes identically because (x - y) is parallel to a flat panel, and the
-single-layer kernel is integrated by splitting off the logarithm,
+vanishes identically because (x - y) is parallel to a flat panel.  L's
+kernel there depends on u = |s - t| alone, so its block is a 1-D integral
+in u against the autocorrelation of the hats; splitting off the logarithm,
 
-    H0^(1)(k r) = (2i/pi) ln(r) J0(k r) + W(r),
+    H0^(1)(k l u) = (2i/pi) ln(u) J0(k l u) + W(u),
 
-integrating ln|s - t| (s - t)^(2m) against the basis products in closed form
-and the smooth W by Gauss.  The log moments over the unit square are exact
-rationals, generated once by symbolic integration and frozen below.
+the order-16 Gauss rule integrates the smooth W and product-integration
+weights for ln u at the same points integrate the rest, so every Bessel
+value is taken at an interior point and comes from scipy.
 """
 
 from __future__ import annotations
@@ -88,33 +89,6 @@ _PIECE_PAIR_POINTS = 16_384
 _FIELD_PIECE_POINTS = 250_000
 _OPERATOR_KINDS = ("single_layer", "adjoint_double_layer")
 
-_LOG_J0_TERMS = 8
-
-# Moments of (s - t)^(2m) and (s - t)^(2m) ln|s - t| against P1 basis
-# products over the unit square.  Column 0 pairs equal endpoint hats
-# (phi0, phi0) = (phi1, phi1); column 1 pairs opposite ones.  For a panel of
-# length l the physical moment is l^(2m + 2) (ln(l) B[m] + C[m]).
-_LOG_B = np.array([
-    [1 / 4, 1 / 4],
-    [1 / 36, 1 / 18],
-    [1 / 120, 1 / 40],
-    [1 / 280, 1 / 70],
-    [1 / 540, 1 / 108],
-    [1 / 924, 1 / 154],
-    [1 / 1456, 1 / 208],
-    [1 / 2160, 1 / 270],
-])
-_LOG_C = np.array([
-    [-7 / 16, -5 / 16],
-    [-1 / 48, -1 / 36],
-    [-59 / 14400, -13 / 1600],
-    [-103 / 78400, -17 / 4900],
-    [-53 / 97200, -7 / 3888],
-    [-227 / 853776, -25 / 23716],
-    [-307 / 2119936, -29 / 43264],
-    [-133 / 1555200, -11 / 24300],
-])
-
 
 @dataclasses.dataclass(frozen=True)
 class QuadratureRule:
@@ -149,6 +123,21 @@ def gauss_rule(order: int) -> QuadratureRule:
         raise ValueError("gauss_rule requires order >= 1")
     x, w = np.polynomial.legendre.leggauss(order)
     return QuadratureRule(points=0.5 * (x + 1.0), weights=0.5 * w)
+
+
+@functools.lru_cache(maxsize=None)
+def _log_weights(order: int) -> np.ndarray:
+    """Weights at the points of ``gauss_rule(order)`` that integrate ln(u)
+    f(u) over [0, 1] exactly for every polynomial f of degree below
+    ``order``: they match the moments of ln(u) against the shifted Legendre
+    polynomials, -1 for P_0 and (-1)^(n+1) / (n (n+1)) for P_n."""
+    u = gauss_rule(order).points
+    n = np.arange(1, order)
+    moments = np.concatenate([[-1.0], (-1.0) ** (n + 1) / (n * (n + 1))])
+    legendre = np.polynomial.legendre.legvander(2.0 * u - 1.0, order - 1)
+    weights = np.linalg.solve(legendre.T, moments)
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,14 +243,12 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
         _add_panel_pairs(mats, mesh, k, gauss_rule(order), ti, si)
     # Each panel i with panel next_node[i], lower index first.  The node they
     # share is never a Gauss point, so the kernels stay finite there.
-    first = np.minimum(np.arange(n), mesh.next_node)
-    second = np.maximum(np.arange(n), mesh.next_node)
-    near = gauss_rule(_NEAR_ORDER)
-    step = _CHUNK_PAIR_POINTS // _NEAR_ORDER ** 2
-    for lo in range(0, n, step):
-        _add_panel_pairs(mats, mesh, k, near, first[lo:lo + step], second[lo:lo + step])
+    panels = np.arange(n)
+    first = np.minimum(panels, mesh.next_node)
+    second = np.maximum(panels, mesh.next_node)
+    _add_panel_pairs(mats, mesh, k, gauss_rule(_NEAR_ORDER), first, second)
     if "single_layer" in mats:
-        _same_panel_single_layer(mats["single_layer"], mesh, k, near)
+        _scatter(mats["single_layer"], mesh, panels, panels, _same_panel_single_layer(mesh, k))
 
     out = {}
     for kind, mat in mats.items():
@@ -362,33 +349,23 @@ def _scatter(matrix, mesh, ti, si, blocks):
             matrix[rows[a], cols[b]] += blocks[:, a, b]
 
 
-def _same_panel_single_layer(matrix, mesh, k: float, rule: QuadratureRule):
-    """Each panel against itself: closed-form log moments plus Gauss on the
-    smooth remainder of H0."""
-    u = rule.points
-    udiff = np.abs(u[:, None] - u[None, :])
-    remainder = specfun.h0_smooth_remainder(k, mesh.lengths[:, None, None] * udiff[None, :, :])
-    blocks = _contract(0.25j * remainder, _basis_weights(rule), mesh.lengths ** 2)
-
-    log_diag = np.zeros(mesh.n_nodes)
-    log_off = np.zeros(mesh.n_nodes)
-    ln_ell = np.log(mesh.lengths)
-    cm = 1.0
-    for m in range(_LOG_J0_TERMS):
-        power = mesh.lengths ** (2 * m + 2)
-        factor = cm * k ** (2 * m)
-        log_diag += factor * power * (ln_ell * _LOG_B[m, 0] + _LOG_C[m, 0])
-        log_off += factor * power * (ln_ell * _LOG_B[m, 1] + _LOG_C[m, 1])
-        cm = -cm / (4.0 * (m + 1) ** 2)
-    log_diag *= -1.0 / (2.0 * math.pi)
-    log_off *= -1.0 / (2.0 * math.pi)
-    blocks[:, 0, 0] += log_diag
-    blocks[:, 1, 1] += log_diag
-    blocks[:, 0, 1] += log_off
-    blocks[:, 1, 0] += log_off
-
-    panels = np.arange(mesh.n_nodes)
-    _scatter(matrix, mesh, panels, panels, blocks)
+def _same_panel_single_layer(mesh, k: float) -> np.ndarray:
+    """L's 2 x 2 block of each panel with itself.  On a panel of length l
+    the kernel depends on u = |s - t| alone, so the block is l^2 (i/4) times
+    the integral over [0, 1] of H0^(1)(k l u) against the autocorrelation of
+    the two hats, 2/3 - u + u^3/3 for equal hats and 1/3 - u^3/3 for
+    opposite ones.  With H0^(1)(k l u) = (2i/pi) ln(u) J0(k l u) + W(u), W
+    smooth, the order-16 Gauss rule integrates W and ``_log_weights`` the
+    logarithm, on Bessel values at the rule's interior points."""
+    rule = gauss_rule(_NEAR_ORDER)
+    u, w = rule.points, rule.weights
+    j0, _, y0, _ = specfun.bessel_j0j1y0y1(k * mesh.lengths[:, None] * u, (0,))
+    log_part = (2j / math.pi) * (_log_weights(_NEAR_ORDER) - w * np.log(u))
+    integrand = w * (j0 + 1j * y0) + log_part * j0
+    equal = integrand @ (2.0 / 3.0 - u + u ** 3 / 3.0)
+    opposite = integrand @ (1.0 / 3.0 - u ** 3 / 3.0)
+    blocks = np.stack([equal, opposite, opposite, equal], axis=1).reshape(-1, 2, 2)
+    return (0.25j * mesh.lengths ** 2)[:, None, None] * blocks
 
 
 def assemble_mass(mesh) -> AssembledOperator:

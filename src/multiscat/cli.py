@@ -76,12 +76,12 @@ class RunConfig:
     preset: str = "desk"
     seed: int = 0
     ppw: float = 15.0
-    alpha: float = 0.2
+    alpha: float = formulations.ALPHA
     eta: complex | None = None
     eta_bw: complex | None = None
-    restart: int = 50
-    tol: float = 1e-6
-    maxiter: int = 1000
+    restart: int = linalg.GMRES_RESTART
+    tol: float = linalg.GMRES_TOL
+    maxiter: int = linalg.GMRES_MAXITER
     formulation: str = "CFIE"
     preconditioned: bool = True
     disk_k: float = 5.0

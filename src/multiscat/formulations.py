@@ -36,7 +36,9 @@ from . import bem, linalg
 
 FORMULATION_KINDS = ("EFIE", "MFIE", "CFIE", "BW")
 _LOAD_ORDER = 8
-# The standard couplings per unit wavenumber: eta = -ik (CFIE), eta_bw = ik/2 (BW).
+# CFIE's weight of the single layer, and the standard couplings per unit
+# wavenumber: eta = -ik (CFIE), eta_bw = ik/2 (BW).
+ALPHA = 0.2
 ETA_PER_K = -1j
 ETA_BW_PER_K = 0.5j
 
@@ -50,7 +52,7 @@ class Formulation:
     """
 
     kind: str
-    alpha: float = 0.2
+    alpha: float = ALPHA
     eta: complex | None = None
     eta_bw: complex | None = None
 
@@ -257,7 +259,8 @@ def preconditioned_matrix(system: BlockSystem, pre: BlockPreconditioner) -> np.n
 
 
 def solve(system: BlockSystem, pre: BlockPreconditioner | None = None,
-          restart: int = 50, tol: float = 1e-6, maxiter: int = 1000):
+          restart: int = linalg.GMRES_RESTART, tol: float = linalg.GMRES_TOL,
+          maxiter: int = linalg.GMRES_MAXITER):
     """GMRES on the system, optionally left-preconditioned blockwise.
 
     Returns (density, GmresReport); non-convergence shows up in the report

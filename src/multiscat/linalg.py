@@ -15,6 +15,11 @@ import numpy as np
 import scipy.linalg
 
 EIG_DIM_LIMIT = 3000
+# restarted GMRES defaults: restart length, relative residual target and
+# total inner iterations
+GMRES_RESTART = 50
+GMRES_TOL = 1e-6
+GMRES_MAXITER = 1000
 _PIVOT_FLOOR = 1e-300
 
 
@@ -86,8 +91,8 @@ def _givens(a: complex, b: complex):
     return np.array([[np.conj(a), np.conj(b)], [-b, a]]) / t, t
 
 
-def gmres(apply, b, restart: int = 50, tol: float = 1e-6, maxiter: int = 1000,
-          left_precond=None):
+def gmres(apply, b, restart: int = GMRES_RESTART, tol: float = GMRES_TOL,
+          maxiter: int = GMRES_MAXITER, left_precond=None):
     """Restarted GMRES on a callback operator, returning (x, GmresReport).
 
     ``apply`` and the optional ``left_precond`` map a vector to a vector.
@@ -217,11 +222,10 @@ def match_eigenvalues(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("match_eigenvalues requires two equal-length sequences")
-    dist = np.abs(a[:, None] - b[None, :])
     available = np.ones(b.size, dtype=bool)
     perm = np.empty(a.size, dtype=int)
     for i in np.argsort(-np.abs(a)):
-        row = np.where(available, dist[i], np.inf)
+        row = np.where(available, np.abs(a[i] - b), np.inf)
         j = int(np.argmin(row))
         perm[i] = j
         available[j] = False

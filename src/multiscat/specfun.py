@@ -1,15 +1,9 @@
 """Cylinder functions for the 2D Helmholtz kernel.
 
-Every Bessel value comes from ``scipy.special``.  This module adds the
-argument checks the assembly relies on and one piece scipy has no routine
-for: the smooth remainder of H0^(1) once its logarithm is split off,
-
-    H0^(1)(k r) = (2i/pi) ln(r) J0(k r) + W(r),
-
-which the self-panel rule needs at r = 0, where the difference cannot be
-formed.  W is summed from the power series of J0 and Y0
-(Abramowitz & Stegun 9.1.12-9.1.13), which converges to roundoff for
-k r <= 8.
+Every Bessel value comes from ``scipy.special``; this module adds the
+argument checks the assembly relies on, a choice of orders so that a layer
+pays only for the functions it needs, and the order-by-order arrays of the
+disk series with an overflow check.
 
 ``scipy.special`` is reached through ``import scipy``, which loads the
 submodule on first use and keeps it out of ``import multiscat``.
@@ -17,42 +11,8 @@ submodule on first use and keeps it out of ``import multiscat``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy
-
-EULER_GAMMA = 0.5772156649015328606
-
-_SERIES_TERMS = 30
-_SPLIT = 8.0
-
-
-def _series_coefficients() -> tuple[np.ndarray, np.ndarray]:
-    """Power-series coefficients in q = (x/2)^2, highest order first:
-
-        J0 = sum a_m q^m,   Y0 = (2/pi)[(ln(x/2) + gamma) J0 + sum b_m q^m].
-    """
-    a = np.empty(_SERIES_TERMS)
-    b = np.empty(_SERIES_TERMS)
-    a_m = 1.0
-    harmonic = 0.0
-    for m in range(_SERIES_TERMS):
-        a[m] = a_m
-        b[m] = -a_m * harmonic
-        harmonic += 1.0 / (m + 1.0)
-        a_m = -a_m / ((m + 1.0) ** 2)
-    return a[::-1].copy(), b[::-1].copy()
-
-
-_J0_SERIES, _Y0_TAIL = _series_coefficients()
-
-
-def _horner(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    acc = np.full_like(q, coeffs[0])
-    for c in coeffs[1:]:
-        acc = acc * q + c
-    return acc
 
 
 def bessel_j0j1y0y1(x, orders=(0, 1)):
@@ -108,36 +68,3 @@ def bessel_arrays(nmax: int, x: float):
             f"orders up to {n - 1} are representable"
         )
     return scipy.special.jv(orders, x), y
-
-
-def h0_smooth_remainder(k: float, r):
-    """Smooth part W of the splitting H0^(1)(k r) = (2i/pi) ln(r) J0(k r) + W(r).
-
-    W is an even analytic function of r, finite at r = 0, which makes it the
-    piece a Gauss rule can integrate accurately once the logarithm has been
-    removed.  From the Y0 series,
-
-        W(r) = J0(k r) [1 + (2i/pi)(ln(k/2) + gamma)] + (2i/pi) S0(k r),
-
-    with S0 the polynomial tail of Y0 in q = (k r)^2 / 4.  Requires k r within
-    the power-series range; panels are always a fraction of a wavelength long,
-    so this never triggers in practice.
-    """
-    if k <= 0.0:
-        raise ValueError("h0_smooth_remainder requires k > 0")
-    r_arr = np.asarray(r, dtype=float)
-    x = k * r_arr
-    if np.any(x < 0.0):
-        raise ValueError("h0_smooth_remainder requires r >= 0")
-    if np.any(x > _SPLIT):
-        raise ValueError(
-            f"h0_smooth_remainder requires k r <= {_SPLIT}; got max {np.max(x):.3g}"
-        )
-    q = 0.25 * x * x
-    j0 = _horner(_J0_SERIES, q)
-    s0 = _horner(_Y0_TAIL, q)
-    two_i_over_pi = 2j / math.pi
-    out = j0 * (1.0 + two_i_over_pi * (math.log(0.5 * k) + EULER_GAMMA)) + two_i_over_pi * s0
-    if np.ndim(r) == 0:
-        return complex(out if np.ndim(out) == 0 else out[()])
-    return out

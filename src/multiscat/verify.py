@@ -131,8 +131,9 @@ def _operators_and_forms(scene, mesh, kinds, alpha, eta, eta_bw, operators):
     return formulations.checked_operators(kinds, scene, mesh, operators), forms
 
 
-def check_direct_equality(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
-                          operators=None, thresholds=None) -> TheoremReport:
+def check_direct_equality(scene, mesh, alpha: float = formulations.ALPHA,
+                          eta: complex | None = None, operators=None,
+                          thresholds=None) -> TheoremReport:
     """Pairwise differences among the preconditioned EFIE/MFIE/CFIE matrices.
 
     Each difference is ||P_X - P_Y||_inf / ||P_Y||_inf with the denominator
@@ -164,8 +165,9 @@ def check_direct_equality(scene, mesh, alpha: float = 0.2, eta: complex | None =
     )
 
 
-def check_bw_similarity(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
-                        eta_bw: complex | None = None, operators=None,
+def check_bw_similarity(scene, mesh, alpha: float = formulations.ALPHA,
+                        eta: complex | None = None, eta_bw: complex | None = None,
+                        operators=None,
                         threshold: float = DESK_SIMILARITY_THRESHOLD) -> TheoremReport:
     """Conjugate the preconditioned BW matrix by T = A_E^{-1} A_BW and
     compare with the preconditioned EFIE matrix.
@@ -226,8 +228,9 @@ def check_spectrum_size(n: int) -> None:
         raise ValueError(f"spectrum is limited to {linalg.EIG_DIM_LIMIT} unknowns, got {n}")
 
 
-def check_spectra(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
-                  eta_bw: complex | None = None, operators=None) -> SpectrumReport:
+def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
+                  eta: complex | None = None, eta_bw: complex | None = None,
+                  operators=None) -> SpectrumReport:
     """Eigenvalues of the four preconditioned matrices, greedily matched.
 
     MFIE/CFIE/BW spectra are matched against the EFIE spectrum; the report
@@ -263,10 +266,11 @@ def check_spectra(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
     )
 
 
-def convergence_histories(scene, mesh, alpha: float = 0.2, eta: complex | None = None,
-                          eta_bw: complex | None = None, operators=None,
-                          restart: int = 50, tol: float = 1e-6,
-                          maxiter: int = 1000) -> ConvergenceReport:
+def convergence_histories(scene, mesh, alpha: float = formulations.ALPHA,
+                          eta: complex | None = None, eta_bw: complex | None = None,
+                          operators=None, restart: int = linalg.GMRES_RESTART,
+                          tol: float = linalg.GMRES_TOL,
+                          maxiter: int = linalg.GMRES_MAXITER) -> ConvergenceReport:
     """GMRES histories for the eight systems: four plain, four preconditioned.
 
     Non-convergence is recorded in the corresponding SolveRecord, never

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
+from scipy.integrate import dblquad
 from scipy.special import hankel1 as scipy_hankel1
-from scipy.special import jv, jvp, yv, yvp
+from scipy.special import j0, jv, jvp, y0, yv, yvp
 
 from multiscat import bem, formulations, geometry, specfun
 
@@ -343,9 +344,10 @@ def test_every_panel_pair_integrated_once_with_its_rule():
 
 def test_one_bessel_evaluation_per_unordered_pair(monkeypatch):
     """Every quadrature point pair of every unordered pair of distinct
-    panels reaches the Bessel routine exactly once: order 16 squared for
-    panels sharing a node, the separation band's order squared otherwise,
-    and none for a panel with itself (its rule splits off the logarithm)."""
+    panels reaches the Bessel routine exactly once, in pieces of at most
+    ``_PIECE_PAIR_POINTS``: order 16 squared for panels sharing a node and
+    the separation band's order squared otherwise.  The panels paired with
+    themselves follow in one last call of 16 points per panel."""
     mesh = two_circle_scene_mesh(ppw=30)
     expected = 0
     for p in range(mesh.n_nodes):
@@ -361,8 +363,10 @@ def test_one_bessel_evaluation_per_unordered_pair(monkeypatch):
 
     monkeypatch.setattr(specfun, "bessel_j0j1y0y1", counting)
     bem.assemble_operators(mesh, WAVENUMBER)
-    assert sum(received) == expected
-    assert max(received) <= bem._PIECE_PAIR_POINTS
+    *pairs, same = received
+    assert sum(pairs) == expected
+    assert max(pairs) <= bem._PIECE_PAIR_POINTS
+    assert same == mesh.n_nodes * bem._NEAR_ORDER
 
 
 @pytest.mark.parametrize("case,piece", [("desk-ppw15", bem._NEAR_ORDER ** 2), ("two-circles", 1)])
@@ -386,7 +390,8 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
     """The single layer needs J0 and Y0 and the double layer J1 and Y1, so
     a potential or an assembly of one kind asks for its order only, BW's
     combined field for each order once, and an assembly of both kinds for
-    both orders in every call."""
+    both orders in every call over distinct panels and for order 0 in its
+    one call over the panels paired with themselves, where N vanishes."""
     scene = geometry.Scene(
         k=WAVENUMBER, beta=(0.0, 1.0), obstacles=(geometry.Shape(kind="ellipse"),),
         box=(-3.0, -3.0, 3.0, 3.0),
@@ -414,13 +419,15 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
         lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, point, layer="double")
     ) == [(1,)]
     assert orders_asked(lambda: formulations.scattered_field(bw, rho, point)) == [(0,), (1,)]
-    for kinds, wanted in (
-        (("single_layer",), (0,)),
-        (("adjoint_double_layer",), (1,)),
-        (("single_layer", "adjoint_double_layer"), (0, 1)),
+    for kinds, wanted, same in (
+        (("single_layer",), (0,), [(0,)]),
+        (("adjoint_double_layer",), (1,), []),
+        (("single_layer", "adjoint_double_layer"), (0, 1), [(0,)]),
     ):
         calls = orders_asked(lambda: bem.assemble_operators(mesh, WAVENUMBER, kinds=kinds))
-        assert calls and set(calls) == {wanted}
+        pairs = calls[:len(calls) - len(same)]
+        assert pairs and set(pairs) == {wanted}
+        assert calls[len(pairs):] == same
 
 
 @pytest.mark.parametrize("k", [0.3, 2.0, 3.5])
@@ -535,6 +542,42 @@ def test_gauss_rule_properties():
         bem.gauss_rule(0)
     with pytest.raises(ValueError):
         bem.QuadratureRule(points=np.array([0.5]), weights=np.array([2.0]))
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 8, 16])
+def test_log_weights_integrate_log_times_monomials(order):
+    """At the Gauss points, the log weights give the integral over [0, 1]
+    of ln(u) u^j, -1 / (j + 1)^2, for every j below the order."""
+    weights = bem._log_weights(order)
+    u = bem.gauss_rule(order).points
+    for j in range(order):
+        assert_allclose(weights @ u ** j, -1.0 / (j + 1) ** 2, rtol=1e-13)
+
+
+@pytest.mark.parametrize("ppw", [4, 15])
+def test_same_panel_blocks_match_dblquad(ppw, desk):
+    """The longest panel's block with itself against scipy's dblquad of
+    phi_a(s) phi_b(t) (i/4) H0(k l |s - t|) l^2 over the triangles s < t
+    and s > t, whose inner integrals end at the logarithmic singularity.
+    At ppw 4 the panel has k l = 1.55, at ppw 15 k l = 0.42."""
+    mesh = geometry.mesh_scene(desk, ppw=ppw)
+    k = desk.k
+    p = int(np.argmax(mesh.lengths))
+    length = mesh.lengths[p]
+    block = bem._same_panel_single_layer(mesh, k)[p]
+    hats = (lambda s: 1.0 - s, lambda s: s)
+    for b in (0, 1):
+        value = 0.0j
+        for factor, bessel in ((1j, j0), (-1.0, y0)):
+            def integrand(t, s):
+                return hats[0](s) * hats[b](t) * bessel(k * length * abs(s - t))
+            for lower, upper in ((lambda s: 0.0, lambda s: s), (lambda s: s, lambda s: 1.0)):
+                part, _ = dblquad(integrand, 0.0, 1.0, lower, upper, epsabs=1e-14, epsrel=1e-13)
+                value += factor * part
+        reference = 0.25 * length ** 2 * value
+        # (1, 1) pairs the same hats as (0, 0), and (1, 0) as (0, 1)
+        assert abs(block[0, b] - reference) <= 1e-13 * np.max(np.abs(block))
+        assert block[1, 1 - b] == block[0, b]
 
 
 def test_potential_zero_density_and_linearity():

@@ -1,5 +1,7 @@
 """LU, GMRES, eigenvalues and norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -179,6 +181,29 @@ def test_match_eigenvalues_recovers_permutation():
     assert np.max(np.abs(a - a[shuffle][perm])) == 0.0
     with pytest.raises(ValueError):
         linalg.match_eigenvalues(a, a[:-1])
+
+
+def test_match_eigenvalues_holds_no_distance_matrix():
+    """Matching two spectra of 2000 values peaks, by tracemalloc, at no
+    more than a tenth of one complex 2000 x 2000 matrix, and gives the
+    permutation of the greedy rule on the whole distance matrix."""
+    n = 2000
+    rng = np.random.default_rng(47)
+    a = random_complex(rng, n)
+    b = (a + 1e-3 * random_complex(rng, n))[rng.permutation(n)]
+    tracemalloc.start()
+    try:
+        perm = linalg.match_eigenvalues(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * n * n * np.dtype(complex).itemsize
+    dist = np.abs(a[:, None] - b[None, :])
+    expected = np.empty(n, dtype=int)
+    for i in np.argsort(-np.abs(a)):
+        expected[i] = np.argmin(dist[i])
+        dist[:, expected[i]] = np.inf
+    assert np.array_equal(perm, expected)
 
 
 def test_inf_norm_values():

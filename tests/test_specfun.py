@@ -1,9 +1,8 @@
-"""Special-function layer: the Bessel wrappers and the smooth H0 remainder.
+"""Special-function layer: the Bessel wrappers around scipy.special.
 
 The wrappers are checked for their contract (domain errors, values at the
 origin, overflow reporting) and against a handful of high-precision spot
-values frozen from a 30-digit computation.  The H0 remainder, the one
-series summed here, is checked against scipy.special.
+values frozen from a 30-digit computation.
 """
 
 import numpy as np
@@ -118,32 +117,3 @@ def test_arrays_domain():
     j, y = specfun.bessel_arrays(214, x)
     wron = j[:-1] * y[1:] - j[1:] * y[:-1]
     assert_allclose(wron, -2.0 / (np.pi * x), rtol=1e-12)
-
-
-@pytest.mark.parametrize("k", [0.5, 5.0, 40.0])
-def test_h0_smooth_remainder_matches_split_hankel(k):
-    x = np.linspace(1e-3, 8.0, 400)
-    r = x / k
-    split = sp.hankel1(0, x) - (2j / np.pi) * np.log(r) * sp.j0(x)
-    assert_allclose(specfun.h0_smooth_remainder(k, r), split, rtol=0, atol=1e-12)
-
-
-def test_h0_smooth_remainder_finite_at_origin():
-    k = 3.0
-    w0 = specfun.h0_smooth_remainder(k, 0.0)
-    assert isinstance(w0, complex)
-    # at r = 0 only the constant terms survive: J0(0) = 1 and S0(0) = 0
-    expected = 1.0 + (2j / np.pi) * (np.log(0.5 * k) + specfun.EULER_GAMMA)
-    assert_allclose(w0, expected, rtol=1e-15)
-    assert np.all(np.isfinite(specfun.h0_smooth_remainder(k, np.array([0.0, 1e-8]))))
-
-
-def test_h0_smooth_remainder_domain():
-    with pytest.raises(ValueError, match="k r <= 8"):
-        specfun.h0_smooth_remainder(2.0, 4.001)
-    with pytest.raises(ValueError):
-        specfun.h0_smooth_remainder(2.0, np.array([0.5, 5.0]))
-    with pytest.raises(ValueError):
-        specfun.h0_smooth_remainder(0.0, 0.5)
-    with pytest.raises(ValueError):
-        specfun.h0_smooth_remainder(1.0, -0.5)
