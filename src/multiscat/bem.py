@@ -9,7 +9,8 @@ the two boundary operators assembled here are
 tested and trialed against continuous piecewise-linear hat functions on the
 polygonal boundary, so entry (i, j) is the double integral of
 phi_i(x) K(x, y) phi_j(y) over pairs of panels.  The mass matrix pairs the
-same hats with kernel 1.  Panel i runs from node i to node ``next_node[i]`` of
+same hats with kernel 1; it has three nonzeros per row and is kept as three
+bands (``BandedMass``).  Panel i runs from node i to node ``next_node[i]`` of
 the mesh (see ``geometry``), so each obstacle owns a contiguous diagonal block.
 
 The double layer M, with kernel -d/dn(y) G(x, y), is never assembled.  Its
@@ -144,17 +145,58 @@ def _log_weights(order: int) -> np.ndarray:
 class AssembledOperator:
     """A dense Galerkin matrix together with what it discretizes.
 
-    ``kind`` is one of single_layer, adjoint_double_layer or mass; ``k`` is
-    None for the mass matrix.  The matrix is read-only.
+    ``kind`` is single_layer or adjoint_double_layer.  The matrix is
+    read-only.
     """
 
     kind: str
     matrix: np.ndarray
-    k: float | None = None
+    k: float
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+
+@dataclasses.dataclass(frozen=True)
+class BandedMass:
+    """The mass matrix of the P1 hats as three bands per node: row i holds
+    ``diagonal[i]`` at column i and ``off[i]`` at column next_node[i], and
+    row next_node[i] holds ``off[i]`` at column i; every other entry is
+    zero.  The bands are read-only."""
+
+    diagonal: np.ndarray
+    off: np.ndarray
+    next_node: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.diagonal.size
+
+    def _bands(self):
+        """(rows, columns, values) of each band; each is a permutation of
+        the nodes, so a fancy-index addition touches distinct entries."""
+        i, nxt = np.arange(self.n), self.next_node
+        return (i, i, self.diagonal), (i, nxt, self.off), (nxt, i, self.off)
+
+    def __matmul__(self, v):
+        out = np.zeros(self.n, dtype=np.result_type(self.diagonal, v))
+        for rows, cols, values in self._bands():
+            out[rows] += values * v[cols]
+        return out
+
+    def add_to(self, out, lo: int, c0: int, scale) -> None:
+        """out += scale M[lo:lo + m, c0:c0 + c] in place, for out of shape
+        (m, c); each entry gains one term, as from a dense M."""
+        m, c = out.shape
+        for rows, cols, values in self._bands():
+            inside = (rows >= lo) & (rows < lo + m) & (cols >= c0) & (cols < c0 + c)
+            out[rows[inside] - lo, cols[inside] - c0] += scale * values[inside]
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros((self.n, self.n))
+        self.add_to(dense, 0, 0, 1.0)
+        return dense
 
 
 @dataclasses.dataclass(frozen=True)
@@ -368,24 +410,23 @@ def _same_panel_single_layer(mesh, k: float) -> np.ndarray:
     return (0.25j * mesh.lengths ** 2)[:, None, None] * blocks
 
 
-def assemble_mass(mesh) -> AssembledOperator:
-    """Mass matrix of the P1 hats, tridiagonal-cyclic per obstacle block.
+def assemble_mass(mesh) -> BandedMass:
+    """Mass matrix of the P1 hats, as three bands per node, cyclic through
+    ``next_node`` in each obstacle's loop.
 
     The local block on a panel of length l is l [[1/3, 1/6], [1/6, 1/3]],
-    accumulated exactly with no quadrature.
+    accumulated exactly with no quadrature: node i's diagonal is l_i / 3
+    plus that of the panel ending at i, and l_i / 6 couples i and
+    next_node[i] both ways.
     """
     _check_mesh(mesh)
-    n, nxt = mesh.n_nodes, mesh.next_node
-    panels = np.arange(n)
-    matrix = np.zeros((n, n))
     third = mesh.lengths / 3.0
-    sixth = mesh.lengths / 6.0
-    matrix[panels, panels] += third
-    matrix[nxt, nxt] += third
-    matrix[panels, nxt] += sixth
-    matrix[nxt, panels] += sixth
-    matrix.flags.writeable = False
-    return AssembledOperator(kind="mass", matrix=matrix, k=None)
+    diagonal = np.empty(mesh.n_nodes)
+    diagonal[mesh.next_node] = third
+    diagonal += third
+    off = mesh.lengths / 6.0
+    diagonal.flags.writeable = off.flags.writeable = False
+    return BandedMass(diagonal=diagonal, off=off, next_node=mesh.next_node)
 
 
 def evaluate_potentials(

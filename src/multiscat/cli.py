@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from . import analytic, bem, formulations, geometry, linalg, verify
+from . import analytic, formulations, geometry, linalg, verify
 
 logger = logging.getLogger(__name__)
 
@@ -57,9 +57,11 @@ EXIT_NUMERIC = 3
 # the largest growth of peak RSS over the command, from a fresh interpreter,
 # in three runs each on the desk preset at ppw 60 and 90 (887 and 1330
 # unknowns) and for validate-disk on the disk at ppw 180 and 270 (900 and
-# 1350 unknowns); every one was largest at the smaller size.
-_BYTES_PER_ENTRY = {"verify": 107, "spectrum": 111, "validate-disk": 145, "solve EFIE": 55,
-                    "solve MFIE": 61, "solve CFIE": 89, "solve BW": 88}
+# 1350 unknowns), rounded up after adding 20%: measurements on other days
+# ran up to 12% above an earlier table.  Every one was largest at the
+# smaller size (93.2, 89.0, 94.2 and 38.4/45.0/65.4/65.6 bytes).
+_BYTES_PER_ENTRY = {"verify": 112, "spectrum": 107, "validate-disk": 114, "solve EFIE": 47,
+                    "solve MFIE": 54, "solve CFIE": 79, "solve BW": 79}
 
 _PARAM_FIELDS = {
     "ellipse": ("a", "b"),
@@ -251,6 +253,13 @@ def _parameter_doc(cfg: RunConfig, k: float) -> dict:
     }
 
 
+def _report(command: str, cfg: RunConfig, scene, mesh, **fields) -> dict:
+    """A command's report on a scene: what ran, on which mesh, then ``fields``."""
+    return {"schema_version": SCHEMA_VERSION, "command": command,
+            "scene": scene_to_dict(scene), "ppw": cfg.ppw, "unknowns": mesh.n_nodes,
+            "parameters": _parameter_doc(cfg, scene.k), **fields}
+
+
 def _write_residuals(path: pathlib.Path, records) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -304,8 +313,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     _refuse_beyond_memory("verify", geometry.scene_node_count(scene, cfg.ppw))
     mesh = geometry.mesh_scene(scene, cfg.ppw)
     logger.info("verify: %d unknowns over %d obstacles", mesh.n_nodes, len(mesh.meshes))
-    ops = bem.assemble_operators(mesh, scene.k)
-    ops["mass"] = bem.assemble_mass(mesh)
+    ops = formulations.checked_operators(formulations.FORMULATION_KINDS, scene, mesh)
 
     direct = verify.check_direct_equality(scene, mesh, cfg.alpha, cfg.eta, operators=ops)
     similar = verify.check_bw_similarity(
@@ -340,28 +348,17 @@ def cmd_verify(cfg: RunConfig) -> int:
         print(f"{'PASS' if checks[name] else 'FAIL'}  {name}")
 
     out = _out_dir(cfg)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "scene": scene_to_dict(scene),
-        "ppw": cfg.ppw,
-        "unknowns": mesh.n_nodes,
-        "parameters": _parameter_doc(cfg, scene.k),
-        "differences": direct.differences,
-        "similarity_difference": sim_value,
-        "thresholds": {**direct.thresholds, **similar.thresholds},
-        "iterations": [
-            {
-                "formulation": rec.formulation,
-                "preconditioned": rec.preconditioned,
-                "iterations": rec.iterations,
-                "converged": rec.converged,
-            }
-            for rec in histories.records
-        ],
-        "checks": checks,
-        "passed": all(checks.values()),
-    }
+    doc = _report(
+        "verify", cfg, scene, mesh,
+        differences=direct.differences,
+        similarity_difference=sim_value,
+        thresholds={**direct.thresholds, **similar.thresholds},
+        iterations=[{key: getattr(rec, key) for key in
+                     ("formulation", "preconditioned", "iterations", "converged")}
+                    for rec in histories.records],
+        checks=checks,
+        passed=all(checks.values()),
+    )
     _write_json(out / "verify.json", doc)
     _write_residuals(out / "residuals.csv", histories.records)
     return EXIT_PASS if doc["passed"] else EXIT_THRESHOLD
@@ -382,17 +379,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                  verify.DESK_SPECTRUM_THRESHOLD, passed)
 
     out = _out_dir(cfg)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spectrum",
-        "scene": scene_to_dict(scene),
-        "ppw": cfg.ppw,
-        "unknowns": mesh.n_nodes,
-        "parameters": _parameter_doc(cfg, scene.k),
-        "matched_max_rel_error": report.matched_max_rel_error,
-        "threshold": verify.DESK_SPECTRUM_THRESHOLD,
-        "passed": passed,
-    }
+    doc = _report("spectrum", cfg, scene, mesh,
+                  matched_max_rel_error=report.matched_max_rel_error,
+                  threshold=verify.DESK_SPECTRUM_THRESHOLD, passed=passed)
     _write_json(out / "spectrum.json", doc)
     # Canonical row order: EFIE sorted by (real, imag), every other
     # formulation in its matching to EFIE, so row i of each block holds the
@@ -424,32 +413,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     density, report = formulations.solve(
         system, pre, restart=cfg.restart, tol=cfg.tol, maxiter=cfg.maxiter
     )
-    record = verify.SolveRecord(
-        formulation=cfg.formulation,
-        preconditioned=cfg.preconditioned,
-        iterations=report.iterations,
-        converged=report.converged,
-        residual_history=tuple(float(r) for r in report.residual_history),
-    )
+    record = verify.SolveRecord.of(cfg.formulation, cfg.preconditioned, report)
     state = "converged" if report.converged else "did not converge"
     print(f"{cfg.formulation} ({'preconditioned' if cfg.preconditioned else 'plain'}) "
           f"{state} after {report.iterations} iterations, "
           f"final residual {record.residual_history[-1]:.6e}")
 
     out = _out_dir(cfg)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "solve",
-        "scene": scene_to_dict(scene),
-        "ppw": cfg.ppw,
-        "unknowns": mesh.n_nodes,
-        "parameters": _parameter_doc(cfg, scene.k),
-        "formulation": cfg.formulation,
-        "preconditioned": cfg.preconditioned,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "final_residual": record.residual_history[-1],
-    }
+    doc = _report("solve", cfg, scene, mesh, formulation=cfg.formulation,
+                  preconditioned=cfg.preconditioned, iterations=report.iterations,
+                  converged=report.converged, final_residual=record.residual_history[-1])
     _write_json(out / "solve.json", doc)
     _write_residuals(out / "residuals.csv", [record])
     with open(out / "density.csv", "w", newline="") as handle:
@@ -483,8 +456,6 @@ def disk_field_errors(k: float = RunConfig.disk_k, ppw: float = RunConfig.ppw,
     )
     _refuse_beyond_memory("validate-disk", geometry.scene_node_count(scene, ppw))
     mesh = geometry.mesh_scene(scene, ppw)
-    ops = bem.assemble_operators(mesh, scene.k)
-    ops["mass"] = bem.assemble_mass(mesh)
 
     theta = np.linspace(0.0, 2.0 * np.pi, _DISK_EVAL_POINTS, endpoint=False)
     points = _DISK_EVAL_RADIUS * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -494,10 +465,9 @@ def disk_field_errors(k: float = RunConfig.disk_k, ppw: float = RunConfig.ppw,
     scale = np.linalg.norm(reference)
 
     errors = {}
-    for kind in formulations.FORMULATION_KINDS:
-        form = formulations.Formulation(kind=kind, alpha=alpha, eta=eta, eta_bw=eta_bw)
-        system = formulations.build_system(form, scene, mesh, operators=ops)
-        density = linalg.lu_solve(linalg.lu_factor(system.matrix), system.rhs)
+    for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
+                                             alpha, eta, eta_bw):
+        density = linalg.lu_solve(linalg.lu_factor(system.rows(0, system.n)), system.rhs)
         field = formulations.scattered_field(system, density, points)
         errors[kind] = float(np.linalg.norm(field.values - reference) / scale)
         logger.info("disk %s: relative L2 field error %.3e", kind, errors[kind])

@@ -19,8 +19,12 @@ share one pair of assembled operators.  The direct formulations solve for a
 physical density whose single-layer potential is the scattered field; BW
 solves for an artificial density with a combined representation.
 
-Obstacles own contiguous index blocks.  The single-scattering preconditioner
-factorizes the diagonal block of each obstacle and applies the inverses
+A system is a view of Lh, Nh and Mh (the last kept as three bands per
+node): each combination above is written once, in ``_combination``, which
+forms row blocks of A for the checks and the preconditioner and applies A
+to a vector for GMRES; A itself is never stored.  Obstacles own contiguous
+index blocks.  The single-scattering preconditioner factorizes the diagonal
+block of each obstacle, once per system, and applies the inverses
 blockwise, which turns the diagonal of the preconditioned system into exact
 identities and leaves only inter-obstacle coupling.
 """
@@ -28,6 +32,7 @@ identities and leaves only inter-obstacle coupling.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -89,37 +94,6 @@ class IncidentWave:
         return self
 
 
-@dataclasses.dataclass(frozen=True)
-class BlockSystem:
-    """Assembled system with its per-obstacle block structure."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    block_offsets: tuple[int, ...]
-    formulation: Formulation
-    mesh: object
-    k: float
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.block_offsets) - 1
-
-    def block_range(self, p: int) -> tuple[int, int]:
-        return self.block_offsets[p], self.block_offsets[p + 1]
-
-
-@dataclasses.dataclass(frozen=True)
-class BlockPreconditioner:
-    """LU factors of the diagonal blocks, one per obstacle."""
-
-    factors: tuple[linalg.LuFactors, ...]
-    block_offsets: tuple[int, ...]
-
-
 def incident_loads(wave: IncidentWave, mesh) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin load vectors of the incident plane wave and its normal derivative.
 
@@ -147,10 +121,10 @@ def checked_operators(kinds, scene, mesh, operators=None) -> dict:
     """``operators`` checked against the mesh and k, with the mass and the
     operators the formulation ``kinds`` need assembled, in one call, if missing."""
     ops = dict(operators) if operators is not None else {}
-    for op in ops.values():
-        if op.matrix.shape != (mesh.n_nodes, mesh.n_nodes):
+    for kind, op in ops.items():
+        if op.n != mesh.n_nodes:
             raise ValueError("pre-assembled operator does not match the mesh")
-        if op.kind != "mass" and op.k != scene.k:
+        if kind != "mass" and op.k != scene.k:
             raise ValueError("pre-assembled operator was built for a different k")
     needed = {"single_layer": set(kinds) - {"MFIE"}, "adjoint_double_layer": set(kinds) - {"EFIE"}}
     missing = tuple(kind for kind, users in needed.items() if users and kind not in ops)
@@ -161,124 +135,143 @@ def checked_operators(kinds, scene, mesh, operators=None) -> dict:
     return ops
 
 
-def system_rows(form: Formulation, operators, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of a resolved formulation's system matrix from L, N and the
-    mass, by the same operations in the same order as ``build_system``'s.
-    EFIE's rows are a view of L, read-only if L is; the others' are new arrays."""
-    mats = {kind: op.matrix for kind, op in operators.items()}
+def _combination(form: Formulation, single, adjoint, adjoint_t, add_mass):
+    """A applied by the formulation's combination: ``single``, ``adjoint``
+    and ``adjoint_t`` give L, N and N^T applied (read-only views or new
+    arrays), ``add_mass(out, c)`` adds c Mh applied to ``out`` in place."""
     if form.kind == "EFIE":
-        return mats["single_layer"][lo:hi]
+        return single()
     if form.kind == "BW":
-        rows = -form.eta_bw * mats["single_layer"][lo:hi]
-        rows += mats["adjoint_double_layer"][:, lo:hi].T
-        rows += 0.5 * mats["mass"][lo:hi]
-        return rows
-    rows = 0.5 * mats["mass"][lo:hi] + mats["adjoint_double_layer"][lo:hi]
+        out = -form.eta_bw * single()
+        out += adjoint_t()
+        add_mass(out, 0.5)
+        return out
+    out = np.array(adjoint(), dtype=complex)
+    add_mass(out, 0.5)
     if form.kind == "CFIE":
-        rows *= 1.0 - form.alpha
-        rows += (form.alpha * form.eta) * mats["single_layer"][lo:hi]
-    return rows
-
-
-def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
-    """Assemble the system matrix and the load-vector right-hand side.
-
-    ``operators`` may carry pre-assembled AssembledOperator objects keyed by
-    kind ("mass" included) to share one assembly between formulations; any
-    missing ones are assembled here.  The matrix is filled an obstacle's
-    rows at a time by ``system_rows``.
-    """
-    form = form.resolved(scene.k)
-    ops = checked_operators((form.kind,), scene, mesh, operators)
-    load, normal_load = incident_loads(IncidentWave(k=scene.k, beta=tuple(scene.beta)), mesh)
-    if form.kind == "MFIE":
-        rhs = -normal_load
-    elif form.kind == "CFIE":
-        rhs = -((1.0 - form.alpha) * normal_load + (form.alpha * form.eta) * load)
-    else:
-        rhs = -load
-
-    matrix = np.empty((mesh.n_nodes, mesh.n_nodes), dtype=complex)
-    for p in range(len(mesh.meshes)):
-        lo, hi = mesh.block_range(p)
-        matrix[lo:hi] = system_rows(form, ops, lo, hi)
-    matrix.flags.writeable = False
-    rhs.flags.writeable = False
-    return BlockSystem(matrix=matrix, rhs=rhs, formulation=form, mesh=mesh, k=scene.k,
-                       block_offsets=tuple(int(o) for o in mesh.block_offsets))
-
-
-def factor_diagonal_block(block, p: int) -> linalg.LuFactors:
-    """LU of obstacle p's diagonal block of a system matrix."""
-    try:
-        return linalg.lu_factor(block)
-    except linalg.SingularMatrixError as exc:
-        raise linalg.SingularMatrixError(
-            f"diagonal block of obstacle {p} is singular; the wavenumber may "
-            f"sit on an irregular frequency of that obstacle, or the mesh is "
-            f"degenerate ({exc})"
-        ) from exc
-
-
-def single_scattering_preconditioner(system: BlockSystem) -> BlockPreconditioner:
-    """LU-factorize each obstacle's diagonal block of the system matrix."""
-    factors = []
-    for p in range(system.n_blocks):
-        lo, hi = system.block_range(p)
-        factors.append(factor_diagonal_block(system.matrix[lo:hi, lo:hi], p))
-    return BlockPreconditioner(factors=tuple(factors), block_offsets=system.block_offsets)
-
-
-def preconditioned_rows(form: Formulation, operators, p: int, lo: int, hi: int):
-    """Rows lo:hi of obstacle p of a resolved formulation's preconditioned
-    matrix, LU_p^{-1} A[lo:hi, :], in C order like ``preconditioned_matrix``; and LU_p."""
-    rows = system_rows(form, operators, lo, hi)
-    factors = factor_diagonal_block(rows[:, lo:hi], p)
-    solved = linalg.lu_solve(factors, rows)
-    del rows
-    return np.ascontiguousarray(solved), factors
-
-
-def _block_solve(pre: BlockPreconditioner, vector: np.ndarray) -> np.ndarray:
-    out = np.empty_like(vector, dtype=complex)
-    for factor, lo, hi in zip(pre.factors, pre.block_offsets, pre.block_offsets[1:]):
-        out[lo:hi] = linalg.lu_solve(factor, vector[lo:hi])
+        out *= 1.0 - form.alpha
+        out += (form.alpha * form.eta) * single()
     return out
 
 
-def preconditioned_matrix(system: BlockSystem, pre: BlockPreconditioner) -> np.ndarray:
-    """The preconditioned operator as an explicit dense matrix.
+@dataclasses.dataclass(frozen=True, eq=False)
+class BlockSystem:
+    """A resolved formulation's system A x = b as a view of the operators.
 
-    Row block p is the solve of the p-th diagonal LU factor against the
-    corresponding rows of A, so diagonal blocks are identities up to LU
-    roundoff and off-diagonal blocks carry the inter-obstacle coupling.
+    ``rows`` and ``matvec`` form blocks of A and products with it.  The
+    right-hand side ``rhs`` of ``wave`` and ``block_lu(p)``, the LU of
+    obstacle p's diagonal block, are formed on first use and kept.
     """
-    if pre.block_offsets != system.block_offsets:
-        raise ValueError("preconditioner blocks do not match the system")
-    return _block_solve(pre, system.matrix)
+
+    formulation: Formulation
+    mesh: object
+    wave: IncidentWave
+    operators: dict
+    _lus: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.mesh.n_nodes
+
+    @functools.cached_property
+    def rhs(self) -> np.ndarray:
+        """b, read-only (module docstring)."""
+        form = self.formulation
+        load, normal_load = incident_loads(self.wave, self.mesh)
+        if form.kind == "MFIE":
+            rhs = -normal_load
+        elif form.kind == "CFIE":
+            rhs = -((1.0 - form.alpha) * normal_load + (form.alpha * form.eta) * load)
+        else:
+            rhs = -load
+        rhs.flags.writeable = False
+        return rhs
+
+    def rows(self, lo: int, hi: int, c0: int = 0, c1: int | None = None) -> np.ndarray:
+        """A[lo:hi, c0:c1]: for EFIE a read-only view of L, else a new array."""
+        ops = self.operators
+        return _combination(
+            self.formulation,
+            lambda: ops["single_layer"].matrix[lo:hi, c0:c1],
+            lambda: ops["adjoint_double_layer"].matrix[lo:hi, c0:c1],
+            lambda: ops["adjoint_double_layer"].matrix[c0:c1, lo:hi].T,
+            lambda out, scale: ops["mass"].add_to(out, lo, c0, scale))
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v, from products of v with L, N and the mass bands."""
+        ops = self.operators
+        return _combination(
+            self.formulation,
+            lambda: ops["single_layer"].matrix @ v,
+            lambda: ops["adjoint_double_layer"].matrix @ v,
+            lambda: v @ ops["adjoint_double_layer"].matrix,
+            lambda out, scale: np.add(out, scale * (ops["mass"] @ v), out=out))
+
+    def block_lu(self, p: int) -> linalg.LuFactors:
+        """LU of obstacle p's diagonal block, factored on first use and kept."""
+        if p not in self._lus:
+            lo, hi = self.mesh.block_range(p)
+            try:
+                self._lus[p] = linalg.lu_factor(self.rows(lo, hi, lo, hi))
+            except linalg.SingularMatrixError as exc:
+                raise linalg.SingularMatrixError(
+                    f"diagonal block of obstacle {p} is singular; the wavenumber may "
+                    f"sit on an irregular frequency of that obstacle, or the mesh is "
+                    f"degenerate ({exc})"
+                ) from exc
+        return self._lus[p]
 
 
-def solve(system: BlockSystem, pre: BlockPreconditioner | None = None,
+def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
+    """The system of a formulation on the mesh, for the scene's incident wave.
+
+    ``operators`` may carry pre-assembled L and N and the mass, keyed by
+    kind ("mass" included), to share one assembly between formulations;
+    any missing ones are assembled here.
+    """
+    form = form.resolved(scene.k)
+    ops = checked_operators((form.kind,), scene, mesh, operators)
+    wave = IncidentWave(k=scene.k, beta=tuple(scene.beta)).validate()
+    return BlockSystem(formulation=form, mesh=mesh, wave=wave, operators=ops)
+
+
+def systems(kinds, scene, mesh, alpha: float = ALPHA, eta: complex | None = None,
+            eta_bw: complex | None = None, operators=None):
+    """(kind, system) for each formulation of ``kinds``, each built as it is
+    iterated, on one set of operators assembled where ``operators`` lacks
+    them once every formulation is validated."""
+    forms = [Formulation(kind, alpha, eta, eta_bw).resolved(scene.k) for kind in kinds]
+    ops = checked_operators(kinds, scene, mesh, operators)
+    return ((form.kind, build_system(form, scene, mesh, ops)) for form in forms)
+
+
+def single_scattering_preconditioner(system: BlockSystem) -> tuple[linalg.LuFactors, ...]:
+    """The system's LU factors of each obstacle's diagonal block."""
+    return tuple(system.block_lu(p) for p in range(len(system.mesh.meshes)))
+
+
+def preconditioned_rows(system: BlockSystem, p: int) -> np.ndarray:
+    """Row block p of the preconditioned matrix, LU_p^{-1} A[lo:hi, :] for
+    obstacle p's rows lo:hi, in C order."""
+    factors = system.block_lu(p)
+    solved = linalg.lu_solve(factors, system.rows(*system.mesh.block_range(p)))
+    return np.ascontiguousarray(solved)
+
+
+def solve(system: BlockSystem, pre=None,
           restart: int = linalg.GMRES_RESTART, tol: float = linalg.GMRES_TOL,
           maxiter: int = linalg.GMRES_MAXITER):
-    """GMRES on the system, optionally left-preconditioned blockwise.
+    """GMRES on the system, left-preconditioned blockwise by the block LUs
+    ``pre`` (see ``single_scattering_preconditioner``) unless it is None.
 
     Returns (density, GmresReport); non-convergence shows up in the report
     flag, not as an exception.
     """
-    left = None
-    if pre is not None:
-        if pre.block_offsets != system.block_offsets:
-            raise ValueError("preconditioner blocks do not match the system")
-        left = lambda w: _block_solve(pre, w)
-    return linalg.gmres(
-        lambda v: system.matrix @ v,
-        system.rhs,
-        restart=restart,
-        tol=tol,
-        maxiter=maxiter,
-        left_precond=left,
-    )
+    offsets = system.mesh.block_offsets
+    left = None if pre is None else lambda w: np.concatenate(
+        [linalg.lu_solve(lu, w[lo:hi]) for lu, lo, hi in zip(pre, offsets, offsets[1:])])
+    return linalg.gmres(system.matvec, system.rhs, restart=restart, tol=tol, maxiter=maxiter,
+                        left_precond=left)
 
 
 def scattered_field(system: BlockSystem, density, points) -> bem.PotentialField:
@@ -291,10 +284,10 @@ def scattered_field(system: BlockSystem, density, points) -> bem.PotentialField:
     density = np.asarray(density)
     if density.shape != (system.n,):
         raise ValueError(f"density has shape {density.shape}, expected ({system.n},)")
-    single = bem.evaluate_potentials(system.mesh, density, system.k, points, layer="single")
+    single = bem.evaluate_potentials(system.mesh, density, system.wave.k, points, layer="single")
     if system.formulation.kind != "BW":
         return single
-    double = bem.evaluate_potentials(system.mesh, density, system.k, points, layer="double")
+    double = bem.evaluate_potentials(system.mesh, density, system.wave.k, points, layer="double")
     values = -system.formulation.eta_bw * single.values - double.values
     return bem.PotentialField(
         values=values, near_boundary=single.near_boundary | double.near_boundary

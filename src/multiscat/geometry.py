@@ -242,12 +242,20 @@ class Scene:
         for shape in self.obstacles:
             shape.validate()
         centers = np.array([s.center for s in self.obstacles])
+        radii = [shape.bounding_radius() for shape in self.obstacles]
         for i in range(len(centers)):
             for j in range(i + 1, len(centers)):
-                if np.linalg.norm(centers[i] - centers[j]) < self.min_center_distance:
+                distance = np.linalg.norm(centers[i] - centers[j])
+                if distance < self.min_center_distance:
                     raise ValueError(
                         f"obstacles {i} and {j} closer than the minimum center distance"
                     )
+                if distance <= radii[i] + radii[j]:
+                    raise ValueError(
+                        f"obstacles {i} and {j} may overlap: their circumscribed circles meet"
+                    )
+        if not self.obstacles:
+            raise ValueError("a scene needs at least one obstacle")
 
 
 def _concatenated(name: str) -> functools.cached_property:

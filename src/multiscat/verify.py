@@ -10,11 +10,12 @@ T P_BW T^{-1} = A_E^{-1} A_BW D_BW^{-1} A_E, which needs one LU of A_E and
 never T itself.  Both are checked here at configurable scale, together with
 the spectral and GMRES-history consequences.
 
-The checks work by obstacle row blocks: row block p of P_X is
-LU_p^{-1} A_X[rows_p, :], built from L, N and the mass and dropped once
-used.  Besides such blocks the direct check holds no full-size matrix, the
-similarity two (A_BW D_BW^{-1} A_E and the LU of A_E), the spectra one P_X
-and the GMRES histories one dense system at a time.
+The checks read every system as a view of L, N and the mass (see
+``formulations``) and work by obstacle row blocks: row block p of P_X is
+LU_p^{-1} A_X[rows_p, :], formed from the operators and dropped once used.
+Besides such blocks the direct check holds no full-size matrix, the
+similarity two (A_BW D_BW^{-1} A_E and the LU of A_E) and the spectra one
+P_X; GMRES applies each system as products with L, N and the mass bands.
 
 The desk configuration (three obstacles, one of each shape, around 400
 unknowns) keeps every check in the seconds range; the paper-scale
@@ -43,16 +44,20 @@ DESK_SIMILARITY_THRESHOLD = 1e-2
 DESK_SPECTRUM_THRESHOLD = 3e-2
 
 
+# One obstacle of each shape, as the desk and paper presets place them.
+_SHAPES = (
+    geometry.Shape(kind="ellipse", a=1.0, b=0.6),
+    geometry.Shape(kind="rounded_rectangle", a=0.9, b=0.7, p=8),
+    geometry.Shape(kind="kite", s=0.8),
+)
+
+
 def desk_scene(seed: int = 0) -> geometry.Scene:
     """Three obstacles, one of each shape, in a 12 x 12 box at k=5."""
     template = geometry.Scene(
         k=5.0,
         beta=(0.0, 1.0),
-        obstacles=(
-            geometry.Shape(kind="ellipse", a=1.0, b=0.6),
-            geometry.Shape(kind="rounded_rectangle", a=0.9, b=0.7, p=8),
-            geometry.Shape(kind="kite", s=0.8),
-        ),
+        obstacles=_SHAPES,
         box=(0.0, 0.0, 12.0, 12.0),
         min_center_distance=3.0,
         seed=seed,
@@ -66,15 +71,10 @@ def paper_scene(seed: int = 0) -> geometry.Scene:
     Characteristic sizes are drawn around 1 (jitter 0.3), matching the
     qualitative setup of the full-scale experiment.
     """
-    shapes = []
-    for _ in range(10):
-        shapes.append(geometry.Shape(kind="ellipse", a=1.0, b=0.6))
-        shapes.append(geometry.Shape(kind="rounded_rectangle", a=0.9, b=0.7, p=8))
-        shapes.append(geometry.Shape(kind="kite", s=0.8))
     template = geometry.Scene(
         k=20.0,
         beta=(0.0, 1.0),
-        obstacles=tuple(shapes),
+        obstacles=_SHAPES * 10,
         box=(0.0, 0.0, 60.0, 60.0),
         min_center_distance=3.0,
         seed=seed,
@@ -112,6 +112,12 @@ class SolveRecord:
     converged: bool
     residual_history: tuple[float, ...]
 
+    @classmethod
+    def of(cls, formulation: str, preconditioned: bool, report) -> "SolveRecord":
+        """The record of one GMRES run's ``linalg.GmresReport``."""
+        return cls(formulation, preconditioned, report.iterations, report.converged,
+                   tuple(float(r) for r in report.residual_history))
+
 
 @dataclasses.dataclass(frozen=True)
 class ConvergenceReport:
@@ -124,13 +130,6 @@ class ConvergenceReport:
         raise KeyError(f"no record for {formulation} preconditioned={preconditioned}")
 
 
-def _operators_and_forms(scene, mesh, kinds, alpha, eta, eta_bw, operators):
-    """L, N and the mass, assembled where ``operators`` lacks them; ``kinds`` resolved."""
-    forms = {kind: formulations.Formulation(kind, alpha, eta, eta_bw).resolved(scene.k)
-             for kind in kinds}
-    return formulations.checked_operators(kinds, scene, mesh, operators), forms
-
-
 def check_direct_equality(scene, mesh, alpha: float = formulations.ALPHA,
                           eta: complex | None = None, operators=None,
                           thresholds=None) -> TheoremReport:
@@ -140,15 +139,16 @@ def check_direct_equality(scene, mesh, alpha: float = formulations.ALPHA,
     taken from the second formulation of the pair.  Both norms are the
     largest over the obstacles of their row blocks' norms.
     """
-    ops, forms = _operators_and_forms(scene, mesh, DIRECT_KINDS, alpha, eta, None, operators)
+    systems = dict(formulations.systems(DIRECT_KINDS, scene, mesh, alpha, eta, None, operators))
     if thresholds is None:
         thresholds = {f"{x}/{y}": DESK_DIRECT_THRESHOLD for x, y in DIRECT_PAIRS}
     apart = {f"{x}/{y}": 0.0 for x, y in DIRECT_PAIRS}
     norms = dict.fromkeys(DIRECT_KINDS, 0.0)
     for p in range(len(mesh.meshes)):
-        lo, hi = mesh.block_range(p)
-        rows = {kind: formulations.preconditioned_rows(form, ops, p, lo, hi)[0]
-                for kind, form in forms.items()}
+        # a fresh view per obstacle factors and holds only that obstacle's
+        # block, so each block is factored once and one block LU is held
+        rows = {kind: formulations.preconditioned_rows(dataclasses.replace(system), p)
+                for kind, system in systems.items()}
         for x, y in DIRECT_PAIRS:
             apart[f"{x}/{y}"] = max(apart[f"{x}/{y}"], linalg.inf_norm(rows[x] - rows[y]))
         for kind, block in rows.items():
@@ -177,9 +177,8 @@ def check_bw_similarity(scene, mesh, alpha: float = formulations.ALPHA,
     is exactly T P_BW T^{-1} = A_E^{-1} A_BW D_BW^{-1} A_E, so T is never
     formed and A_E is the only full-size matrix factored.
     """
-    ops, forms = _operators_and_forms(scene, mesh, ("EFIE", "BW"), alpha, eta, eta_bw,
-                                      operators)
-    efie, bw = forms["EFIE"], forms["BW"]
+    (_, efie), (_, bw) = formulations.systems(("EFIE", "BW"), scene, mesh, alpha, eta, eta_bw,
+                                              operators)
     n = mesh.n_nodes
     # both systems take their blocks from the mesh, so BW's block factors
     # apply to A_E's rows: row block p of D_BW^{-1} A_E is LU_p^{-1} A_E[lo:hi]
@@ -187,18 +186,17 @@ def check_bw_similarity(scene, mesh, alpha: float = formulations.ALPHA,
     inner = np.empty((n, n), dtype=complex)
     for p in range(len(mesh.meshes)):
         lo, hi = mesh.block_range(p)
-        p_bw, bw_factors = formulations.preconditioned_rows(bw, ops, p, lo, hi)
-        p_bw_norm = max(p_bw_norm, linalg.inf_norm(p_bw))
-        inner[lo:hi] = linalg.lu_solve(bw_factors, formulations.system_rows(efie, ops, lo, hi))
-    del p_bw, bw_factors
+        p_bw_norm = max(p_bw_norm, linalg.inf_norm(formulations.preconditioned_rows(bw, p)))
+        inner[lo:hi] = linalg.lu_solve(bw.block_lu(p), efie.rows(lo, hi))
+    bw = dataclasses.replace(bw)  # a fresh view: BW's block LUs go here
     # A_BW D_BW^{-1} A_E by row blocks, in Fortran order to be solved in place
     conjugated = np.empty((n, n), dtype=complex, order="F")
     for p in range(len(mesh.meshes)):
         lo, hi = mesh.block_range(p)
-        conjugated[lo:hi] = formulations.system_rows(bw, ops, lo, hi) @ inner
-    del inner
+        conjugated[lo:hi] = bw.rows(lo, hi) @ inner
+    del inner, bw
     try:
-        efie_lu = linalg.lu_factor(formulations.system_rows(efie, ops, 0, n))
+        efie_lu = linalg.lu_factor(efie.rows(0, n))
     except linalg.SingularMatrixError as exc:
         raise linalg.SingularMatrixError(
             f"the single-layer system matrix is singular, so the similarity "
@@ -210,7 +208,7 @@ def check_bw_similarity(scene, mesh, alpha: float = formulations.ALPHA,
     difference = 0.0
     for p in range(len(mesh.meshes)):
         lo, hi = mesh.block_range(p)
-        p_efie = formulations.preconditioned_rows(efie, ops, p, lo, hi)[0]
+        p_efie = formulations.preconditioned_rows(efie, p)
         difference = max(difference, linalg.inf_norm(p_efie - conjugated[lo:hi]))
     difference /= p_bw_norm
     logger.info("BW similarity difference: %.3e", difference)
@@ -239,14 +237,14 @@ def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
     assembly.
     """
     check_spectrum_size(mesh.n_nodes)
-    ops, forms = _operators_and_forms(scene, mesh, formulations.FORMULATION_KINDS, alpha, eta,
-                                      eta_bw, operators)
     matrix = np.empty((mesh.n_nodes, mesh.n_nodes), dtype=complex)
     eigenvalues = {}
-    for kind, form in forms.items():
+    for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
+                                             alpha, eta, eta_bw, operators):
         for p in range(len(mesh.meshes)):
             lo, hi = mesh.block_range(p)
-            matrix[lo:hi] = formulations.preconditioned_rows(form, ops, p, lo, hi)[0]
+            matrix[lo:hi] = formulations.preconditioned_rows(system, p)
+        del system  # its block LUs are not held through the eigenvalue solve
         eigenvalues[kind] = linalg.eigenvalues(matrix)
     del matrix  # not held while the spectra are matched
     reference = eigenvalues["EFIE"]
@@ -277,31 +275,16 @@ def convergence_histories(scene, mesh, alpha: float = formulations.ALPHA,
     raised; preconditioned histories are measured in the preconditioned
     residual norm.
     """
-    ops, forms = _operators_and_forms(scene, mesh, formulations.FORMULATION_KINDS, alpha, eta,
-                                      eta_bw, operators)
     records = []
-    for kind, form in forms.items():
-        system = formulations.build_system(form, scene, mesh, operators=ops)
+    for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
+                                             alpha, eta, eta_bw, operators):
         pre = formulations.single_scattering_preconditioner(system)
         for preconditioned, chosen in ((False, None), (True, pre)):
-            _, report = formulations.solve(
-                system, chosen, restart=restart, tol=tol, maxiter=maxiter
-            )
-            records.append(
-                SolveRecord(
-                    formulation=kind,
-                    preconditioned=preconditioned,
-                    iterations=report.iterations,
-                    converged=report.converged,
-                    residual_history=tuple(report.residual_history),
-                )
-            )
-            logger.info(
-                "%s %s: %d iterations, converged=%s",
-                kind,
-                "preconditioned" if preconditioned else "plain",
-                report.iterations,
-                report.converged,
-            )
+            _, report = formulations.solve(system, chosen, restart=restart, tol=tol,
+                                           maxiter=maxiter)
+            records.append(SolveRecord.of(kind, preconditioned, report))
+            logger.info("%s %s: %d iterations, converged=%s", kind,
+                        "preconditioned" if preconditioned else "plain", report.iterations,
+                        report.converged)
         del system, pre, chosen  # not held while the next system is built
     return ConvergenceReport(records=tuple(records))

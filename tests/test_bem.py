@@ -140,7 +140,7 @@ def pair_blocks(mesh, p: int, q: int, k: float, order: int) -> dict:
 
 def rayleigh_quotients(mesh, kind: str, modes) -> dict:
     a = operator_matrix(mesh, kind)
-    mass = bem.assemble_mass(mesh).matrix
+    mass = bem.assemble_mass(mesh)
     theta = np.arctan2(mesh.nodes[:, 1], mesh.nodes[:, 0])
     out = {}
     for n in modes:
@@ -196,14 +196,16 @@ def triangle_mesh() -> geometry.ObstacleMesh:
 def test_mass_total_equals_perimeter():
     mesh = circle_mesh()
     mass = bem.assemble_mass(mesh)
-    assert mass.kind == "mass"
-    assert mass.k is None
-    assert_allclose(mass.matrix.sum(), mesh.perimeter, rtol=1e-12)
+    assert mass.n == mesh.n_nodes
+    assert_allclose(mass.diagonal.sum() + 2.0 * mass.off.sum(), mesh.perimeter, rtol=1e-12)
+    for band in (mass.diagonal, mass.off):
+        with pytest.raises(ValueError):
+            band[0] = 0.0
 
 
 def test_mass_local_blocks_exact():
     mesh = triangle_mesh()
-    mass = bem.assemble_mass(mesh).matrix
+    mass = bem.assemble_mass(mesh).toarray()
     lengths = mesh.lengths
     assert mass[0, 1] == lengths[0] / 6.0
     assert mass[1, 2] == lengths[1] / 6.0
@@ -212,8 +214,34 @@ def test_mass_local_blocks_exact():
 
 
 def test_mass_exactly_symmetric():
-    mass = bem.assemble_mass(circle_mesh()).matrix
+    mass = bem.assemble_mass(circle_mesh()).toarray()
     assert np.array_equal(mass, mass.T)
+
+
+def dense_mass(mesh) -> np.ndarray:
+    """The mass matrix assembled densely, panel by panel, from the local
+    block l [[1/3, 1/6], [1/6, 1/3]] of panel i on nodes i, next_node[i]."""
+    dense = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for i in range(mesh.n_nodes):
+        ends = (i, mesh.next_node[i])
+        for a in range(2):
+            for b in range(2):
+                dense[ends[a], ends[b]] += mesh.lengths[i] / (3.0 if a == b else 6.0)
+    return dense
+
+
+def test_mass_bands_expand_to_the_dense_panel_assembly(desk15):
+    for mesh in (triangle_mesh(), circle_mesh(), desk15[0]):
+        mass = bem.assemble_mass(mesh)
+        dense = dense_mass(mesh)
+        assert np.array_equal(mass.toarray(), dense)
+        v = np.random.default_rng(3).standard_normal(mesh.n_nodes) * (1.0 + 0.5j)
+        assert_allclose(mass @ v, dense @ v, rtol=1e-14, atol=1e-15 * np.abs(dense @ v).max())
+    # a block of rows and columns, across the first two obstacles' boundary
+    lo, hi, c0 = mesh.block_offsets[1] - 3, mesh.block_offsets[1] + 4, mesh.block_offsets[1] - 5
+    block = np.ones((hi - lo, 9), dtype=complex)
+    mass.add_to(block, lo, c0, 0.5)
+    assert np.array_equal(block, 1.0 + 0.5 * dense[lo:hi, c0:c0 + 9])
 
 
 def test_single_layer_symmetric_to_quadrature_tolerance():

@@ -412,6 +412,25 @@ class TestExitCodes:
         assert run("verify", "--scene", str(scene_file), "--out", str(tmp_path)) == 2
         assert "error: obstacle 1 must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize("obstacles,message", [
+        ([], "error: a scene needs at least one obstacle"),
+        # two unit disks whose centers 0.8 apart pass a minimum distance of 0.5
+        ([{"kind": "ellipse", "params": {"a": 1.0, "b": 1.0}, "center": [x, 0.0]}
+          for x in (0.0, 0.8)],
+         "error: obstacles 0 and 1 may overlap: their circumscribed circles meet"),
+    ], ids=["empty", "overlapping"])
+    def test_scene_without_disjoint_obstacles_is_refused(
+        self, command, obstacles, message, tmp_path, capsys
+    ):
+        doc = cli.scene_to_dict(verify.desk_scene())
+        doc.update(obstacles=obstacles, min_center_distance=0.5)
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_text(json.dumps(doc))
+        assert run(command, "--scene", str(scene_file), "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / f"{command}.json").exists()
+
     # desk at ppw 1e7 has about 1.5e8 unknowns, whose nodes alone would take
     # about 13 GB, and the unit disk 5e7
     @pytest.mark.parametrize("command,message", [

@@ -60,6 +60,12 @@ def mie_reference():
     return points, analytic.mie_scattered(cfg, points)
 
 
+def preconditioned_matrix(system) -> np.ndarray:
+    """The whole preconditioned matrix, from the system's row blocks."""
+    return np.concatenate([formulations.preconditioned_rows(system, p)
+                           for p in range(len(system.mesh.meshes))])
+
+
 def build_all(scene, mesh, ops):
     return {
         kind: formulations.build_system(
@@ -117,16 +123,17 @@ class TestSystemAssembly:
         sys_ = formulations.build_system(
             formulations.Formulation(kind="EFIE"), scene, mesh, operators=ops
         )
-        assert np.array_equal(sys_.matrix, ops["single_layer"].matrix)
+        assert np.array_equal(sys_.rows(0, sys_.n), ops["single_layer"].matrix)
 
     def test_cfie_is_the_exact_linear_combination(self, disk):
         scene, mesh, ops = disk
         built = build_all(scene, mesh, ops)
         alpha, eta = 0.2, -1j * DISK_K
-        combined = (1.0 - alpha) * built["MFIE"].matrix + (alpha * eta) * built[
+        n = mesh.n_nodes
+        combined = (1.0 - alpha) * built["MFIE"].rows(0, n) + (alpha * eta) * built[
             "EFIE"
-        ].matrix
-        assert np.array_equal(built["CFIE"].matrix, combined)
+        ].rows(0, n)
+        assert np.array_equal(built["CFIE"].rows(0, n), combined)
 
     def test_right_hand_sides_are_mass_projected_traces(self, disk):
         # Every right-hand side is the Galerkin load vector (g, phi_i) of the
@@ -172,18 +179,21 @@ class TestSystemAssembly:
         expected = (
             -eta_bw * ops["single_layer"].matrix
             + ops["adjoint_double_layer"].matrix.T
-            + 0.5 * ops["mass"].matrix
+            + 0.5 * ops["mass"].toarray()
         )
-        assert np.array_equal(sys_.matrix, expected)
+        assert np.array_equal(sys_.rows(0, sys_.n), expected)
 
     def test_block_offsets_follow_the_mesh(self, coarse_pair):
+        # every block a system gives is that block of its whole matrix
         scene, mesh, ops = coarse_pair
-        sys_ = formulations.build_system(
-            formulations.Formulation(kind="EFIE"), scene, mesh, operators=ops
-        )
-        assert sys_.block_offsets == tuple(mesh.block_offsets)
-        assert sys_.n == mesh.n_nodes
-        assert sys_.n_blocks == 2
+        for sys_ in build_all(scene, mesh, ops).values():
+            assert sys_.mesh is mesh
+            assert sys_.n == mesh.n_nodes
+            whole = sys_.rows(0, sys_.n)
+            for lo, hi in (mesh.block_range(0), mesh.block_range(1), (3, 17)):
+                assert np.array_equal(sys_.rows(lo, hi), whole[lo:hi])
+                for c0, c1 in (mesh.block_range(0), mesh.block_range(1), (5, 30)):
+                    assert np.array_equal(sys_.rows(lo, hi, c0, c1), whole[lo:hi, c0:c1])
 
     def test_mismatched_preassembled_operators_rejected(self, disk):
         scene, mesh, ops = disk
@@ -201,14 +211,18 @@ class TestSystemAssembly:
             )
 
     def test_matrix_and_rhs_are_read_only(self, disk):
+        # EFIE's rows are a read-only view of L; the others' are new arrays,
+        # so writing to them leaves the system as it was
         scene, mesh, ops = disk
-        sys_ = formulations.build_system(
-            formulations.Formulation(kind="MFIE"), scene, mesh, operators=ops
-        )
+        efie, mfie = (formulations.build_system(formulations.Formulation(kind=kind), scene,
+                                                mesh, operators=ops) for kind in ("EFIE", "MFIE"))
         with pytest.raises(ValueError):
-            sys_.matrix[0, 0] = 0.0
+            efie.rows(0, 2)[0, 0] = 0.0
+        rows = mfie.rows(0, 2)
+        rows[0, 0] = 0.0
+        assert mfie.rows(0, 2)[0, 0] != 0.0
         with pytest.raises(ValueError):
-            sys_.rhs[0] = 0.0
+            mfie.rhs[0] = 0.0
 
 
 class TestPreconditioner:
@@ -218,8 +232,8 @@ class TestPreconditioner:
             formulations.Formulation(kind="EFIE"), scene, mesh, operators=ops
         )
         pre = formulations.single_scattering_preconditioner(sys_)
-        assert len(pre.factors) == 1
-        explicit = formulations.preconditioned_matrix(sys_, pre)
+        assert len(pre) == 1
+        explicit = preconditioned_matrix(sys_)
         assert linalg.inf_norm(explicit - np.eye(sys_.n)) <= 1e-10
 
     @pytest.mark.parametrize("kind", formulations.FORMULATION_KINDS)
@@ -228,10 +242,9 @@ class TestPreconditioner:
         sys_ = formulations.build_system(
             formulations.Formulation(kind=kind), scene, mesh, operators=ops
         )
-        pre = formulations.single_scattering_preconditioner(sys_)
-        explicit = formulations.preconditioned_matrix(sys_, pre)
-        for p in range(sys_.n_blocks):
-            lo, hi = sys_.block_range(p)
+        explicit = preconditioned_matrix(sys_)
+        for p in range(len(mesh.meshes)):
+            lo, hi = mesh.block_range(p)
             block = explicit[lo:hi, lo:hi]
             assert linalg.inf_norm(block - np.eye(hi - lo)) <= 1e-10
 
@@ -241,18 +254,20 @@ class TestPreconditioner:
             formulations.Formulation(kind="BW"), scene, mesh, operators=ops
         )
         pre = formulations.single_scattering_preconditioner(sys_)
-        for p, factor in enumerate(pre.factors):
-            lo, hi = sys_.block_range(p)
+        assert len(pre) == len(mesh.meshes)
+        for p, factor in enumerate(pre):
+            lo, hi = mesh.block_range(p)
             assert factor.n == hi - lo
+            assert factor is sys_.block_lu(p)
 
-    def test_singular_diagonal_block_error_names_the_obstacle(self):
-        sys_ = formulations.BlockSystem(
-            matrix=np.zeros((4, 4), dtype=complex),
-            rhs=np.zeros(4, dtype=complex),
-            block_offsets=(0, 2, 4),
-            formulation=formulations.Formulation(kind="EFIE"),
-            mesh=None,
-            k=1.0,
+    def test_singular_diagonal_block_error_names_the_obstacle(self, coarse_pair):
+        scene, mesh, ops = coarse_pair
+        zero = bem.AssembledOperator(
+            kind="single_layer", matrix=np.zeros((mesh.n_nodes, mesh.n_nodes), dtype=complex),
+            k=scene.k,
+        )
+        sys_ = formulations.build_system(
+            formulations.Formulation(kind="EFIE"), scene, mesh, operators={"single_layer": zero}
         )
         with pytest.raises(linalg.SingularMatrixError, match="obstacle 0"):
             formulations.single_scattering_preconditioner(sys_)
@@ -265,10 +280,9 @@ class TestPreconditioner:
             sys_ = formulations.build_system(
                 formulations.Formulation(kind="EFIE"), scene, mesh
             )
-            pre = formulations.single_scattering_preconditioner(sys_)
-            explicit = formulations.preconditioned_matrix(sys_, pre)
-            lo0, hi0 = sys_.block_range(0)
-            lo1, hi1 = sys_.block_range(1)
+            explicit = preconditioned_matrix(sys_)
+            lo0, hi0 = mesh.block_range(0)
+            lo1, hi1 = mesh.block_range(1)
             norms[distance] = linalg.inf_norm(explicit[lo0:hi0, lo1:hi1])
         assert norms[50.0] < norms[5.0]
 
@@ -292,7 +306,7 @@ class TestSolve:
         )
         density, report = formulations.solve(sys_, None, tol=1e-10, maxiter=2000)
         assert report.converged
-        direct = linalg.lu_solve(linalg.lu_factor(np.array(sys_.matrix)), sys_.rhs)
+        direct = linalg.lu_solve(linalg.lu_factor(sys_.rows(0, sys_.n)), sys_.rhs)
         assert_allclose(density, direct, rtol=1e-6)
 
     def test_unpreconditioned_takes_more_iterations_than_preconditioned(self, coarse_pair):
@@ -355,7 +369,7 @@ class TestDiskGate:
 
         scene, mesh, ops = disk
         points, reference = mie_reference
-        mass = ops["mass"].matrix
+        mass = ops["mass"].toarray()
         wave = formulations.IncidentWave(k=scene.k, beta=scene.beta)
         _, normal_load = formulations.incident_loads(wave, mesh)
         flipped = -0.5 * mass + ops["adjoint_double_layer"].matrix

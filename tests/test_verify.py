@@ -104,7 +104,7 @@ def explicit_similarity_difference(scene, mesh, ops):
 
     def system_matrix(kind):
         form = formulations.Formulation(kind=kind)
-        return formulations.build_system(form, scene, mesh, operators=ops).matrix
+        return formulations.build_system(form, scene, mesh, operators=ops).rows(0, mesh.n_nodes)
 
     def block_preconditioned(a):
         out = np.empty_like(a)
@@ -138,15 +138,29 @@ CHECK_KINDS = {
 }
 
 
+def dense_systems(scene, ops) -> dict:
+    """Each formulation's whole matrix at the default parameters, combined
+    here from L, N and the dense mass in the formulations' order."""
+    single, adjoint = ops["single_layer"].matrix, ops["adjoint_double_layer"].matrix
+    mfie = 0.5 * ops["mass"].toarray() + adjoint
+    return {
+        "EFIE": single,
+        "MFIE": mfie,
+        "CFIE": (1.0 - 0.2) * mfie + (0.2 * -1j * scene.k) * single,
+        "BW": -(0.5j * scene.k) * single + adjoint.T + 0.5 * ops["mass"].toarray(),
+    }
+
+
 @pytest.mark.parametrize("given", [True, False], ids=["operators", "no-operators"])
 @pytest.mark.parametrize("check", sorted(CHECK_KINDS))
 def test_each_check_builds_and_factors_each_system_once(desk, desk10, monkeypatch,
                                                         check, given):
     """Each formulation's diagonal block is factored once per obstacle, the
     operators are assembled only when none are given, the similarity check
-    factors exactly one full-size matrix, and only the GMRES histories build
-    dense systems, one per formulation.  A factored block is told apart by
-    its entries, from the formulations' dense matrices."""
+    factors exactly one full-size matrix, every check reads its systems from
+    ``build_system`` and the GMRES histories build one per formulation.  A
+    factored block is told apart by its entries, from the formulations'
+    dense matrices."""
     mesh, ops = desk10
     calls = {"blocks": [], "assemble": 0, "full_lu": 0, "build": []}
     assemble = bem.assemble_operators
@@ -173,46 +187,76 @@ def test_each_check_builds_and_factors_each_system_once(desk, desk10, monkeypatc
     monkeypatch.setattr(linalg, "lu_factor", counting_lu_factor)
     getattr(verify, check)(desk, mesh, operators=ops if given else None)
     monkeypatch.undo()
+    dense = dense_systems(desk, ops)
     factored = {}
     for kind in CHECK_KINDS[check]:
-        matrix = formulations.build_system(
-            formulations.Formulation(kind=kind), desk, mesh, operators=ops).matrix
         for p in range(len(mesh.meshes)):
             lo, hi = mesh.block_range(p)
-            factored[kind, p] = sum(np.array_equal(block, matrix[lo:hi, lo:hi])
+            factored[kind, p] = sum(np.array_equal(block, dense[kind][lo:hi, lo:hi])
                                     for block in calls["blocks"])
     assert set(factored.values()) == {1}
     assert len(calls["blocks"]) == len(factored)
     assert calls["assemble"] == (0 if given else 1)
     assert calls["full_lu"] == (1 if check == "check_bw_similarity" else 0)
-    assert calls["build"] == (list(CHECK_KINDS[check]) if check == "convergence_histories"
-                              else [])
+    assert set(calls["build"]) == set(CHECK_KINDS[check])
+    if check == "convergence_histories":
+        assert calls["build"] == list(CHECK_KINDS[check])
+
+
+def traced_peak(run) -> int:
+    """Peak bytes tracemalloc counts while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # Bounds on each check's working set beside pre-assembled operators, in
 # complex n x n matrices, as tracemalloc counts it (LAPACK's own workspace
 # is not counted).  Each check holds at most a few obstacle row blocks
 # besides the full-size buffers it needs: none for the direct check, the
-# product and the LU of A_E for the similarity, one preconditioned matrix for
-# the spectra and one system for the GMRES histories.
+# product and the LU of A_E for the similarity and one preconditioned matrix
+# for the spectra; the GMRES histories hold one system's block LUs and
+# Krylov basis.
 CHECK_MEMORY_BOUNDS = {
     "check_direct_equality": 2.0,
     "check_bw_similarity": 3.5,
     "check_spectra": 2.5,
-    "convergence_histories": 2.0,
+    "convergence_histories": 1.0,
 }
 
 
 @pytest.mark.parametrize("check", sorted(CHECK_MEMORY_BOUNDS))
 def test_each_check_holds_a_bounded_working_set(desk, desk15, check):
     mesh, ops = desk15
-    tracemalloc.start()
-    try:
-        getattr(verify, check)(desk, mesh, operators=ops)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: getattr(verify, check)(desk, mesh, operators=ops))
     assert peak <= CHECK_MEMORY_BOUNDS[check] * 16 * mesh.n_nodes ** 2
+
+
+def preconditioned_cfie_solve(desk, mesh, ops):
+    system = formulations.build_system(
+        formulations.Formulation(kind="CFIE"), desk, mesh, operators=ops)
+    formulations.solve(system, formulations.single_scattering_preconditioner(system))
+
+
+# The same unit for a system, the mass and a solve: a system is a view of
+# the operators and the mass is three bands, so building either holds O(n);
+# a preconditioned solve holds the block LUs and the Krylov basis.
+SYSTEM_MEMORY_BOUNDS = {
+    "build_system": (0.05, lambda desk, mesh, ops: formulations.build_system(
+        formulations.Formulation(kind="CFIE"), desk, mesh, operators=ops)),
+    "assemble_mass": (0.01, lambda desk, mesh, ops: bem.assemble_mass(mesh)),
+    "preconditioned CFIE solve": (1.0, preconditioned_cfie_solve),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_MEMORY_BOUNDS))
+def test_systems_and_the_mass_hold_bounded_working_sets(desk, desk15, name):
+    mesh, ops = desk15
+    bound, run = SYSTEM_MEMORY_BOUNDS[name]
+    assert traced_peak(lambda: run(desk, mesh, ops)) <= bound * 16 * mesh.n_nodes ** 2
 
 
 class TestDenseReference:
@@ -220,10 +264,12 @@ class TestDenseReference:
 
     @staticmethod
     def dense_preconditioned(desk, mesh, ops, kind):
-        system = formulations.build_system(
-            formulations.Formulation(kind=kind), desk, mesh, operators=ops)
-        pre = formulations.single_scattering_preconditioner(system)
-        return formulations.preconditioned_matrix(system, pre)
+        a = dense_systems(desk, ops)[kind]
+        out = np.empty_like(a)
+        for p in range(len(mesh.meshes)):
+            lo, hi = mesh.block_range(p)
+            out[lo:hi] = linalg.lu_solve(linalg.lu_factor(a[lo:hi, lo:hi]), a[lo:hi])
+        return out
 
     def test_direct_differences(self, desk, desk10):
         mesh, ops = desk10
