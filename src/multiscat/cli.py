@@ -53,15 +53,15 @@ EXIT_THRESHOLD = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-# Peak bytes per squared unknown of a whole command (solve: per formulation),
-# the largest growth of peak RSS over the command, from a fresh interpreter,
-# in three runs each on the desk preset at ppw 60 and 90 (887 and 1330
-# unknowns) and for validate-disk on the disk at ppw 180 and 270 (900 and
-# 1350 unknowns), rounded up after adding 20%: measurements on other days
-# ran up to 12% above an earlier table.  Every one was largest at the
-# smaller size (93.2, 89.0, 94.2 and 38.4/45.0/65.4/65.6 bytes).
-_BYTES_PER_ENTRY = {"verify": 112, "spectrum": 107, "validate-disk": 114, "solve EFIE": 47,
-                    "solve MFIE": 54, "solve CFIE": 79, "solve BW": 79}
+# Peak bytes per squared unknown of a whole command (solve: per formulation):
+# the largest growth of peak RSS over the command from a fresh interpreter,
+# three runs each on desk at ppw 60 and 90 (887 and 1330 unknowns), on one
+# 4 x 3 ellipse at k = 5 and ppw 40 and 60 (704 and 1056; its one n x n block
+# is the worst case) and, for validate-disk, the disk at ppw 180 and 270, plus
+# 20% (other days ran up to 12% higher), rounded up.  The largest were all on
+# the ellipse at 704: 135.4, 125.9 and 68.8/78.0/90.9/90.8 (the disk: 94.4).
+_BYTES_PER_ENTRY = {"verify": 163, "spectrum": 152, "validate-disk": 114, "solve EFIE": 83,
+                    "solve MFIE": 94, "solve CFIE": 110, "solve BW": 109}
 
 _PARAM_FIELDS = {
     "ellipse": ("a", "b"),
@@ -145,22 +145,28 @@ def scene_to_dict(scene: geometry.Scene) -> dict:
     }
 
 
-def _has_non_finite(value) -> bool:
-    if isinstance(value, float):
-        return not math.isfinite(value)
-    if isinstance(value, dict):
-        return any(_has_non_finite(v) for v in value.values())
-    if isinstance(value, list):
-        return any(_has_non_finite(v) for v in value)
-    return False
+def _check_numbers(value) -> None:
+    """Refuse a non-finite number or a boolean (Python's 1 or 0) in ``value``."""
+    if isinstance(value, bool):
+        raise ValueError("scene numbers must not be true or false")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError("scene numbers must be finite")
+    if isinstance(value, (dict, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _check_numbers(item)
+
+
+def _whole(value, name: str) -> int:
+    if int(value) != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def scene_from_dict(doc: dict) -> geometry.Scene:
     """Rebuild and validate a scene from its plain-data form."""
     if not isinstance(doc, dict):
         raise ValueError("scene document must be a JSON object")
-    if _has_non_finite(doc):
-        raise ValueError("scene numbers must be finite")
+    _check_numbers(doc)
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scene schema_version {version!r}")
@@ -191,7 +197,8 @@ def scene_from_dict(doc: dict) -> geometry.Scene:
                 kind=kind,
                 center=(float(center[0]), float(center[1])),
                 rotation=float(entry.get("rotation", 0.0)),
-                **{key: (int(val) if key == "p" else float(val)) for key, val in params.items()},
+                **{key: (_whole(val, f"obstacle {i}: p") if key == "p" else float(val))
+                   for key, val in params.items()},
             )
         )
     scene = geometry.Scene(
@@ -200,7 +207,7 @@ def scene_from_dict(doc: dict) -> geometry.Scene:
         obstacles=tuple(shapes),
         box=tuple(float(v) for v in doc["box"]),
         min_center_distance=float(doc["min_center_distance"]),
-        seed=int(doc["seed"]),
+        seed=_whole(doc["seed"], "seed"),
     )
     scene.validate()
     return scene
@@ -466,7 +473,7 @@ def disk_field_errors(k: float = RunConfig.disk_k, ppw: float = RunConfig.ppw,
 
     errors = {}
     for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
-                                             alpha, eta, eta_bw):
+                                             alpha, eta, eta_bw).items():
         density = linalg.lu_solve(linalg.lu_factor(system.rows(0, system.n)), system.rhs)
         field = formulations.scattered_field(system, density, points)
         errors[kind] = float(np.linalg.norm(field.values - reference) / scale)

@@ -24,15 +24,14 @@ node): each combination above is written once, in ``_combination``, which
 forms row blocks of A for the checks and the preconditioner and applies A
 to a vector for GMRES; A itself is never stored.  Obstacles own contiguous
 index blocks.  The single-scattering preconditioner factorizes the diagonal
-block of each obstacle, once per system, and applies the inverses
-blockwise, which turns the diagonal of the preconditioned system into exact
-identities and leaves only inter-obstacle coupling.
+block of each obstacle and applies the inverses blockwise, which turns the
+diagonal of the preconditioned system into exact identities and leaves only
+inter-obstacle coupling; its caller holds the factors, never the system.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -158,22 +157,21 @@ def _combination(form: Formulation, single, adjoint, adjoint_t, add_mass):
 class BlockSystem:
     """A resolved formulation's system A x = b as a view of the operators.
 
-    ``rows`` and ``matvec`` form blocks of A and products with it.  The
-    right-hand side ``rhs`` of ``wave`` and ``block_lu(p)``, the LU of
-    obstacle p's diagonal block, are formed on first use and kept.
+    ``rows``, ``matvec``, ``block_lu(p)`` and ``rhs`` form blocks of A,
+    products with it, the LU of obstacle p's diagonal block and b, anew on
+    every use: a system keeps nothing beyond its fields.
     """
 
     formulation: Formulation
     mesh: object
     wave: IncidentWave
     operators: dict
-    _lus: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.mesh.n_nodes
 
-    @functools.cached_property
+    @property
     def rhs(self) -> np.ndarray:
         """b, read-only (module docstring)."""
         form = self.formulation
@@ -208,18 +206,15 @@ class BlockSystem:
             lambda out, scale: np.add(out, scale * (ops["mass"] @ v), out=out))
 
     def block_lu(self, p: int) -> linalg.LuFactors:
-        """LU of obstacle p's diagonal block, factored on first use and kept."""
-        if p not in self._lus:
-            lo, hi = self.mesh.block_range(p)
-            try:
-                self._lus[p] = linalg.lu_factor(self.rows(lo, hi, lo, hi))
-            except linalg.SingularMatrixError as exc:
-                raise linalg.SingularMatrixError(
-                    f"diagonal block of obstacle {p} is singular; the wavenumber may "
-                    f"sit on an irregular frequency of that obstacle, or the mesh is "
-                    f"degenerate ({exc})"
-                ) from exc
-        return self._lus[p]
+        """LU of obstacle p's diagonal block, factored anew on each call."""
+        lo, hi = self.mesh.block_range(p)
+        try:
+            return linalg.lu_factor(self.rows(lo, hi, lo, hi))
+        except linalg.SingularMatrixError as exc:
+            raise linalg.SingularMatrixError(
+                f"diagonal block of obstacle {p} is singular; the wavenumber may sit on an "
+                f"irregular frequency of that obstacle, or the mesh is degenerate ({exc})"
+            ) from exc
 
 
 def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
@@ -236,25 +231,24 @@ def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
 
 
 def systems(kinds, scene, mesh, alpha: float = ALPHA, eta: complex | None = None,
-            eta_bw: complex | None = None, operators=None):
-    """(kind, system) for each formulation of ``kinds``, each built as it is
-    iterated, on one set of operators assembled where ``operators`` lacks
-    them once every formulation is validated."""
+            eta_bw: complex | None = None, operators=None) -> dict[str, BlockSystem]:
+    """{kind: system} for each formulation of ``kinds``, in their order, on
+    one set of operators assembled where ``operators`` lacks them once every
+    formulation is validated."""
     forms = [Formulation(kind, alpha, eta, eta_bw).resolved(scene.k) for kind in kinds]
     ops = checked_operators(kinds, scene, mesh, operators)
-    return ((form.kind, build_system(form, scene, mesh, ops)) for form in forms)
+    return {form.kind: build_system(form, scene, mesh, ops) for form in forms}
 
 
 def single_scattering_preconditioner(system: BlockSystem) -> tuple[linalg.LuFactors, ...]:
-    """The system's LU factors of each obstacle's diagonal block."""
+    """The LU factors of each obstacle's diagonal block, factored here."""
     return tuple(system.block_lu(p) for p in range(len(system.mesh.meshes)))
 
 
 def preconditioned_rows(system: BlockSystem, p: int) -> np.ndarray:
     """Row block p of the preconditioned matrix, LU_p^{-1} A[lo:hi, :] for
-    obstacle p's rows lo:hi, in C order."""
-    factors = system.block_lu(p)
-    solved = linalg.lu_solve(factors, system.rows(*system.mesh.block_range(p)))
+    obstacle p's rows lo:hi, in C order, from one factorization of the block."""
+    solved = linalg.lu_solve(system.block_lu(p), system.rows(*system.mesh.block_range(p)))
     return np.ascontiguousarray(solved)
 
 

@@ -204,11 +204,11 @@ def eigenvalues(a) -> np.ndarray:
 
 
 def inf_norm(a) -> float:
-    """Maximum absolute row sum."""
+    """Maximum absolute row sum, the same bits whatever the memory order of ``a``."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"inf_norm requires a matrix, got ndim {a.ndim}")
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+    return float(np.max(np.sum(np.ascontiguousarray(np.abs(a)), axis=1)))
 
 
 def match_eigenvalues(a, b) -> np.ndarray:

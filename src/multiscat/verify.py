@@ -12,10 +12,10 @@ the spectral and GMRES-history consequences.
 
 The checks read every system as a view of L, N and the mass (see
 ``formulations``) and work by obstacle row blocks: row block p of P_X is
-LU_p^{-1} A_X[rows_p, :], formed from the operators and dropped once used.
-Besides such blocks the direct check holds no full-size matrix, the
-similarity two (A_BW D_BW^{-1} A_E and the LU of A_E) and the spectra one
-P_X; GMRES applies each system as products with L, N and the mass bands.
+LU_p^{-1} A_X[rows_p, :], formed from the operators and dropped once used,
+as is LU_p.  Besides such blocks the direct check holds no full-size matrix,
+the similarity two (A_BW D_BW^{-1} A_E and the LU of A_E) and the spectra
+one P_X; GMRES applies each system as products with L, N and the mass bands.
 
 The desk configuration (three obstacles, one of each shape, around 400
 unknowns) keeps every check in the seconds range; the paper-scale
@@ -139,15 +139,13 @@ def check_direct_equality(scene, mesh, alpha: float = formulations.ALPHA,
     taken from the second formulation of the pair.  Both norms are the
     largest over the obstacles of their row blocks' norms.
     """
-    systems = dict(formulations.systems(DIRECT_KINDS, scene, mesh, alpha, eta, None, operators))
+    systems = formulations.systems(DIRECT_KINDS, scene, mesh, alpha, eta, None, operators)
     if thresholds is None:
         thresholds = {f"{x}/{y}": DESK_DIRECT_THRESHOLD for x, y in DIRECT_PAIRS}
     apart = {f"{x}/{y}": 0.0 for x, y in DIRECT_PAIRS}
     norms = dict.fromkeys(DIRECT_KINDS, 0.0)
     for p in range(len(mesh.meshes)):
-        # a fresh view per obstacle factors and holds only that obstacle's
-        # block, so each block is factored once and one block LU is held
-        rows = {kind: formulations.preconditioned_rows(dataclasses.replace(system), p)
+        rows = {kind: formulations.preconditioned_rows(system, p)
                 for kind, system in systems.items()}
         for x, y in DIRECT_PAIRS:
             apart[f"{x}/{y}"] = max(apart[f"{x}/{y}"], linalg.inf_norm(rows[x] - rows[y]))
@@ -177,8 +175,8 @@ def check_bw_similarity(scene, mesh, alpha: float = formulations.ALPHA,
     is exactly T P_BW T^{-1} = A_E^{-1} A_BW D_BW^{-1} A_E, so T is never
     formed and A_E is the only full-size matrix factored.
     """
-    (_, efie), (_, bw) = formulations.systems(("EFIE", "BW"), scene, mesh, alpha, eta, eta_bw,
-                                              operators)
+    efie, bw = formulations.systems(("EFIE", "BW"), scene, mesh, alpha, eta, eta_bw,
+                                    operators).values()
     n = mesh.n_nodes
     # both systems take their blocks from the mesh, so BW's block factors
     # apply to A_E's rows: row block p of D_BW^{-1} A_E is LU_p^{-1} A_E[lo:hi]
@@ -186,15 +184,16 @@ def check_bw_similarity(scene, mesh, alpha: float = formulations.ALPHA,
     inner = np.empty((n, n), dtype=complex)
     for p in range(len(mesh.meshes)):
         lo, hi = mesh.block_range(p)
-        p_bw_norm = max(p_bw_norm, linalg.inf_norm(formulations.preconditioned_rows(bw, p)))
-        inner[lo:hi] = linalg.lu_solve(bw.block_lu(p), efie.rows(lo, hi))
-    bw = dataclasses.replace(bw)  # a fresh view: BW's block LUs go here
+        lu = bw.block_lu(p)  # one LU for both of BW's solves
+        p_bw_norm = max(p_bw_norm, linalg.inf_norm(linalg.lu_solve(lu, bw.rows(lo, hi))))
+        inner[lo:hi] = linalg.lu_solve(lu, efie.rows(lo, hi))
+    del lu  # not held while the product is formed
     # A_BW D_BW^{-1} A_E by row blocks, in Fortran order to be solved in place
     conjugated = np.empty((n, n), dtype=complex, order="F")
     for p in range(len(mesh.meshes)):
         lo, hi = mesh.block_range(p)
         conjugated[lo:hi] = bw.rows(lo, hi) @ inner
-    del inner, bw
+    del inner
     try:
         efie_lu = linalg.lu_factor(efie.rows(0, n))
     except linalg.SingularMatrixError as exc:
@@ -240,11 +239,10 @@ def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
     matrix = np.empty((mesh.n_nodes, mesh.n_nodes), dtype=complex)
     eigenvalues = {}
     for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
-                                             alpha, eta, eta_bw, operators):
+                                             alpha, eta, eta_bw, operators).items():
         for p in range(len(mesh.meshes)):
             lo, hi = mesh.block_range(p)
             matrix[lo:hi] = formulations.preconditioned_rows(system, p)
-        del system  # its block LUs are not held through the eigenvalue solve
         eigenvalues[kind] = linalg.eigenvalues(matrix)
     del matrix  # not held while the spectra are matched
     reference = eigenvalues["EFIE"]
@@ -277,14 +275,14 @@ def convergence_histories(scene, mesh, alpha: float = formulations.ALPHA,
     """
     records = []
     for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
-                                             alpha, eta, eta_bw, operators):
-        pre = formulations.single_scattering_preconditioner(system)
-        for preconditioned, chosen in ((False, None), (True, pre)):
-            _, report = formulations.solve(system, chosen, restart=restart, tol=tol,
+                                             alpha, eta, eta_bw, operators).items():
+        for preconditioned in (False, True):
+            # the next system's plain run drops these LUs: one system's at a time
+            pre = formulations.single_scattering_preconditioner(system) if preconditioned else None
+            _, report = formulations.solve(system, pre, restart=restart, tol=tol,
                                            maxiter=maxiter)
             records.append(SolveRecord.of(kind, preconditioned, report))
             logger.info("%s %s: %d iterations, converged=%s", kind,
                         "preconditioned" if preconditioned else "plain", report.iterations,
                         report.converged)
-        del system, pre, chosen  # not held while the next system is built
     return ConvergenceReport(records=tuple(records))

@@ -575,6 +575,40 @@ class TestExitCodes:
         assert run("verify", "--scene", str(scene_file), "--out", str(tmp_path)) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", SCENE_NUMBERS, ids=lambda p: ".".join(map(str, p)))
+    def test_boolean_scene_number_rejected(self, path, tmp_path, capsys):
+        # json reads true as a bool, which Python would take for the number 1
+        doc = cli.scene_to_dict(verify.desk_scene())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = True
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_text(json.dumps(doc))
+        assert run("scene", "--scene", str(scene_file), "--out", str(tmp_path / "out")) == 2
+        assert "error: scene numbers must not be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("p", 4.9, "error: obstacle 1: p must be a whole number, got 4.9"),
+        ("seed", 2.7, "error: seed must be a whole number, got 2.7"),
+    ])
+    def test_fractional_integer_field_rejected(self, field, value, message, tmp_path, capsys):
+        doc = cli.scene_to_dict(verify.desk_scene())
+        (doc["obstacles"][1]["params"] if field == "p" else doc)[field] = value
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_text(json.dumps(doc))
+        assert run("scene", "--scene", str(scene_file), "--out", str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_whole_float_reads_as_integer(self):
+        doc = cli.scene_to_dict(verify.desk_scene())
+        doc["obstacles"][1]["params"]["p"] = 8.0
+        doc["seed"] = 2.0
+        scene = cli.scene_from_dict(doc)
+        assert scene.obstacles[1].p == 8 and isinstance(scene.obstacles[1].p, int)
+        assert scene.seed == 2 and isinstance(scene.seed, int)
+
 
 class TestDefaults:
     @pytest.mark.parametrize("command", COMMANDS)

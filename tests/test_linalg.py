@@ -211,3 +211,10 @@ def test_inf_norm_values():
     assert linalg.inf_norm(np.array([[1.0, -2.0], [3.0j, 0.0]])) == 3.0
     with pytest.raises(ValueError):
         linalg.inf_norm(np.ones(3))
+
+
+def test_inf_norm_bits_do_not_depend_on_memory_order():
+    # an LU solve returns Fortran-ordered rows; their norm must equal the
+    # norm of the same rows in C order to the last bit
+    a = random_complex(np.random.default_rng(3), 40, 300)
+    assert linalg.inf_norm(np.asfortranarray(a)) == linalg.inf_norm(a)
