@@ -10,8 +10,9 @@ tested and trialed against continuous piecewise-linear hat functions on the
 polygonal boundary, so entry (i, j) is the double integral of
 phi_i(x) K(x, y) phi_j(y) over pairs of panels.  The mass matrix pairs the
 same hats with kernel 1; it has three nonzeros per row and is kept as three
-bands (``BandedMass``).  Panel i runs from node i to node ``next_node[i]`` of
-the mesh (see ``geometry``), so each obstacle owns a contiguous diagonal block.
+bands (``BandedMass``).  Every mesh is a ``geometry.SceneMesh``: panel i runs
+from node i to node ``next_node[i]``, and obstacle p's nodes
+``block_range(p)`` index a contiguous diagonal block.
 
 The double layer M, with kernel -d/dn(y) G(x, y), is never assembled.  Its
 kernel is that of N with x and y swapped and the sign flipped, and the
@@ -212,8 +213,8 @@ class PotentialField:
 
 
 def _check_mesh(mesh) -> None:
-    if not isinstance(mesh, (geometry.SceneMesh, geometry.ObstacleMesh)):
-        raise TypeError("expected a SceneMesh or ObstacleMesh")
+    if not isinstance(mesh, geometry.SceneMesh):
+        raise TypeError("expected a SceneMesh")
 
 
 def _basis_weights(rule: QuadratureRule) -> np.ndarray:

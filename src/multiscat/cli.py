@@ -156,8 +156,15 @@ def _check_numbers(value) -> None:
             _check_numbers(item)
 
 
+def _number(value, name: str) -> float:
+    """``value``, a JSON number and not a string, as a float."""
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(value, name: str) -> int:
-    if int(value) != value:
+    if not _number(value, name).is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -195,18 +202,18 @@ def scene_from_dict(doc: dict) -> geometry.Scene:
         shapes.append(
             geometry.Shape(
                 kind=kind,
-                center=(float(center[0]), float(center[1])),
-                rotation=float(entry.get("rotation", 0.0)),
-                **{key: (_whole(val, f"obstacle {i}: p") if key == "p" else float(val))
+                center=tuple(_number(v, f"obstacle {i}: center") for v in center),
+                rotation=_number(entry.get("rotation", 0.0), f"obstacle {i}: rotation"),
+                **{key: (_whole if key == "p" else _number)(val, f"obstacle {i}: {key}")
                    for key, val in params.items()},
             )
         )
     scene = geometry.Scene(
-        k=float(doc["k"]),
-        beta=(float(doc["beta"][0]), float(doc["beta"][1])),
+        k=_number(doc["k"], "k"),
+        beta=tuple(_number(v, "beta") for v in doc["beta"]),
         obstacles=tuple(shapes),
-        box=tuple(float(v) for v in doc["box"]),
-        min_center_distance=float(doc["min_center_distance"]),
+        box=tuple(_number(v, "box") for v in doc["box"]),
+        min_center_distance=_number(doc["min_center_distance"], "min_center_distance"),
         seed=_whole(doc["seed"], "seed"),
     )
     scene.validate()
@@ -319,7 +326,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     scene = _resolve_scene(cfg)
     _refuse_beyond_memory("verify", geometry.scene_node_count(scene, cfg.ppw))
     mesh = geometry.mesh_scene(scene, cfg.ppw)
-    logger.info("verify: %d unknowns over %d obstacles", mesh.n_nodes, len(mesh.meshes))
+    logger.info("verify: %d unknowns over %d obstacles", mesh.n_nodes, mesh.n_obstacles)
     ops = formulations.checked_operators(formulations.FORMULATION_KINDS, scene, mesh)
 
     direct = verify.check_direct_equality(scene, mesh, cfg.alpha, cfg.eta, operators=ops)
@@ -435,7 +442,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     with open(out / "density.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(DENSITY_COLUMNS)
-        for p in range(len(mesh.meshes)):
+        for p in range(mesh.n_obstacles):
             start, stop = mesh.block_range(p)
             for i in range(start, stop):
                 writer.writerow(

@@ -11,32 +11,35 @@ the mass matrix Mh so that every system lives in the same Galerkin pairing:
     BW:    A = -eta_bw Lh + Nh^T + Mh/2        b = -l_u
 
 where l_u and l_v are the Galerkin load vectors (u, phi_i) and (v, phi_i) of
-the incident wave u and its normal derivative v on the flat panels (see
-``incident_loads``), Lh and Nh the single and adjoint double layer matrices,
-and alpha, eta, eta_bw the combination parameters.  BW's double layer enters
-as -Nh^T, which is its Galerkin matrix exactly (see ``bem``), so BW and CFIE
-share one pair of assembled operators.  The direct formulations solve for a
-physical density whose single-layer potential is the scattered field; BW
-solves for an artificial density with a combined representation.
+the incident wave u = exp(i k beta . x) and its normal derivative v on the
+flat panels (see ``incident_loads``), Lh and Nh the single and adjoint
+double layer matrices, and alpha, eta, eta_bw the combination parameters.
+BW's double layer enters as -Nh^T, which is its Galerkin matrix exactly
+(see ``bem``), so BW and CFIE share one pair of assembled operators.  The
+direct formulations solve for a physical density whose single-layer
+potential is the scattered field; BW solves for an artificial density
+with a combined representation.
 
 A system is a view of Lh, Nh and Mh (the last kept as three bands per
-node): each combination above is written once, in ``_combination``, which
-forms row blocks of A for the checks and the preconditioner and applies A
-to a vector for GMRES; A itself is never stored.  Obstacles own contiguous
-index blocks.  The single-scattering preconditioner factorizes the diagonal
-block of each obstacle and applies the inverses blockwise, which turns the
-diagonal of the preconditioned system into exact identities and leaves only
-inter-obstacle coupling; its caller holds the factors, never the system.
+node) and of the scene, the one holder of k and beta: each combination
+above is written once, in ``_combination``, which forms row blocks of A for
+the checks and the preconditioner and applies A to a vector for GMRES; A
+itself is never stored.  Systems are built only once the scene has passed
+its one validation, so a bad k or beta is refused before any assembly.
+Obstacles own the mesh's contiguous index blocks.  The single-scattering
+preconditioner factorizes the diagonal block of each obstacle and applies
+the inverses blockwise, which turns the diagonal of the preconditioned
+system into exact identities and leaves only inter-obstacle coupling; its
+caller holds the factors, never the system.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
-from . import bem, linalg
+from . import bem, geometry, linalg
 
 FORMULATION_KINDS = ("EFIE", "MFIE", "CFIE", "BW")
 _LOAD_ORDER = 8
@@ -78,33 +81,18 @@ class Formulation:
         return Formulation(kind=self.kind, alpha=alpha, eta=eta, eta_bw=eta_bw)
 
 
-@dataclasses.dataclass(frozen=True)
-class IncidentWave:
-    """Plane wave exp(i k beta . x) with a unit direction beta."""
-
-    k: float
-    beta: tuple[float, float]
-
-    def validate(self) -> "IncidentWave":
-        if self.k <= 0.0:
-            raise ValueError("IncidentWave requires k > 0")
-        if abs(math.hypot(*self.beta) - 1.0) > 1e-12:
-            raise ValueError("IncidentWave requires a unit direction")
-        return self
-
-
-def incident_loads(wave: IncidentWave, mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Galerkin load vectors of the incident plane wave and its normal derivative.
+def incident_loads(scene, mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Galerkin load vectors of the validated scene's incident plane wave
+    u = exp(i k beta . x) and its normal derivative.
 
     Entry i of the pair is (integral of phi_i u ds, integral of phi_i du/dn ds)
     over the flat panels, with each panel's own normal in du/dn and a Gauss
     rule of order 8 per panel.
     """
-    wave.validate()
     rule = bem.gauss_rule(_LOAD_ORDER)
-    beta = np.asarray(wave.beta)
-    trace = np.exp(1j * wave.k * (bem._quad_points(mesh, rule) @ beta))
-    normal_trace = (1j * wave.k * (mesh.normals @ beta))[:, None] * trace
+    beta = np.asarray(scene.beta)
+    trace = np.exp(1j * scene.k * (bem._quad_points(mesh, rule) @ beta))
+    normal_trace = (1j * scene.k * (mesh.normals @ beta))[:, None] * trace
     start_weights, end_weights = bem._basis_weights(rule)
     loads = []
     for values in (trace, normal_trace):
@@ -155,7 +143,8 @@ def _combination(form: Formulation, single, adjoint, adjoint_t, add_mass):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class BlockSystem:
-    """A resolved formulation's system A x = b as a view of the operators.
+    """A resolved formulation's system A x = b as a view of the operators,
+    on the mesh of a validated scene, whose k and beta give b.
 
     ``rows``, ``matvec``, ``block_lu(p)`` and ``rhs`` form blocks of A,
     products with it, the LU of obstacle p's diagonal block and b, anew on
@@ -163,8 +152,8 @@ class BlockSystem:
     """
 
     formulation: Formulation
-    mesh: object
-    wave: IncidentWave
+    mesh: geometry.SceneMesh
+    scene: geometry.Scene
     operators: dict
 
     @property
@@ -175,7 +164,7 @@ class BlockSystem:
     def rhs(self) -> np.ndarray:
         """b, read-only (module docstring)."""
         form = self.formulation
-        load, normal_load = incident_loads(self.wave, self.mesh)
+        load, normal_load = incident_loads(self.scene, self.mesh)
         if form.kind == "MFIE":
             rhs = -normal_load
         elif form.kind == "CFIE":
@@ -222,19 +211,20 @@ def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
 
     ``operators`` may carry pre-assembled L and N and the mass, keyed by
     kind ("mass" included), to share one assembly between formulations;
-    any missing ones are assembled here.
+    any missing ones are assembled here, once the scene and the formulation
+    are validated.
     """
+    scene.validate()
     form = form.resolved(scene.k)
-    ops = checked_operators((form.kind,), scene, mesh, operators)
-    wave = IncidentWave(k=scene.k, beta=tuple(scene.beta)).validate()
-    return BlockSystem(formulation=form, mesh=mesh, wave=wave, operators=ops)
+    return BlockSystem(form, mesh, scene, checked_operators((form.kind,), scene, mesh, operators))
 
 
 def systems(kinds, scene, mesh, alpha: float = ALPHA, eta: complex | None = None,
             eta_bw: complex | None = None, operators=None) -> dict[str, BlockSystem]:
     """{kind: system} for each formulation of ``kinds``, in their order, on
-    one set of operators assembled where ``operators`` lacks them once every
-    formulation is validated."""
+    one set of operators assembled where ``operators`` lacks them once the
+    scene and every formulation are validated."""
+    scene.validate()
     forms = [Formulation(kind, alpha, eta, eta_bw).resolved(scene.k) for kind in kinds]
     ops = checked_operators(kinds, scene, mesh, operators)
     return {form.kind: build_system(form, scene, mesh, ops) for form in forms}
@@ -242,7 +232,7 @@ def systems(kinds, scene, mesh, alpha: float = ALPHA, eta: complex | None = None
 
 def single_scattering_preconditioner(system: BlockSystem) -> tuple[linalg.LuFactors, ...]:
     """The LU factors of each obstacle's diagonal block, factored here."""
-    return tuple(system.block_lu(p) for p in range(len(system.mesh.meshes)))
+    return tuple(system.block_lu(p) for p in range(system.mesh.n_obstacles))
 
 
 def preconditioned_rows(system: BlockSystem, p: int) -> np.ndarray:
@@ -278,10 +268,11 @@ def scattered_field(system: BlockSystem, density, points) -> bem.PotentialField:
     density = np.asarray(density)
     if density.shape != (system.n,):
         raise ValueError(f"density has shape {density.shape}, expected ({system.n},)")
-    single = bem.evaluate_potentials(system.mesh, density, system.wave.k, points, layer="single")
+    k = system.scene.k
+    single = bem.evaluate_potentials(system.mesh, density, k, points, layer="single")
     if system.formulation.kind != "BW":
         return single
-    double = bem.evaluate_potentials(system.mesh, density, system.wave.k, points, layer="double")
+    double = bem.evaluate_potentials(system.mesh, density, k, points, layer="double")
     values = -system.formulation.eta_bw * single.values - double.values
     return bem.PotentialField(
         values=values, near_boundary=single.near_boundary | double.near_boundary

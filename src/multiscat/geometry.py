@@ -11,22 +11,22 @@ equidistributed in arclength at a points-per-wavelength density, oriented
 counter-clockwise with outward unit normals.  Scenes place several shapes
 in a box by seeded rejection sampling with a minimum center distance.
 
-Numbering.  Panel i of a mesh runs from node i to node ``next_node[i]``, the
-next node of its obstacle's loop, with normal ``normals[i]`` and length
-``lengths[i]``.  A scene numbers its obstacles one contiguous block after
-another; every operator, load vector and field is indexed this way.
+Numbering.  Every mesh is a ``SceneMesh``, made from one node loop per
+obstacle by ``polygon_mesh``, the one place that forms panels from nodes.
+Panel i runs from node i to node ``next_node[i]``, the next node of its
+obstacle's loop, with normal ``normals[i]`` and length ``lengths[i]``.
+Obstacle p owns the contiguous block ``block_range(p)``, the obstacles one
+block after another; every operator, load vector and field is indexed this
+way, and these blocks are the partition the single-scattering
+preconditioner inverts.
 """
 
 from __future__ import annotations
 
-import functools
-import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 _ARCLENGTH_SAMPLES = 2048
 SHAPE_KINDS = ("ellipse", "rounded_rectangle", "kite")
@@ -136,45 +136,11 @@ def parametrize(shape: Shape, t):
     return pts, normal
 
 
-@dataclass(frozen=True)
-class ObstacleMesh:
-    """Closed polygonal boundary, counter-clockwise: panel i runs from node i
-    to node i + 1, the last back to node 0."""
-
-    nodes: np.ndarray  # (N, 2)
-    normals: np.ndarray  # (N, 2) outward unit normal of panel i
-    lengths: np.ndarray  # (N,) length of panel i
-    perimeter: float
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    @functools.cached_property
-    def next_node(self) -> np.ndarray:
-        return np.roll(np.arange(self.n_nodes), -1)
-
-    def signed_area(self) -> float:
-        x, y = self.nodes.T
-        xn, yn = self.nodes[self.next_node].T
-        return 0.5 * float(np.sum(x * yn - xn * y))
-
-    def validate(self) -> None:
-        if self.n_nodes < 3:
-            raise ValueError("a closed loop needs at least 3 nodes")
-        if not math.isclose(float(np.sum(self.lengths)), self.perimeter, rel_tol=1e-12):
-            raise ValueError("segment lengths do not sum to the perimeter")
-        if self.signed_area() <= 0:
-            raise ValueError("loop must be counter-clockwise (positive area)")
-
-
 def _arclength_table(shape: Shape, k: float, ppw: float):
     """The parameters t, the arclength s(t) at each of them by the cumulative
     trapezoid rule, and the node count at panel length <= lambda/ppw,
-    lambda = 2 pi / k: the count of equal arcs of that length, at least 8."""
-    shape.validate()
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
+    lambda = 2 pi / k: the count of equal arcs of that length, at least 8;
+    the shape and k are those of a validated scene."""
     if ppw < 4:
         raise ValueError("ppw must be at least 4")
 
@@ -189,35 +155,6 @@ def _arclength_table(shape: Shape, k: float, ppw: float):
 
     lam = 2.0 * math.pi / k
     return t_grid, s_table, max(int(math.ceil(arc_perimeter / (lam / ppw))), 8)
-
-
-def mesh_boundary(shape: Shape, k: float, ppw: float) -> ObstacleMesh:
-    """Mesh one shape at panel length <= lambda/ppw, lambda = 2 pi / k.
-
-    Nodes are equidistributed in smooth arclength via inversion of a
-    cumulative-trapezoid arclength table, so all panels have nearly
-    equal length.
-    """
-    t_grid, s_table, n = _arclength_table(shape, k, ppw)
-    s_targets = np.arange(n) * (s_table[-1] / n)
-    t_nodes = np.interp(s_targets, s_table, t_grid)
-
-    nodes, _ = parametrize(shape, t_nodes)
-    edges = np.roll(nodes, -1, axis=0) - nodes
-    lengths = np.linalg.norm(edges, axis=1)
-    if np.any(lengths <= 0):
-        raise ValueError("degenerate shape: coincident mesh nodes")
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
-
-    mesh = ObstacleMesh(
-        nodes=nodes,
-        normals=normals,
-        lengths=lengths,
-        perimeter=float(np.sum(lengths)),
-    )
-    mesh.validate()
-    logger.debug("meshed %s: %d panels, polygon perimeter %.6f", shape.kind, n, mesh.perimeter)
-    return mesh
 
 
 @dataclass(frozen=True)
@@ -258,36 +195,51 @@ class Scene:
             raise ValueError("a scene needs at least one obstacle")
 
 
-def _concatenated(name: str) -> functools.cached_property:
-    """The obstacles' arrays ``name`` end to end, formed once per mesh."""
-    return functools.cached_property(
-        lambda mesh: np.concatenate([getattr(m, name) for m in mesh.meshes]))
-
-
 @dataclass(frozen=True)
 class SceneMesh:
-    """All obstacle meshes in one numbering, contiguous per obstacle; its
-    arrays are the obstacles' arrays in that numbering."""
+    """Closed polygons, one per obstacle, in one numbering (module
+    docstring); made by ``polygon_mesh``."""
 
-    meshes: tuple[ObstacleMesh, ...]
+    nodes: np.ndarray  # (N, 2)
+    normals: np.ndarray  # (N, 2) outward unit normal of panel i
+    lengths: np.ndarray  # (N,) length of panel i
+    next_node: np.ndarray  # (N,) end node of panel i
     block_offsets: tuple[int, ...]  # length M+1; obstacle p owns [off[p], off[p+1])
 
     @property
     def n_nodes(self) -> int:
         return self.block_offsets[-1]
 
+    @property
+    def n_obstacles(self) -> int:
+        return len(self.block_offsets) - 1
+
     def block_range(self, p: int) -> tuple[int, int]:
         return self.block_offsets[p], self.block_offsets[p + 1]
 
-    nodes = _concatenated("nodes")
-    normals = _concatenated("normals")
-    lengths = _concatenated("lengths")
 
-    @functools.cached_property
-    def next_node(self) -> np.ndarray:
-        return np.concatenate(
-            [off + m.next_node for m, off in zip(self.meshes, self.block_offsets)]
-        )
+def polygon_mesh(loops) -> SceneMesh:
+    """The mesh of closed polygons through ``loops``, each an (n, 2) array of
+    n >= 3 nodes running counter-clockwise with no two consecutive nodes
+    equal; loop p becomes obstacle p."""
+    loops = [np.asarray(loop, dtype=float) for loop in loops]
+    if any(len(loop) < 3 for loop in loops):
+        raise ValueError("a closed loop needs at least 3 nodes")
+    offsets = np.cumsum([0] + [len(loop) for loop in loops])
+    nodes = np.concatenate(loops)
+    next_node = np.arange(1, offsets[-1] + 1)
+    next_node[offsets[1:] - 1] = offsets[:-1]
+    edges = nodes[next_node] - nodes
+    lengths = np.linalg.norm(edges, axis=1)
+    if np.any(lengths <= 0):
+        raise ValueError("degenerate loop: coincident consecutive nodes")
+    # twice each loop's signed area, by the shoelace formula
+    cross = nodes[:, 0] * nodes[next_node, 1] - nodes[next_node, 0] * nodes[:, 1]
+    if np.any(np.add.reduceat(cross, offsets[:-1]) <= 0):
+        raise ValueError("loop must be counter-clockwise (positive area)")
+    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
+    return SceneMesh(nodes=nodes, normals=normals, lengths=lengths, next_node=next_node,
+                     block_offsets=tuple(int(off) for off in offsets))
 
 
 def scene_node_count(scene: Scene, ppw: float) -> int:
@@ -298,13 +250,20 @@ def scene_node_count(scene: Scene, ppw: float) -> int:
 
 
 def mesh_scene(scene: Scene, ppw: float) -> SceneMesh:
-    """Mesh every obstacle of a scene at the given density."""
+    """Mesh every obstacle of a scene at panel length <= lambda/ppw,
+    lambda = 2 pi / k.
+
+    Nodes are equidistributed in smooth arclength via inversion of a
+    cumulative-trapezoid arclength table, so all panels have nearly
+    equal length.
+    """
     scene.validate()
-    meshes = tuple(mesh_boundary(s, scene.k, ppw) for s in scene.obstacles)
-    offsets = [0]
-    for m in meshes:
-        offsets.append(offsets[-1] + m.n_nodes)
-    return SceneMesh(meshes=meshes, block_offsets=tuple(offsets))
+    loops = []
+    for shape in scene.obstacles:
+        t_grid, s_table, n = _arclength_table(shape, scene.k, ppw)
+        t_nodes = np.interp(np.arange(n) * (s_table[-1] / n), s_table, t_grid)
+        loops.append(parametrize(shape, t_nodes)[0])
+    return polygon_mesh(loops)
 
 
 def generate_scene(config: Scene, seed: int, size_jitter: float = 0.0) -> Scene:

@@ -144,7 +144,7 @@ def check_direct_equality(scene, mesh, alpha: float = formulations.ALPHA,
         thresholds = {f"{x}/{y}": DESK_DIRECT_THRESHOLD for x, y in DIRECT_PAIRS}
     apart = {f"{x}/{y}": 0.0 for x, y in DIRECT_PAIRS}
     norms = dict.fromkeys(DIRECT_KINDS, 0.0)
-    for p in range(len(mesh.meshes)):
+    for p in range(mesh.n_obstacles):
         rows = {kind: formulations.preconditioned_rows(system, p)
                 for kind, system in systems.items()}
         for x, y in DIRECT_PAIRS:
@@ -182,7 +182,7 @@ def check_bw_similarity(scene, mesh, alpha: float = formulations.ALPHA,
     # apply to A_E's rows: row block p of D_BW^{-1} A_E is LU_p^{-1} A_E[lo:hi]
     p_bw_norm = 0.0
     inner = np.empty((n, n), dtype=complex)
-    for p in range(len(mesh.meshes)):
+    for p in range(mesh.n_obstacles):
         lo, hi = mesh.block_range(p)
         lu = bw.block_lu(p)  # one LU for both of BW's solves
         p_bw_norm = max(p_bw_norm, linalg.inf_norm(linalg.lu_solve(lu, bw.rows(lo, hi))))
@@ -190,7 +190,7 @@ def check_bw_similarity(scene, mesh, alpha: float = formulations.ALPHA,
     del lu  # not held while the product is formed
     # A_BW D_BW^{-1} A_E by row blocks, in Fortran order to be solved in place
     conjugated = np.empty((n, n), dtype=complex, order="F")
-    for p in range(len(mesh.meshes)):
+    for p in range(mesh.n_obstacles):
         lo, hi = mesh.block_range(p)
         conjugated[lo:hi] = bw.rows(lo, hi) @ inner
     del inner
@@ -205,7 +205,7 @@ def check_bw_similarity(scene, mesh, alpha: float = formulations.ALPHA,
     conjugated = linalg.lu_solve(efie_lu, conjugated, overwrite=True)
     del efie_lu
     difference = 0.0
-    for p in range(len(mesh.meshes)):
+    for p in range(mesh.n_obstacles):
         lo, hi = mesh.block_range(p)
         p_efie = formulations.preconditioned_rows(efie, p)
         difference = max(difference, linalg.inf_norm(p_efie - conjugated[lo:hi]))
@@ -240,7 +240,7 @@ def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
     eigenvalues = {}
     for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
                                              alpha, eta, eta_bw, operators).items():
-        for p in range(len(mesh.meshes)):
+        for p in range(mesh.n_obstacles):
             lo, hi = mesh.block_range(p)
             matrix[lo:hi] = formulations.preconditioned_rows(system, p)
         eigenvalues[kind] = linalg.eigenvalues(matrix)

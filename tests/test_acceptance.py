@@ -179,7 +179,7 @@ def test_structural_invariants_of_the_preconditioned_systems(desk, desk15):
 
     block_defect = 0.0
     for system in systems.values():
-        for p in range(len(mesh.meshes)):
+        for p in range(mesh.n_obstacles):
             lo, hi = mesh.block_range(p)
             block = formulations.preconditioned_rows(system, p)[:, lo:hi]
             defect = np.max(np.abs(block - np.eye(hi - lo)))

@@ -17,10 +17,13 @@ from multiscat import bem, formulations, geometry, specfun
 WAVENUMBER = 2.0
 
 
-def circle_mesh(ppw: int = 15) -> geometry.ObstacleMesh:
-    return geometry.mesh_boundary(
-        geometry.Shape(kind="ellipse", a=1.0, b=1.0), k=WAVENUMBER, ppw=ppw
-    )
+def one_shape_mesh(shape: geometry.Shape, ppw: float) -> geometry.SceneMesh:
+    scene = geometry.Scene(k=WAVENUMBER, beta=(0.0, 1.0), obstacles=(shape,))
+    return geometry.mesh_scene(scene, ppw=ppw)
+
+
+def circle_mesh(ppw: int = 15) -> geometry.SceneMesh:
+    return one_shape_mesh(geometry.Shape(kind="ellipse", a=1.0, b=1.0), ppw)
 
 
 def two_circle_scene_mesh(ppw: int = 12) -> geometry.SceneMesh:
@@ -149,27 +152,13 @@ def rayleigh_quotients(mesh, kind: str, modes) -> dict:
     return out
 
 
-def polygon_mesh(nodes) -> geometry.ObstacleMesh:
-    """One closed loop through ``nodes``, counter-clockwise."""
-    edges = np.roll(nodes, -1, axis=0) - nodes
-    lengths = np.linalg.norm(edges, axis=1)
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
-    return geometry.ObstacleMesh(
-        nodes=nodes,
-        normals=normals,
-        lengths=lengths,
-        perimeter=float(lengths.sum()),
-    )
-
-
 def two_polygons_and_banded_receivers():
     """Two 10-panel polygons and 13 receivers at distances that fall in
     every ``_SEPARATED_ORDERS`` band at k = 0.3."""
     theta = 2.0 * np.pi * np.arange(10) / 10
     radius = 1.0 + 0.3 * np.cos(3.0 * theta)
     loop = np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1)
-    parts = tuple(polygon_mesh(loop + np.array(c)) for c in ((0.0, 0.0), (6.0, 0.0)))
-    mesh = geometry.SceneMesh(meshes=parts, block_offsets=(0, 10, 20))
+    mesh = geometry.polygon_mesh([loop + np.array(c) for c in ((0.0, 0.0), (6.0, 0.0))])
     points = np.array(
         [[0.0, 0.7 + d] for d in (0.8, 1.2, 1.5, 2.2, 3.0, 4.0, 6.0, 9.0, 30.0)]
         + [[3.0, 0.0], [3.0, 2.0], [3.0, 25.0], [-20.0, -20.0]]
@@ -189,15 +178,15 @@ def disk_field_grid():
     return geometry.mesh_scene(scene, ppw=15), points[np.hypot(*points.T) > 1.2]
 
 
-def triangle_mesh() -> geometry.ObstacleMesh:
-    return polygon_mesh(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
+def triangle_mesh() -> geometry.SceneMesh:
+    return geometry.polygon_mesh([[[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]])
 
 
 def test_mass_total_equals_perimeter():
     mesh = circle_mesh()
     mass = bem.assemble_mass(mesh)
     assert mass.n == mesh.n_nodes
-    assert_allclose(mass.diagonal.sum() + 2.0 * mass.off.sum(), mesh.perimeter, rtol=1e-12)
+    assert_allclose(mass.diagonal.sum() + 2.0 * mass.off.sum(), mesh.lengths.sum(), rtol=1e-12)
     for band in (mass.diagonal, mass.off):
         with pytest.raises(ValueError):
             band[0] = 0.0
@@ -352,8 +341,8 @@ def test_every_panel_pair_integrated_once_with_its_rule():
     theta = 2.0 * np.pi * np.arange(10) / 10
     radius = 1.0 + 0.3 * np.cos(3.0 * theta)
     loop = np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1)
-    parts = tuple(polygon_mesh(loop + np.array(c)) for c in ((0.0, 0.0), (6.0, 0.0), (0.0, 20.0)))
-    mesh = geometry.SceneMesh(meshes=parts, block_offsets=(0, 10, 20, 30))
+    mesh = geometry.polygon_mesh(
+        [loop + np.array(c) for c in ((0.0, 0.0), (6.0, 0.0), (0.0, 20.0))])
     expected = np.zeros((30, 30), dtype=complex)
     orders = set()
     for p in range(30):
@@ -514,9 +503,7 @@ def test_separated_pairs_meet_order_16_reference(case, desk, monkeypatch):
 def test_flat_panel_kills_double_layer_kernel():
     """(x - y) lies along the panel for same-panel pairs, and chord normals
     are orthogonal to it, so the M and N kernels vanish there identically."""
-    mesh = geometry.mesh_boundary(
-        geometry.Shape(kind="kite", s=0.8), k=WAVENUMBER, ppw=12
-    )
+    mesh = one_shape_mesh(geometry.Shape(kind="kite", s=0.8), ppw=12)
     along = mesh.nodes[mesh.next_node] - mesh.nodes
     assert np.max(np.abs(np.sum(along * mesh.normals, axis=1))) <= 1e-14
 
@@ -548,7 +535,7 @@ def test_assembly_input_validation():
 def test_assembly_refuses_more_than_physical_memory_before_allocating(monkeypatch):
     # 300000 unknowns: two dense complex matrices need about 2.6 TiB
     theta = 2.0 * np.pi * np.arange(300_000) / 300_000
-    mesh = polygon_mesh(np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    mesh = geometry.polygon_mesh([np.stack([np.cos(theta), np.sin(theta)], axis=1)])
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("np.zeros called before the memory check")

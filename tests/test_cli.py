@@ -588,6 +588,31 @@ class TestExitCodes:
         assert run("scene", "--scene", str(scene_file), "--out", str(tmp_path / "out")) == 2
         assert "error: scene numbers must not be true or false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", SCENE_NUMBERS, ids=lambda p: ".".join(map(str, p)))
+    def test_string_scene_number_rejected(self, path, tmp_path, capsys):
+        # float("5") would read the string "5" as the number 5
+        doc = cli.scene_to_dict(verify.desk_scene())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = str(target[path[-1]])
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_text(json.dumps(doc))
+        assert run("scene", "--scene", str(scene_file), "--out", str(tmp_path / "out")) == 2
+        assert "must be a number, got '" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_direction_off_unit_length_by_rounding_is_one_rule(self, tmp_path, capsys):
+        # every command reads k and beta from the scene and refuses them by
+        # the scene's one rule, so a beta the scene file accepts solves too
+        doc = cli.scene_to_dict(verify.desk_scene())
+        doc["beta"] = [0.6, 0.8000000001]
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_text(json.dumps(doc))
+        codes = [run(*argv, "--scene", str(scene_file), "--ppw", "4", "--out", str(tmp_path))
+                 for argv in (("scene",), ("solve", "--formulation", "EFIE"))]
+        assert codes == [0, 0], capsys.readouterr().err
+
     @pytest.mark.parametrize("field,value,message", [
         ("p", 4.9, "error: obstacle 1: p must be a whole number, got 4.9"),
         ("seed", 2.7, "error: seed must be a whole number, got 2.7"),

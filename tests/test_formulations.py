@@ -1,5 +1,7 @@
 """The four boundary integral systems, block preconditioning, and the disk gate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -63,7 +65,7 @@ def mie_reference():
 def preconditioned_matrix(system) -> np.ndarray:
     """The whole preconditioned matrix, from the system's row blocks."""
     return np.concatenate([formulations.preconditioned_rows(system, p)
-                           for p in range(len(system.mesh.meshes))])
+                           for p in range(system.mesh.n_obstacles)])
 
 
 def build_all(scene, mesh, ops):
@@ -76,16 +78,25 @@ def build_all(scene, mesh, ops):
 
 
 class TestIncidentLoads:
-    def test_rejects_non_unit_direction_and_bad_wavenumber(self, disk):
-        _, mesh, _ = disk
-        with pytest.raises(ValueError):
-            formulations.incident_loads(
-                formulations.IncidentWave(k=1.0, beta=(1.0, 1.0)), mesh
-            )
-        with pytest.raises(ValueError):
-            formulations.incident_loads(
-                formulations.IncidentWave(k=0.0, beta=(0.0, 1.0)), mesh
-            )
+    def test_rejects_non_unit_direction_and_bad_wavenumber(self, disk, monkeypatch):
+        # k and beta live in the scene alone, and its one rule refuses them
+        # before any assembly
+        scene, mesh, _ = disk
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before the scene was validated")
+
+        for name in ("assemble_operators", "assemble_mass"):
+            monkeypatch.setattr(bem, name, no_assembly)
+        for change, message in (({"beta": (1.0, 1.0)}, "unit vector"),
+                                ({"beta": (0.6, 0.8 + 1e-8)}, "unit vector"),
+                                ({"k": 0.0}, "wavenumber must be positive"),
+                                ({"k": -5.0}, "wavenumber must be positive")):
+            bad = dataclasses.replace(scene, **change)
+            with pytest.raises(ValueError, match=message):
+                formulations.build_system(formulations.Formulation(kind="CFIE"), bad, mesh)
+            with pytest.raises(ValueError, match=message):
+                formulations.systems(formulations.FORMULATION_KINDS, bad, mesh)
 
 
 class TestParameterValidation:
@@ -141,8 +152,7 @@ class TestSystemAssembly:
         # to a nodal interpolant.
         scene, mesh, ops = disk
         built = build_all(scene, mesh, ops)
-        wave = formulations.IncidentWave(k=scene.k, beta=scene.beta)
-        load, normal_load = formulations.incident_loads(wave, mesh)
+        load, normal_load = formulations.incident_loads(scene, mesh)
         alpha, eta = 0.2, -1j * DISK_K
         assert np.array_equal(built["EFIE"].rhs, -load)
         assert np.array_equal(built["MFIE"].rhs, -normal_load)
@@ -158,13 +168,15 @@ class TestSystemAssembly:
         beta = np.array(scene.beta)
         expected = np.zeros((2, mesh.n_nodes), dtype=complex)
         # panel i runs from node i to the next node of its obstacle's loop
-        for om, offset in zip(mesh.meshes, mesh.block_offsets):
-            for i0, (normal, length) in enumerate(zip(om.normals, om.lengths)):
-                i1 = (i0 + 1) % om.n_nodes
-                a, b = om.nodes[i0], om.nodes[i1]
+        for p in range(mesh.n_obstacles):
+            lo, hi = mesh.block_range(p)
+            for i0 in range(lo, hi):
+                i1 = lo + (i0 + 1 - lo) % (hi - lo)
+                a, b = mesh.nodes[i0], mesh.nodes[i1]
+                normal, length = mesh.normals[i0], mesh.lengths[i0]
                 u = np.exp(1j * scene.k * ((a + t[:, None] * (b - a)) @ beta))
                 dn = 1j * scene.k * (normal @ beta) * u
-                for node, hat in ((offset + i0, 1.0 - t), (offset + i1, t)):
+                for node, hat in ((i0, 1.0 - t), (i1, t)):
                     expected[0, node] += length * np.sum(w * hat * u)
                     expected[1, node] += length * np.sum(w * hat * dn)
         for got, ref in zip((load, normal_load), expected):
@@ -243,7 +255,7 @@ class TestPreconditioner:
             formulations.Formulation(kind=kind), scene, mesh, operators=ops
         )
         explicit = preconditioned_matrix(sys_)
-        for p in range(len(mesh.meshes)):
+        for p in range(mesh.n_obstacles):
             lo, hi = mesh.block_range(p)
             block = explicit[lo:hi, lo:hi]
             assert linalg.inf_norm(block - np.eye(hi - lo)) <= 1e-10
@@ -254,7 +266,7 @@ class TestPreconditioner:
             formulations.Formulation(kind="BW"), scene, mesh, operators=ops
         )
         pre = formulations.single_scattering_preconditioner(sys_)
-        assert len(pre) == len(mesh.meshes)
+        assert len(pre) == mesh.n_obstacles
         for p, factor in enumerate(pre):
             lo, hi = mesh.block_range(p)
             assert factor.n == hi - lo
@@ -371,8 +383,7 @@ class TestDiskGate:
         scene, mesh, ops = disk
         points, reference = mie_reference
         mass = ops["mass"].toarray()
-        wave = formulations.IncidentWave(k=scene.k, beta=scene.beta)
-        _, normal_load = formulations.incident_loads(wave, mesh)
+        _, normal_load = formulations.incident_loads(scene, mesh)
         flipped = -0.5 * mass + ops["adjoint_double_layer"].matrix
         density = linalg.lu_solve(linalg.lu_factor(flipped), -normal_load)
         field = bem.evaluate_potentials(mesh, density, scene.k, points, layer="single")

@@ -13,6 +13,12 @@ def unit_circle() -> geometry.Shape:
     return geometry.Shape(kind="ellipse", a=1.0, b=1.0)
 
 
+def mesh_one(shape: geometry.Shape, k: float, ppw: float) -> geometry.SceneMesh:
+    """The mesh of a scene holding ``shape`` alone."""
+    scene = geometry.Scene(k=k, beta=(0.0, 1.0), obstacles=(shape,))
+    return geometry.mesh_scene(scene, ppw)
+
+
 def desk_templates() -> tuple[geometry.Shape, ...]:
     return (
         geometry.Shape(kind="ellipse", a=1.0, b=0.6),
@@ -68,22 +74,23 @@ def test_shape_validation():
 
 def test_mesh_circle_segment_count():
     # lambda = 1, so the rule gives ceil(2 pi * 15) = 95 segments
-    mesh = geometry.mesh_boundary(unit_circle(), k=2 * math.pi, ppw=15)
+    mesh = mesh_one(unit_circle(), k=2 * math.pi, ppw=15)
     assert mesh.n_nodes == 95
     assert np.array_equal(mesh.next_node, (np.arange(95) + 1) % 95)
 
 
 def test_mesh_circle_perimeter_second_order():
-    mesh = geometry.mesh_boundary(unit_circle(), k=2 * math.pi, ppw=15)
-    assert abs(mesh.perimeter - 2 * math.pi) < 1e-2
+    mesh = mesh_one(unit_circle(), k=2 * math.pi, ppw=15)
+    perimeter = mesh.lengths.sum()
+    assert abs(perimeter - 2 * math.pi) < 1e-2
     # inscribed-polygon defect is (2 pi)^3 / (24 N^2); check the order
     n = mesh.n_nodes
-    assert abs(mesh.perimeter - 2 * math.pi) < 1.1 * (2 * math.pi) ** 3 / (24 * n**2)
+    assert abs(perimeter - 2 * math.pi) < 1.1 * (2 * math.pi) ** 3 / (24 * n**2)
 
 
 def test_mesh_refinement_halves_segment_length():
-    m15 = geometry.mesh_boundary(unit_circle(), k=2 * math.pi, ppw=15)
-    m30 = geometry.mesh_boundary(unit_circle(), k=2 * math.pi, ppw=30)
+    m15 = mesh_one(unit_circle(), k=2 * math.pi, ppw=15)
+    m30 = mesh_one(unit_circle(), k=2 * math.pi, ppw=30)
     ratio = m15.lengths.max() / m30.lengths.max()
     assert 1.9 < ratio < 2.1
 
@@ -94,10 +101,10 @@ def test_mesh_orientation_and_normals(shape):
         kind=shape.kind, a=shape.a, b=shape.b, p=shape.p, s=shape.s,
         rotation=0.7, center=(3.0, -1.0),
     )
-    mesh = geometry.mesh_boundary(placed, k=5.0, ppw=15)
-    assert mesh.signed_area() > 0
+    mesh = mesh_one(placed, k=5.0, ppw=15)
+    x, y = mesh.nodes.T
+    assert np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0  # twice the signed area
     assert_allclose(np.linalg.norm(mesh.normals, axis=1), 1.0, atol=1e-13)
-    assert_allclose(np.sum(mesh.lengths), mesh.perimeter, rtol=1e-12)
     assert np.all(mesh.lengths <= 2 * math.pi / 5.0 / 15 + 1e-12)
     # outward test against the smooth normal is robust for the kite too:
     # compare to centroid only for the convex shapes
@@ -109,9 +116,31 @@ def test_mesh_orientation_and_normals(shape):
 
 def test_mesh_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        geometry.mesh_boundary(unit_circle(), k=-1.0, ppw=15)
+        mesh_one(unit_circle(), k=-1.0, ppw=15)
     with pytest.raises(ValueError):
-        geometry.mesh_boundary(unit_circle(), k=5.0, ppw=3)
+        mesh_one(unit_circle(), k=5.0, ppw=3)
+
+
+TRIANGLE = [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("loop,message", [
+    (TRIANGLE[::-1], "counter-clockwise"),
+    (TRIANGLE[:2], "at least 3 nodes"),
+    ([TRIANGLE[0], TRIANGLE[1], TRIANGLE[1], TRIANGLE[2]], "coincident"),
+], ids=["clockwise", "two-nodes", "repeated-node"])
+def test_polygon_mesh_refuses_bad_loops(loop, message):
+    with pytest.raises(ValueError, match=message):
+        geometry.polygon_mesh([TRIANGLE, loop])
+
+
+def test_polygon_mesh_numbers_loops_one_after_another():
+    mesh = geometry.polygon_mesh([TRIANGLE, np.array(TRIANGLE) + 5.0])
+    assert mesh.block_offsets == (0, 3, 6) and mesh.n_obstacles == 2
+    assert np.array_equal(mesh.next_node, [1, 2, 0, 4, 5, 3])
+    assert_allclose(mesh.lengths, [2.0, math.sqrt(5.0), 1.0] * 2, rtol=1e-15)
+    assert_allclose(mesh.normals[:3], [[0.0, -1.0], [1.0, 2.0] / np.sqrt(5.0), [-1.0, 0.0]],
+                    atol=1e-15)
 
 
 def test_scene_validation():
@@ -143,24 +172,25 @@ def test_mesh_scene_offsets():
         min_center_distance=3.0,
     )
     sm = geometry.mesh_scene(scene, ppw=15)
-    assert sm.block_offsets[0] == 0
-    assert sm.block_offsets[-1] == sm.n_nodes
-    assert sm.block_offsets[1] == sm.meshes[0].n_nodes
+    assert sm.n_obstacles == 2
+    assert sm.block_range(0) == (0, sm.block_offsets[1])
+    assert sm.block_range(1) == (sm.block_offsets[1], sm.n_nodes)
+    for p, shape in enumerate(scene.obstacles):
+        lo, hi = sm.block_range(p)
+        assert hi - lo == mesh_one(shape, scene.k, 15).n_nodes
     assert sm.nodes.shape == (sm.n_nodes, 2)
 
 
 def test_scene_mesh_states_one_numbering(desk):
     """Panel i of a scene mesh runs from node i to node next_node[i], the
     next node of its obstacle's loop, with that chord's length and outward
-    normal; each array is the obstacles' arrays in block order, formed once."""
+    normal; obstacle p's nodes are its own mesh's nodes, in block order."""
     sm = geometry.mesh_scene(desk, ppw=10)
-    for name in ("nodes", "normals", "lengths"):
-        assert np.array_equal(getattr(sm, name), np.concatenate([getattr(m, name) for m in sm.meshes]))
-        assert getattr(sm, name) is getattr(sm, name)
-    for p, om in enumerate(sm.meshes):
+    assert sm.n_obstacles == len(desk.obstacles)
+    for p, shape in enumerate(desk.obstacles):
         lo, hi = sm.block_range(p)
+        assert np.array_equal(sm.nodes[lo:hi], mesh_one(shape, desk.k, 10).nodes)
         assert np.array_equal(sm.next_node[lo:hi], lo + (np.arange(hi - lo) + 1) % (hi - lo))
-        assert np.array_equal(om.next_node, sm.next_node[lo:hi] - lo)
     chords = sm.nodes[sm.next_node] - sm.nodes
     assert_allclose(np.linalg.norm(chords, axis=1), sm.lengths, rtol=1e-15)
     assert np.max(np.abs(np.sum(chords * sm.normals, axis=1))) <= 1e-15

@@ -190,7 +190,7 @@ def test_each_check_builds_and_factors_each_system_once(desk, desk10, monkeypatc
     dense = dense_systems(desk, ops)
     factored = {}
     for kind in CHECK_KINDS[check]:
-        for p in range(len(mesh.meshes)):
+        for p in range(mesh.n_obstacles):
             lo, hi = mesh.block_range(p)
             factored[kind, p] = sum(np.array_equal(block, dense[kind][lo:hi, lo:hi])
                                     for block in calls["blocks"])
@@ -283,7 +283,7 @@ class TestDenseReference:
     def dense_preconditioned(desk, mesh, ops, kind):
         a = dense_systems(desk, ops)[kind]
         out = np.empty_like(a)
-        for p in range(len(mesh.meshes)):
+        for p in range(mesh.n_obstacles):
             lo, hi = mesh.block_range(p)
             out[lo:hi] = linalg.lu_solve(linalg.lu_factor(a[lo:hi, lo:hi]), a[lo:hi])
         return out
