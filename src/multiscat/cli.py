@@ -11,9 +11,10 @@ Subcommands:
 Every command is a pure function of its scene file and flags: a rerun
 produces byte-identical outputs.  Each command writes one JSON report;
 per-iteration residuals, eigenvalues, and densities are also written as
-CSV, whose column order is part of the format contract.  Exit codes:
-0 all enabled checks passed, 1 a numeric threshold failed, 2 bad input,
-3 internal numeric failure.
+CSV, whose column order is part of the format contract.  A scene file
+holds exactly the keys ``scene_to_dict`` writes, with no defaults, and
+finite JSON numbers.  Exit codes: 0 all enabled checks passed, 1 a
+numeric threshold failed, 2 bad input, 3 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -63,11 +64,9 @@ EXIT_NUMERIC = 3
 _BYTES_PER_ENTRY = {"verify": 163, "spectrum": 152, "validate-disk": 114, "solve EFIE": 83,
                     "solve MFIE": 94, "solve CFIE": 110, "solve BW": 109}
 
-_PARAM_FIELDS = {
-    "ellipse": ("a", "b"),
-    "rounded_rectangle": ("a", "b", "p"),
-    "kite": ("s",),
-}
+# the keys of a scene file and of each of its obstacles, as scene_to_dict writes them
+_SCENE_KEYS = ("schema_version", "k", "beta", "box", "min_center_distance", "seed", "obstacles")
+_OBSTACLE_KEYS = ("kind", "params", "center", "rotation")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,10 +109,7 @@ class RunConfig:
             raise ValueError("wavenumber must be positive")
         # CFIE's and BW's parameters hold whichever formulation runs; the
         # checks do not depend on the wavenumber, so any positive one will do
-        for kind in ("CFIE", "BW"):
-            formulations.Formulation(
-                kind=kind, alpha=self.alpha, eta=self.eta, eta_bw=self.eta_bw
-            ).resolved(1.0)
+        _parameter_doc(self, 1.0)
         return self
 
 
@@ -125,7 +121,7 @@ def scene_to_dict(scene: geometry.Scene) -> dict:
     """Plain-data form of a scene, ready for JSON."""
     obstacles = []
     for shape in scene.obstacles:
-        params = {name: getattr(shape, name) for name in _PARAM_FIELDS[shape.kind]}
+        params = {name: getattr(shape, name) for name in geometry.SHAPE_PARAMS[shape.kind]}
         obstacles.append(
             {
                 "kind": shape.kind,
@@ -145,21 +141,26 @@ def scene_to_dict(scene: geometry.Scene) -> dict:
     }
 
 
-def _check_numbers(value) -> None:
-    """Refuse a non-finite number or a boolean (Python's 1 or 0) in ``value``."""
-    if isinstance(value, bool):
-        raise ValueError("scene numbers must not be true or false")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError("scene numbers must be finite")
-    if isinstance(value, (dict, list)):
-        for item in value.values() if isinstance(value, dict) else value:
-            _check_numbers(item)
+def _fields(value, keys, name: str) -> list:
+    """The values of ``keys`` in ``value``, a JSON object with exactly those keys."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    missing, unexpected = set(keys) - value.keys(), value.keys() - set(keys)
+    if missing:
+        raise ValueError(f"{name} is missing keys {sorted(missing)}")
+    if unexpected:
+        raise ValueError(f"{name} has unexpected keys {sorted(unexpected)}")
+    return [value[key] for key in keys]
 
 
 def _number(value, name: str) -> float:
-    """``value``, a JSON number and not a string, as a float."""
+    """``value``, a finite JSON number and not a string or boolean, as a float."""
+    if isinstance(value, bool):
+        raise ValueError(f"scene numbers must not be true or false ({name})")
     if not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     return float(value)
 
 
@@ -169,53 +170,36 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
-def scene_from_dict(doc: dict) -> geometry.Scene:
-    """Rebuild and validate a scene from its plain-data form."""
-    if not isinstance(doc, dict):
-        raise ValueError("scene document must be a JSON object")
-    _check_numbers(doc)
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported scene schema_version {version!r}")
-    missing = {"k", "beta", "box", "min_center_distance", "seed", "obstacles"} - doc.keys()
-    if missing:
-        raise ValueError(f"scene file is missing fields: {sorted(missing)}")
-    if len(doc["beta"]) != 2:
-        raise ValueError("beta must have two components")
-    if len(doc["box"]) != 4:
-        raise ValueError("box must be [x0, y0, x1, y1]")
+def _numbers(value, length: int, name: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != length:
+        raise ValueError(f"{name} must be a list of {length} numbers")
+    return tuple(_number(v, name) for v in value)
 
+
+def scene_from_dict(doc: dict) -> geometry.Scene:
+    """Rebuild and validate a scene from its plain-data form, which holds
+    exactly the keys ``scene_to_dict`` writes: there are no defaults."""
+    version, k, beta, box, distance, seed, entries = _fields(doc, _SCENE_KEYS, "scene document")
+    if _whole(version, "schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported scene schema_version {version!r}")
+    if not isinstance(entries, list):
+        raise ValueError("obstacles must be a list")
     shapes = []
-    for i, entry in enumerate(doc["obstacles"]):
-        if not isinstance(entry, dict):
-            raise ValueError(f"obstacle {i} must be a JSON object")
-        kind = entry.get("kind")
-        if kind not in _PARAM_FIELDS:
+    for i, entry in enumerate(entries):
+        kind, params, center, rotation = _fields(entry, _OBSTACLE_KEYS, f"obstacle {i}")
+        if kind not in geometry.SHAPE_KINDS:
             raise ValueError(f"obstacle {i}: unknown kind {kind!r}")
-        params = dict(entry.get("params", {}))
-        unexpected = set(params) - set(_PARAM_FIELDS[kind])
-        if unexpected:
-            raise ValueError(f"obstacle {i}: unexpected parameters {sorted(unexpected)}")
-        center = entry.get("center", (0.0, 0.0))
-        if len(center) != 2:
-            raise ValueError(f"obstacle {i}: center must have two components")
-        shapes.append(
-            geometry.Shape(
-                kind=kind,
-                center=tuple(_number(v, f"obstacle {i}: center") for v in center),
-                rotation=_number(entry.get("rotation", 0.0), f"obstacle {i}: rotation"),
-                **{key: (_whole if key == "p" else _number)(val, f"obstacle {i}: {key}")
-                   for key, val in params.items()},
-            )
-        )
+        names = geometry.SHAPE_PARAMS[kind]
+        sizes = _fields(params, names, f"obstacle {i}: params")
+        shapes.append(geometry.Shape(
+            kind=kind, center=_numbers(center, 2, f"obstacle {i}: center"),
+            rotation=_number(rotation, f"obstacle {i}: rotation"),
+            **{key: (_whole if key == "p" else _number)(val, f"obstacle {i}: {key}")
+               for key, val in zip(names, sizes)}))
     scene = geometry.Scene(
-        k=_number(doc["k"], "k"),
-        beta=tuple(_number(v, "beta") for v in doc["beta"]),
-        obstacles=tuple(shapes),
-        box=tuple(_number(v, "box") for v in doc["box"]),
-        min_center_distance=_number(doc["min_center_distance"], "min_center_distance"),
-        seed=_whole(doc["seed"], "seed"),
-    )
+        k=_number(k, "k"), beta=_numbers(beta, 2, "beta"), obstacles=tuple(shapes),
+        box=_numbers(box, 4, "box"), min_center_distance=_number(distance, "min_center_distance"),
+        seed=_whole(seed, "seed"))
     scene.validate()
     return scene
 
@@ -234,6 +218,18 @@ def _resolve_scene(cfg: RunConfig) -> geometry.Scene:
     if cfg.preset == "desk":
         return verify.desk_scene(cfg.seed)
     return verify.paper_scene(cfg.seed)
+
+
+def _meshed(command: str, cfg: RunConfig, scene: geometry.Scene | None = None):
+    """The scene (``cfg``'s, unless given) and its mesh at ``cfg.ppw``; a size
+    beyond the spectrum's eigenvalue limit or the memory ``command`` would
+    need is refused before any node is placed, the fixed limit first."""
+    scene = _resolve_scene(cfg) if scene is None else scene
+    n = geometry.scene_node_count(scene, cfg.ppw)
+    if command == "spectrum":
+        verify.check_spectrum_size(n)
+    _refuse_beyond_memory(command, n)
+    return scene, geometry.mesh_scene(scene, cfg.ppw)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +270,16 @@ def _report(command: str, cfg: RunConfig, scene, mesh, **fields) -> dict:
             "parameters": _parameter_doc(cfg, scene.k), **fields}
 
 
-def _write_residuals(path: pathlib.Path, records) -> None:
+def _write_csv(path: pathlib.Path, columns, rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(RESIDUAL_COLUMNS)
-        for rec in records:
-            tag = "true" if rec.preconditioned else "false"
-            for i, residual in enumerate(rec.residual_history):
-                writer.writerow([rec.formulation, tag, i, float(residual)])
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _residual_rows(records):
+    return ([rec.formulation, "true" if rec.preconditioned else "false", i, float(residual)]
+            for rec in records for i, residual in enumerate(rec.residual_history))
 
 
 def _available_memory() -> int:
@@ -323,16 +321,12 @@ def cmd_scene(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     """Run the equality and similarity checks plus all GMRES histories."""
-    scene = _resolve_scene(cfg)
-    _refuse_beyond_memory("verify", geometry.scene_node_count(scene, cfg.ppw))
-    mesh = geometry.mesh_scene(scene, cfg.ppw)
+    scene, mesh = _meshed("verify", cfg)
     logger.info("verify: %d unknowns over %d obstacles", mesh.n_nodes, mesh.n_obstacles)
     ops = formulations.checked_operators(formulations.FORMULATION_KINDS, scene, mesh)
 
     direct = verify.check_direct_equality(scene, mesh, cfg.alpha, cfg.eta, operators=ops)
-    similar = verify.check_bw_similarity(
-        scene, mesh, cfg.alpha, cfg.eta, cfg.eta_bw, operators=ops
-    )
+    similar = verify.check_bw_similarity(scene, mesh, cfg.eta_bw, operators=ops)
     histories = verify.convergence_histories(
         scene, mesh, cfg.alpha, cfg.eta, cfg.eta_bw, operators=ops,
         restart=cfg.restart, tol=cfg.tol, maxiter=cfg.maxiter,
@@ -374,18 +368,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         passed=all(checks.values()),
     )
     _write_json(out / "verify.json", doc)
-    _write_residuals(out / "residuals.csv", histories.records)
+    _write_csv(out / "residuals.csv", RESIDUAL_COLUMNS, _residual_rows(histories.records))
     return EXIT_PASS if doc["passed"] else EXIT_THRESHOLD
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     """Eigenvalues of the four preconditioned matrices, matched to EFIE."""
-    scene = _resolve_scene(cfg)
-    n = geometry.scene_node_count(scene, cfg.ppw)
-    # the fixed eigenvalue limit is reported before the host-dependent estimate
-    verify.check_spectrum_size(n)
-    _refuse_beyond_memory("spectrum", n)
-    mesh = geometry.mesh_scene(scene, cfg.ppw)
+    scene, mesh = _meshed("spectrum", cfg)
     logger.info("spectrum: %d unknowns", mesh.n_nodes)
     report = verify.check_spectra(scene, mesh, cfg.alpha, cfg.eta, cfg.eta_bw)
     passed = report.matched_max_rel_error <= verify.DESK_SPECTRUM_THRESHOLD
@@ -402,23 +391,17 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     # same matched eigenvalue and LAPACK's output order never shows.
     reference = report.eigenvalues["EFIE"]
     order = np.lexsort((reference.imag, reference.real))
-    with open(out / "eigenvalues.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(EIGENVALUE_COLUMNS)
-        for kind in formulations.FORMULATION_KINDS:
-            values = report.eigenvalues[kind]
-            if kind != "EFIE":
-                values = values[report.permutations[kind]]
-            for value in values[order]:
-                writer.writerow([kind, float(value.real), float(value.imag)])
+    matched = {kind: values if kind == "EFIE" else values[report.permutations[kind]]
+               for kind, values in report.eigenvalues.items()}
+    _write_csv(out / "eigenvalues.csv", EIGENVALUE_COLUMNS,
+               ([kind, float(value.real), float(value.imag)]
+                for kind in formulations.FORMULATION_KINDS for value in matched[kind][order]))
     return EXIT_PASS if passed else EXIT_THRESHOLD
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     """Solve one formulation on the scene and write density and history."""
-    scene = _resolve_scene(cfg)
-    _refuse_beyond_memory(f"solve {cfg.formulation}", geometry.scene_node_count(scene, cfg.ppw))
-    mesh = geometry.mesh_scene(scene, cfg.ppw)
+    scene, mesh = _meshed(f"solve {cfg.formulation}", cfg)
     form = formulations.Formulation(
         kind=cfg.formulation, alpha=cfg.alpha, eta=cfg.eta, eta_bw=cfg.eta_bw
     )
@@ -438,49 +421,39 @@ def cmd_solve(cfg: RunConfig) -> int:
                   preconditioned=cfg.preconditioned, iterations=report.iterations,
                   converged=report.converged, final_residual=record.residual_history[-1])
     _write_json(out / "solve.json", doc)
-    _write_residuals(out / "residuals.csv", [record])
-    with open(out / "density.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(DENSITY_COLUMNS)
-        for p in range(mesh.n_obstacles):
-            start, stop = mesh.block_range(p)
-            for i in range(start, stop):
-                writer.writerow(
-                    [p, i, float(mesh.nodes[i, 0]), float(mesh.nodes[i, 1]),
-                     float(density[i].real), float(density[i].imag)]
-                )
+    _write_csv(out / "residuals.csv", RESIDUAL_COLUMNS, _residual_rows([record]))
+    _write_csv(out / "density.csv", DENSITY_COLUMNS,
+               ([p, i, float(mesh.nodes[i, 0]), float(mesh.nodes[i, 1]),
+                 float(density[i].real), float(density[i].imag)]
+                for p in range(mesh.n_obstacles) for i in range(*mesh.block_range(p))))
     return EXIT_PASS if report.converged else EXIT_THRESHOLD
 
 
-def disk_field_errors(k: float = RunConfig.disk_k, ppw: float = RunConfig.ppw,
-                      alpha: float = RunConfig.alpha,
-                      eta: complex | None = None,
-                      eta_bw: complex | None = None) -> dict[str, float]:
-    """Relative L2 field error of every formulation for the unit disk.
+def disk_field_errors(cfg: RunConfig) -> dict[str, float]:
+    """Relative L2 field error of every formulation for the unit disk at
+    wavenumber ``cfg.disk_k``.
 
     Each system is solved directly (LU) and its scattered field compared
     against the separation-of-variables series on a circle of radius 3
     about the disk center.
     """
-    scene = geometry.Scene(
-        k=k,
+    scene, mesh = _meshed("validate-disk", cfg, geometry.Scene(
+        k=cfg.disk_k,
         beta=(0.0, 1.0),
         obstacles=(geometry.Shape(kind="ellipse", a=1.0, b=1.0),),
         box=(-5.0, -5.0, 5.0, 5.0),
-    )
-    _refuse_beyond_memory("validate-disk", geometry.scene_node_count(scene, ppw))
-    mesh = geometry.mesh_scene(scene, ppw)
+    ))
 
     theta = np.linspace(0.0, 2.0 * np.pi, _DISK_EVAL_POINTS, endpoint=False)
     points = _DISK_EVAL_RADIUS * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     reference = analytic.mie_scattered(
-        analytic.MieConfig(k=k, radius=1.0, beta=scene.beta), points
+        analytic.MieConfig(k=scene.k, radius=1.0, beta=scene.beta), points
     )
     scale = np.linalg.norm(reference)
 
     errors = {}
     for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
-                                             alpha, eta, eta_bw).items():
+                                             cfg.alpha, cfg.eta, cfg.eta_bw).items():
         density = linalg.lu_solve(linalg.lu_factor(system.rows(0, system.n)), system.rhs)
         field = formulations.scattered_field(system, density, points)
         errors[kind] = float(np.linalg.norm(field.values - reference) / scale)
@@ -490,9 +463,7 @@ def disk_field_errors(k: float = RunConfig.disk_k, ppw: float = RunConfig.ppw,
 
 def cmd_validate_disk(cfg: RunConfig) -> int:
     """Check every formulation's field accuracy on the unit disk."""
-    errors = disk_field_errors(
-        k=cfg.disk_k, ppw=cfg.ppw, alpha=cfg.alpha, eta=cfg.eta, eta_bw=cfg.eta_bw
-    )
+    errors = disk_field_errors(cfg)
     checks = {kind: err <= DISK_FIELD_THRESHOLD for kind, err in errors.items()}
     for kind in formulations.FORMULATION_KINDS:
         _print_check(f"disk field {kind}", errors[kind], DISK_FIELD_THRESHOLD, checks[kind])

@@ -206,28 +206,26 @@ class BlockSystem:
             ) from exc
 
 
-def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
-    """The system of a formulation on the mesh, for the scene's incident wave.
-
-    ``operators`` may carry pre-assembled L and N and the mass, keyed by
-    kind ("mass" included), to share one assembly between formulations;
-    any missing ones are assembled here, once the scene and the formulation
-    are validated.
-    """
-    scene.validate()
-    form = form.resolved(scene.k)
-    return BlockSystem(form, mesh, scene, checked_operators((form.kind,), scene, mesh, operators))
-
-
 def systems(kinds, scene, mesh, alpha: float = ALPHA, eta: complex | None = None,
             eta_bw: complex | None = None, operators=None) -> dict[str, BlockSystem]:
-    """{kind: system} for each formulation of ``kinds``, in their order, on
-    one set of operators assembled where ``operators`` lacks them once the
-    scene and every formulation are validated."""
+    """{kind: system} for each formulation of ``kinds``, in their order, for
+    the scene's incident wave.
+
+    ``operators`` may carry pre-assembled L and N and the mass, keyed by
+    kind ("mass" included), to share one assembly between calls; the
+    systems share one set of operators, the missing ones assembled here
+    once the scene and every formulation are validated.
+    """
     scene.validate()
     forms = [Formulation(kind, alpha, eta, eta_bw).resolved(scene.k) for kind in kinds]
     ops = checked_operators(kinds, scene, mesh, operators)
-    return {form.kind: build_system(form, scene, mesh, ops) for form in forms}
+    return {form.kind: BlockSystem(form, mesh, scene, ops) for form in forms}
+
+
+def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
+    """The system of one formulation: ``systems`` for ``form`` alone."""
+    return systems((form.kind,), scene, mesh, form.alpha, form.eta, form.eta_bw,
+                   operators)[form.kind]
 
 
 def single_scattering_preconditioner(system: BlockSystem) -> tuple[linalg.LuFactors, ...]:

@@ -29,7 +29,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _ARCLENGTH_SAMPLES = 2048
-SHAPE_KINDS = ("ellipse", "rounded_rectangle", "kite")
+# each shape kind's size parameters, in the order scene files list them
+SHAPE_PARAMS = {"ellipse": ("a", "b"), "rounded_rectangle": ("a", "b", "p"), "kite": ("s",)}
+SHAPE_KINDS = tuple(SHAPE_PARAMS)
 
 # Extent of the unit kite curve: max_t ||(cos t + 0.65 cos 2t - 0.65, 1.5 sin t)||
 _KITE_RADIUS = 2.0657
@@ -270,8 +272,9 @@ def generate_scene(config: Scene, seed: int, size_jitter: float = 0.0) -> Scene:
     """Place the configured shapes randomly in the box, seeded.
 
     The obstacles of ``config`` act as templates: centers and rotations
-    are drawn fresh, and sizes are scaled by a factor drawn uniformly
-    from [1 - size_jitter, 1 + size_jitter].  Placement is rejection
+    are drawn fresh, and the size parameters of each shape's kind (never
+    the exponent p) are scaled by a factor drawn uniformly from
+    [1 - size_jitter, 1 + size_jitter].  Placement is rejection
     sampling: a center is accepted when it keeps at least
     min_center_distance from all earlier centers and the circumscribed
     circles stay disjoint (the scattering problem needs disjoint
@@ -294,10 +297,9 @@ def generate_scene(config: Scene, seed: int, size_jitter: float = 0.0) -> Scene:
         scale = 1.0 + size_jitter * float(rng.uniform(-1.0, 1.0)) if size_jitter else 1.0
         shape = replace(
             template,
-            a=template.a * scale,
-            b=template.b * scale,
-            s=template.s * scale,
             rotation=float(rng.uniform(0.0, 2.0 * math.pi)),
+            **{name: getattr(template, name) * scale
+               for name in SHAPE_PARAMS[template.kind] if name != "p"},
         )
         radius = shape.bounding_radius()
         lo = np.array([x0 + radius, y0 + radius])

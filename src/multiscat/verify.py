@@ -163,9 +163,7 @@ def check_direct_equality(scene, mesh, alpha: float = formulations.ALPHA,
     )
 
 
-def check_bw_similarity(scene, mesh, alpha: float = formulations.ALPHA,
-                        eta: complex | None = None, eta_bw: complex | None = None,
-                        operators=None,
+def check_bw_similarity(scene, mesh, eta_bw: complex | None = None, operators=None,
                         threshold: float = DESK_SIMILARITY_THRESHOLD) -> TheoremReport:
     """Conjugate the preconditioned BW matrix by T = A_E^{-1} A_BW and
     compare with the preconditioned EFIE matrix.
@@ -175,8 +173,8 @@ def check_bw_similarity(scene, mesh, alpha: float = formulations.ALPHA,
     is exactly T P_BW T^{-1} = A_E^{-1} A_BW D_BW^{-1} A_E, so T is never
     formed and A_E is the only full-size matrix factored.
     """
-    efie, bw = formulations.systems(("EFIE", "BW"), scene, mesh, alpha, eta, eta_bw,
-                                    operators).values()
+    efie, bw = formulations.systems(("EFIE", "BW"), scene, mesh, eta_bw=eta_bw,
+                                    operators=operators).values()
     n = mesh.n_nodes
     # both systems take their blocks from the mesh, so BW's block factors
     # apply to A_E's rows: row block p of D_BW^{-1} A_E is LU_p^{-1} A_E[lo:hi]

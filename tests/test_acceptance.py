@@ -124,7 +124,7 @@ def test_convergence_histories_superimpose(desk, desk15):
 
 def test_disk_scattered_field_matches_the_series_for_all_formulations():
     start = time.perf_counter()
-    errors = cli.disk_field_errors(k=5.0, ppw=15.0)
+    errors = cli.disk_field_errors(cli.RunConfig(ppw=15.0, disk_k=5.0))
     elapsed = time.perf_counter() - start
 
     ok = (

@@ -86,8 +86,8 @@ SCENE_NUMBERS = [
 
 class TestSceneFiles:
     def test_round_trip(self):
-        scene = verify.desk_scene(seed=3)
-        assert cli.scene_from_dict(cli.scene_to_dict(scene)) == scene
+        for scene in (verify.desk_scene(seed=3), verify.paper_scene(0)):
+            assert cli.scene_from_dict(cli.scene_to_dict(scene)) == scene
 
     def test_rejects_wrong_schema_version(self):
         doc = cli.scene_to_dict(verify.desk_scene())
@@ -416,7 +416,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("obstacles,message", [
         ([], "error: a scene needs at least one obstacle"),
         # two unit disks whose centers 0.8 apart pass a minimum distance of 0.5
-        ([{"kind": "ellipse", "params": {"a": 1.0, "b": 1.0}, "center": [x, 0.0]}
+        ([{"kind": "ellipse", "params": {"a": 1.0, "b": 1.0}, "center": [x, 0.0],
+           "rotation": 0.0}
           for x in (0.0, 0.8)],
          "error: obstacles 0 and 1 may overlap: their circumscribed circles meet"),
     ], ids=["empty", "overlapping"])
@@ -447,7 +448,7 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     def test_singular_system_maps_to_numeric_failure(self, tmp_path, monkeypatch, capsys):
-        def boom(**kwargs):
+        def boom(cfg):
             raise linalg.SingularMatrixError("zero pivot")
 
         monkeypatch.setattr(cli, "disk_field_errors", boom)
@@ -455,7 +456,7 @@ class TestExitCodes:
         assert "numeric failure" in capsys.readouterr().err
 
     def test_internal_numeric_failure_maps_to_three(self, tmp_path, monkeypatch, capsys):
-        def boom(**kwargs):
+        def boom(cfg):
             raise RuntimeError("QR iteration stalled")
 
         monkeypatch.setattr(cli, "disk_field_errors", boom)
@@ -600,6 +601,34 @@ class TestExitCodes:
         scene_file.write_text(json.dumps(doc))
         assert run("scene", "--scene", str(scene_file), "--out", str(tmp_path / "out")) == 2
         assert "must be a number, got '" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # a scene file holds exactly the keys scene_to_dict writes, with no defaults
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["obstacles"][0].update(params=[["a", 1.0], ["b", 0.6]]),
+         "error: obstacle 0: params must be a JSON object"),
+        (lambda doc: doc["obstacles"][0].update(params={}),
+         "error: obstacle 0: params is missing keys ['a', 'b']"),
+        (lambda doc: doc["obstacles"][0].pop("params"),
+         "error: obstacle 0 is missing keys ['params']"),
+        (lambda doc: doc["obstacles"][0].pop("center"),
+         "error: obstacle 0 is missing keys ['center']"),
+        (lambda doc: doc["obstacles"][0].pop("rotation"),
+         "error: obstacle 0 is missing keys ['rotation']"),
+        (lambda doc: doc.update(ppw=30), "error: scene document has unexpected keys ['ppw']"),
+        (lambda doc: doc["obstacles"][1].update(color="red"),
+         "error: obstacle 1 has unexpected keys ['color']"),
+        (lambda doc: doc.update(schema_version=True),
+         "error: scene numbers must not be true or false (schema_version)"),
+    ], ids=["params-pairs", "params-empty", "no-params", "no-center", "no-rotation",
+            "stray-key", "unknown-obstacle-key", "schema-version-true"])
+    def test_malformed_scene_document_refused(self, edit, message, tmp_path, capsys):
+        doc = cli.scene_to_dict(verify.desk_scene())
+        edit(doc)
+        scene_file = tmp_path / "scene.json"
+        scene_file.write_text(json.dumps(doc))
+        assert run("scene", "--scene", str(scene_file), "--out", str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_direction_off_unit_length_by_rounding_is_one_rule(self, tmp_path, capsys):

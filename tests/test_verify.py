@@ -158,14 +158,14 @@ def test_each_check_builds_and_factors_each_system_once(desk, desk10, monkeypatc
     """Each formulation's diagonal block is factored once per obstacle, the
     operators are assembled only when none are given, the similarity check
     factors exactly one full-size matrix, every check reads its systems from
-    ``build_system`` and the GMRES histories build one per formulation.  A
+    ``formulations.systems`` and the GMRES histories build one per formulation.  A
     factored block is told apart by its entries, from the formulations'
     dense matrices."""
     mesh, ops = desk10
     calls = {"blocks": [], "assemble": 0, "full_lu": 0, "build": []}
     assemble = bem.assemble_operators
     lu_factor = linalg.lu_factor
-    build = formulations.build_system
+    systems = formulations.systems
 
     def counting_assemble(*args, **kwargs):
         calls["assemble"] += 1
@@ -178,12 +178,13 @@ def test_each_check_builds_and_factors_each_system_once(desk, desk10, monkeypatc
             calls["blocks"].append(np.array(a))
         return lu_factor(a)
 
-    def counting_build(form, *args, **kwargs):
-        calls["build"].append(form.kind)
-        return build(form, *args, **kwargs)
+    def counting_systems(*args, **kwargs):
+        built = systems(*args, **kwargs)
+        calls["build"].extend(built)
+        return built
 
     monkeypatch.setattr(bem, "assemble_operators", counting_assemble)
-    monkeypatch.setattr(formulations, "build_system", counting_build)
+    monkeypatch.setattr(formulations, "systems", counting_systems)
     monkeypatch.setattr(linalg, "lu_factor", counting_lu_factor)
     getattr(verify, check)(desk, mesh, operators=ops if given else None)
     monkeypatch.undo()
