@@ -21,7 +21,7 @@ import math
 import numpy as np
 import scipy
 
-from . import specfun
+from . import geometry, specfun
 
 
 def truncation_order(k: float, radius: float) -> int:
@@ -46,8 +46,7 @@ class MieConfig:
             raise ValueError("MieConfig requires k > 0")
         if self.radius <= 0.0:
             raise ValueError("MieConfig requires radius > 0")
-        if abs(math.hypot(*self.beta) - 1.0) > 1e-12:
-            raise ValueError("MieConfig requires a unit direction beta")
+        geometry.check_unit_direction(self.beta)
         if self.nmax is not None and self.nmax < self.k * self.radius:
             raise ValueError("MieConfig requires nmax >= k * radius")
         return self

@@ -20,7 +20,6 @@ numeric threshold failed, 2 bad input, 3 internal numeric failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import dataclasses
 import json
@@ -89,10 +88,9 @@ class RunConfig:
     out_dir: str = "."
 
     def validate(self) -> "RunConfig":
-        for name in ("ppw", "alpha", "eta", "eta_bw", "tol", "disk_k"):
-            value = getattr(self, name)
-            if value is not None and not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("ppw", "tol", "disk_k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.ppw < 4.0:
@@ -107,8 +105,8 @@ class RunConfig:
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.disk_k <= 0.0:
             raise ValueError("wavenumber must be positive")
-        # CFIE's and BW's parameters hold whichever formulation runs; the
-        # checks do not depend on the wavenumber, so any positive one will do
+        # Formulation.resolved checks every coupling, whichever formulation
+        # runs; no check depends on the wavenumber, so any positive one will do
         _parameter_doc(self, 1.0)
         return self
 
@@ -227,7 +225,7 @@ def _meshed(command: str, cfg: RunConfig, scene: geometry.Scene | None = None):
     scene = _resolve_scene(cfg) if scene is None else scene
     n = geometry.scene_node_count(scene, cfg.ppw)
     if command == "spectrum":
-        verify.check_spectrum_size(n)
+        linalg.check_eig_size(n)
     _refuse_beyond_memory(command, n)
     return scene, geometry.mesh_scene(scene, cfg.ppw)
 
@@ -251,12 +249,11 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _parameter_doc(cfg: RunConfig, k: float) -> dict:
-    cfie = formulations.Formulation(kind="CFIE", alpha=cfg.alpha, eta=cfg.eta).resolved(k)
-    bw = formulations.Formulation(kind="BW", eta_bw=cfg.eta_bw).resolved(k)
+    form = formulations.Formulation(cfg.formulation, cfg.alpha, cfg.eta, cfg.eta_bw).resolved(k)
     return {
         "alpha": cfg.alpha,
-        "eta": _complex_pair(cfie.eta),
-        "eta_bw": _complex_pair(bw.eta_bw),
+        "eta": _complex_pair(form.eta),
+        "eta_bw": _complex_pair(form.eta_bw),
         "restart": cfg.restart,
         "tol": cfg.tol,
         "maxiter": cfg.maxiter,
@@ -302,8 +299,12 @@ def _refuse_beyond_memory(command: str, n: int) -> None:
                          f"more than the {available / 2**30:.1f} GiB of physical memory available")
 
 
-def _print_check(name: str, value: float, bound: float, ok: bool) -> None:
-    print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.6e} (bound {bound:.1e})")
+def _verdict(name: str, ok: bool, value: float | None = None, bound: float | None = None) -> bool:
+    """Print the PASS/FAIL line of one check, with its value and bound when
+    given, and return ``ok``."""
+    measured = "" if value is None else f": {value:.6e} (bound {bound:.1e})"
+    print(f"{'PASS' if ok else 'FAIL'}  {name}{measured}")
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -332,34 +333,23 @@ def cmd_verify(cfg: RunConfig) -> int:
         restart=cfg.restart, tol=cfg.tol, maxiter=cfg.maxiter,
     )
 
-    checks: dict[str, bool] = {}
-    for key, value in direct.differences.items():
-        checks[f"direct {key}"] = direct.passed[key]
-        _print_check(f"direct {key}", value, direct.thresholds[key], direct.passed[key])
-    sim_value = similar.similarity_difference
-    checks["similarity EFIE/BW"] = similar.passed["EFIE/BW"]
-    _print_check("similarity EFIE/BW", sim_value, similar.thresholds["EFIE/BW"],
-                 checks["similarity EFIE/BW"])
-
-    pre_counts = [
-        histories.record(kind, True).iterations for kind in formulations.FORMULATION_KINDS
-    ]
-    checks["iteration counts superimposed"] = max(pre_counts) - min(pre_counts) <= 1
+    verdicts = [(f"direct {key}", direct.passed[key], value, direct.thresholds[key])
+                for key, value in direct.differences.items()]
+    verdicts.append(("similarity EFIE/BW", similar.passed["EFIE/BW"],
+                     similar.similarity_difference, similar.thresholds["EFIE/BW"]))
+    counts = [histories.record(kind, True).iterations for kind in formulations.FORMULATION_KINDS]
+    verdicts.append(("iteration counts superimposed", max(counts) - min(counts) <= 1))
     for kind in ("CFIE", "BW"):
-        pre = histories.record(kind, True)
-        plain = histories.record(kind, False)
-        checks[f"preconditioning improves {kind}"] = (
-            pre.converged and pre.iterations < plain.iterations
-        )
-    for name in ("iteration counts superimposed",
-                 "preconditioning improves CFIE", "preconditioning improves BW"):
-        print(f"{'PASS' if checks[name] else 'FAIL'}  {name}")
+        pre, plain = histories.record(kind, True), histories.record(kind, False)
+        verdicts.append((f"preconditioning improves {kind}",
+                         pre.converged and pre.iterations < plain.iterations))
+    checks = {verdict[0]: _verdict(*verdict) for verdict in verdicts}
 
     out = _out_dir(cfg)
     doc = _report(
         "verify", cfg, scene, mesh,
         differences=direct.differences,
-        similarity_difference=sim_value,
+        similarity_difference=similar.similarity_difference,
         thresholds={**direct.thresholds, **similar.thresholds},
         iterations=[{key: getattr(rec, key) for key in
                      ("formulation", "preconditioned", "iterations", "converged")}
@@ -377,25 +367,16 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     scene, mesh = _meshed("spectrum", cfg)
     logger.info("spectrum: %d unknowns", mesh.n_nodes)
     report = verify.check_spectra(scene, mesh, cfg.alpha, cfg.eta, cfg.eta_bw)
-    passed = report.matched_max_rel_error <= verify.DESK_SPECTRUM_THRESHOLD
-    _print_check("matched spectra", report.matched_max_rel_error,
-                 verify.DESK_SPECTRUM_THRESHOLD, passed)
+    error, bound = report.matched_max_rel_error, verify.DESK_SPECTRUM_THRESHOLD
+    passed = _verdict("matched spectra", error <= bound, error, bound)
 
     out = _out_dir(cfg)
     doc = _report("spectrum", cfg, scene, mesh,
-                  matched_max_rel_error=report.matched_max_rel_error,
-                  threshold=verify.DESK_SPECTRUM_THRESHOLD, passed=passed)
+                  matched_max_rel_error=error, threshold=bound, passed=passed)
     _write_json(out / "spectrum.json", doc)
-    # Canonical row order: EFIE sorted by (real, imag), every other
-    # formulation in its matching to EFIE, so row i of each block holds the
-    # same matched eigenvalue and LAPACK's output order never shows.
-    reference = report.eigenvalues["EFIE"]
-    order = np.lexsort((reference.imag, reference.real))
-    matched = {kind: values if kind == "EFIE" else values[report.permutations[kind]]
-               for kind, values in report.eigenvalues.items()}
     _write_csv(out / "eigenvalues.csv", EIGENVALUE_COLUMNS,
                ([kind, float(value.real), float(value.imag)]
-                for kind in formulations.FORMULATION_KINDS for value in matched[kind][order]))
+                for kind, values in report.eigenvalues.items() for value in values))
     return EXIT_PASS if passed else EXIT_THRESHOLD
 
 
@@ -464,9 +445,8 @@ def disk_field_errors(cfg: RunConfig) -> dict[str, float]:
 def cmd_validate_disk(cfg: RunConfig) -> int:
     """Check every formulation's field accuracy on the unit disk."""
     errors = disk_field_errors(cfg)
-    checks = {kind: err <= DISK_FIELD_THRESHOLD for kind, err in errors.items()}
-    for kind in formulations.FORMULATION_KINDS:
-        _print_check(f"disk field {kind}", errors[kind], DISK_FIELD_THRESHOLD, checks[kind])
+    checks = {kind: _verdict(f"disk field {kind}", err <= DISK_FIELD_THRESHOLD, err,
+                             DISK_FIELD_THRESHOLD) for kind, err in errors.items()}
 
     out = _out_dir(cfg)
     doc = {

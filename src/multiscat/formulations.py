@@ -24,8 +24,9 @@ A system is a view of Lh, Nh and Mh (the last kept as three bands per
 node) and of the scene, the one holder of k and beta: each combination
 above is written once, in ``_combination``, which forms row blocks of A for
 the checks and the preconditioner and applies A to a vector for GMRES; A
-itself is never stored.  Systems are built only once the scene has passed
-its one validation, so a bad k or beta is refused before any assembly.
+itself is never stored.  Systems are built only once the scene and the
+couplings have passed their one check each, so a bad k, beta or coupling
+is refused before any assembly.
 Obstacles own the mesh's contiguous index blocks.  The single-scattering
 preconditioner factorizes the diagonal block of each obstacle and applies
 the inverses blockwise, which turns the diagonal of the preconditioned
@@ -35,6 +36,7 @@ caller holds the factors, never the system.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 
 import numpy as np
@@ -64,21 +66,23 @@ class Formulation:
     eta_bw: complex | None = None
 
     def resolved(self, k: float) -> "Formulation":
-        """Validate and substitute the k-dependent defaults."""
+        """This formulation with both k-dependent defaults filled in, once
+        every coupling is checked, whatever the kind: each is finite,
+        0 < alpha < 1, and eta and eta_bw have nonzero imaginary parts."""
         if self.kind not in FORMULATION_KINDS:
             raise ValueError(f"unknown formulation kind {self.kind!r}")
-        alpha, eta, eta_bw = self.alpha, self.eta, self.eta_bw
-        if self.kind == "CFIE":
-            if not 0.0 < alpha < 1.0:
-                raise ValueError("CFIE requires alpha strictly inside (0, 1)")
-            eta = complex(eta) if eta is not None else ETA_PER_K * k
-            if eta.imag == 0.0:
-                raise ValueError("CFIE requires a coupling eta with nonzero imaginary part")
-        if self.kind == "BW":
-            eta_bw = complex(eta_bw) if eta_bw is not None else ETA_BW_PER_K * k
-            if eta_bw.imag == 0.0:
-                raise ValueError("BW requires eta_bw with nonzero imaginary part")
-        return Formulation(kind=self.kind, alpha=alpha, eta=eta, eta_bw=eta_bw)
+        eta = complex(self.eta) if self.eta is not None else ETA_PER_K * k
+        eta_bw = complex(self.eta_bw) if self.eta_bw is not None else ETA_BW_PER_K * k
+        for name, value in (("alpha", self.alpha), ("eta", eta), ("eta_bw", eta_bw)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("CFIE requires alpha strictly inside (0, 1)")
+        if eta.imag == 0.0:
+            raise ValueError("CFIE requires a coupling eta with nonzero imaginary part")
+        if eta_bw.imag == 0.0:
+            raise ValueError("BW requires eta_bw with nonzero imaginary part")
+        return dataclasses.replace(self, eta=eta, eta_bw=eta_bw)
 
 
 def incident_loads(scene, mesh) -> tuple[np.ndarray, np.ndarray]:

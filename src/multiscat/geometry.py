@@ -159,6 +159,12 @@ def _arclength_table(shape: Shape, k: float, ppw: float):
     return t_grid, s_table, max(int(math.ceil(arc_perimeter / (lam / ppw))), 8)
 
 
+def check_unit_direction(beta) -> None:
+    """Raise ValueError unless the direction beta has unit length to a relative 1e-9."""
+    if not math.isclose(math.hypot(*beta), 1.0, rel_tol=1e-9):
+        raise ValueError("incident direction must be a unit vector")
+
+
 @dataclass(frozen=True)
 class Scene:
     """Wavenumber, incident direction, and placed obstacles in a box."""
@@ -173,8 +179,7 @@ class Scene:
     def validate(self) -> None:
         if self.k <= 0:
             raise ValueError("wavenumber must be positive")
-        if not math.isclose(math.hypot(*self.beta), 1.0, rel_tol=1e-9):
-            raise ValueError("incident direction must be a unit vector")
+        check_unit_direction(self.beta)
         x0, y0, x1, y1 = self.box
         if x1 <= x0 or y1 <= y0:
             raise ValueError("box must have positive extent")
@@ -268,19 +273,20 @@ def mesh_scene(scene: Scene, ppw: float) -> SceneMesh:
     return polygon_mesh(loops)
 
 
-def generate_scene(config: Scene, seed: int, size_jitter: float = 0.0) -> Scene:
-    """Place the configured shapes randomly in the box, seeded.
+def generate_scene(config: Scene, size_jitter: float = 0.0) -> Scene:
+    """Place the configured shapes randomly in the box, seeded by ``config.seed``.
 
-    The obstacles of ``config`` act as templates: centers and rotations
-    are drawn fresh, and the size parameters of each shape's kind (never
-    the exponent p) are scaled by a factor drawn uniformly from
+    ``config`` is the template, and the scene keeps its seed, k, beta and
+    box.  Each obstacle's center and rotation are drawn fresh from the
+    template's seed, and the size parameters of its kind (never the
+    exponent p) are scaled by a factor drawn uniformly from
     [1 - size_jitter, 1 + size_jitter].  Placement is rejection
     sampling: a center is accepted when it keeps at least
     min_center_distance from all earlier centers and the circumscribed
     circles stay disjoint (the scattering problem needs disjoint
     obstacles, which a pure center-distance rule cannot guarantee).
 
-    Deterministic for fixed (config, seed, size_jitter); raises on
+    Deterministic for fixed (config, size_jitter); raises on
     placement failure after a bounded number of rejection rounds.
     """
     x0, y0, x1, y1 = config.box
@@ -288,7 +294,7 @@ def generate_scene(config: Scene, seed: int, size_jitter: float = 0.0) -> Scene:
     if (x1 - x0) * (y1 - y0) < 4.0 * m_count * config.min_center_distance**2:
         raise ValueError("box too small for rejection sampling (area heuristic)")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     placed: list[Shape] = []
     centers: list[np.ndarray] = []
     radii: list[float] = []
@@ -323,6 +329,6 @@ def generate_scene(config: Scene, seed: int, size_jitter: float = 0.0) -> Scene:
         centers.append(center)
         radii.append(radius)
 
-    scene = replace(config, obstacles=tuple(placed), seed=seed)
+    scene = replace(config, obstacles=tuple(placed))
     scene.validate()
     return scene

@@ -188,13 +188,16 @@ def gmres(apply, b, restart: int = GMRES_RESTART, tol: float = GMRES_TOL,
     )
 
 
+def check_eig_size(n: int) -> None:
+    """Raise ValueError when n unknowns exceed the eigenvalue limit."""
+    if n > EIG_DIM_LIMIT:
+        raise ValueError(f"eigenvalues are limited to {EIG_DIM_LIMIT} unknowns, got {n}")
+
+
 def eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a square matrix of dimension at most 3000."""
+    """All eigenvalues of a square matrix of dimension at most ``EIG_DIM_LIMIT``."""
     a = _require_square(a, "eigenvalues")
-    if a.shape[0] > EIG_DIM_LIMIT:
-        raise ValueError(
-            f"eigenvalues is guarded to dimension {EIG_DIM_LIMIT}, got {a.shape[0]}"
-        )
+    check_eig_size(a.shape[0])
     if not np.all(np.isfinite(a)):
         raise ValueError("eigenvalues requires finite entries")
     try:

@@ -52,17 +52,18 @@ _SHAPES = (
 )
 
 
+def _preset(k: float, side: float, copies: int, seed: int,
+            size_jitter: float = 0.0) -> geometry.Scene:
+    """``copies`` obstacles of each shape placed from ``seed`` in a
+    side x side box at wavenumber k, the wave incident along +y."""
+    return geometry.generate_scene(geometry.Scene(
+        k=k, beta=(0.0, 1.0), obstacles=_SHAPES * copies, box=(0.0, 0.0, side, side),
+        min_center_distance=3.0, seed=seed), size_jitter)
+
+
 def desk_scene(seed: int = 0) -> geometry.Scene:
     """Three obstacles, one of each shape, in a 12 x 12 box at k=5."""
-    template = geometry.Scene(
-        k=5.0,
-        beta=(0.0, 1.0),
-        obstacles=_SHAPES,
-        box=(0.0, 0.0, 12.0, 12.0),
-        min_center_distance=3.0,
-        seed=seed,
-    )
-    return geometry.generate_scene(template, seed)
+    return _preset(5.0, 12.0, 1, seed)
 
 
 def paper_scene(seed: int = 0) -> geometry.Scene:
@@ -71,15 +72,7 @@ def paper_scene(seed: int = 0) -> geometry.Scene:
     Characteristic sizes are drawn around 1 (jitter 0.3), matching the
     qualitative setup of the full-scale experiment.
     """
-    template = geometry.Scene(
-        k=20.0,
-        beta=(0.0, 1.0),
-        obstacles=_SHAPES * 10,
-        box=(0.0, 0.0, 60.0, 60.0),
-        min_center_distance=3.0,
-        seed=seed,
-    )
-    return geometry.generate_scene(template, seed, size_jitter=0.3)
+    return _preset(20.0, 60.0, 10, seed, size_jitter=0.3)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,10 +90,11 @@ class TheoremReport:
 
 @dataclasses.dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues of the four preconditioned matrices, matched to EFIE's."""
+    """Eigenvalues of the four preconditioned matrices in one canonical row
+    order: EFIE's sorted by (real, imag), every other formulation's in its
+    matching to EFIE's, so LAPACK's output order never shows."""
 
     eigenvalues: dict[str, np.ndarray]
-    permutations: dict[str, np.ndarray]
     matched_max_rel_error: float
 
 
@@ -217,23 +211,17 @@ def check_bw_similarity(scene, mesh, eta_bw: complex | None = None, operators=No
     )
 
 
-def check_spectrum_size(n: int) -> None:
-    """Raise ValueError when n unknowns exceed ``linalg.EIG_DIM_LIMIT``."""
-    if n > linalg.EIG_DIM_LIMIT:
-        raise ValueError(f"spectrum is limited to {linalg.EIG_DIM_LIMIT} unknowns, got {n}")
-
-
 def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
                   eta: complex | None = None, eta_bw: complex | None = None,
                   operators=None) -> SpectrumReport:
     """Eigenvalues of the four preconditioned matrices, greedily matched.
 
     MFIE/CFIE/BW spectra are matched against the EFIE spectrum; the report
-    carries the worst matched relative mismatch and the permutations.
-    Meshes above ``linalg.EIG_DIM_LIMIT`` unknowns are refused before any
-    assembly.
+    carries the worst matched relative mismatch and every spectrum in the
+    canonical row order (``SpectrumReport``).  Meshes above
+    ``linalg.EIG_DIM_LIMIT`` unknowns are refused before any assembly.
     """
-    check_spectrum_size(mesh.n_nodes)
+    linalg.check_eig_size(mesh.n_nodes)
     matrix = np.empty((mesh.n_nodes, mesh.n_nodes), dtype=complex)
     eigenvalues = {}
     for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
@@ -244,20 +232,19 @@ def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
         eigenvalues[kind] = linalg.eigenvalues(matrix)
     del matrix  # not held while the spectra are matched
     reference = eigenvalues["EFIE"]
-    permutations = {}
+    order = np.lexsort((reference.imag, reference.real))
+    eigenvalues["EFIE"] = reference[order]
     worst = 0.0
     for kind in ("MFIE", "CFIE", "BW"):
+        # matched to LAPACK's order, which sets the order the greedy
+        # matching visits equal magnitudes in, then put in the sorted order
         perm = linalg.match_eigenvalues(reference, eigenvalues[kind])
         if not np.array_equal(np.sort(perm), np.arange(perm.size)):
             raise RuntimeError("eigenvalue matching is not a permutation")
-        rel = np.abs(eigenvalues[kind][perm] - reference) / np.abs(reference)
-        permutations[kind] = perm
+        eigenvalues[kind] = eigenvalues[kind][perm[order]]
+        rel = np.abs(eigenvalues[kind] - eigenvalues["EFIE"]) / np.abs(eigenvalues["EFIE"])
         worst = max(worst, float(rel.max()))
-    return SpectrumReport(
-        eigenvalues=eigenvalues,
-        permutations=permutations,
-        matched_max_rel_error=worst,
-    )
+    return SpectrumReport(eigenvalues=eigenvalues, matched_max_rel_error=worst)
 
 
 def convergence_histories(scene, mesh, alpha: float = formulations.ALPHA,

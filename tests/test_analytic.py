@@ -83,6 +83,13 @@ def test_config_validation():
         analytic.MieConfig(k=5.0, radius=2.0, nmax=3).validate()
 
 
+def test_config_takes_the_scene_unit_direction_rule():
+    # unit length to a relative 1e-9, as every scene's beta
+    analytic.MieConfig(k=1.0, radius=1.0, beta=(0.6, 0.8000000001)).validate()
+    with pytest.raises(ValueError, match="unit vector"):
+        analytic.MieConfig(k=1.0, radius=1.0, beta=(1.0, 1.0)).validate()
+
+
 def test_discrete_helmholtz_residual():
     cfg = config()
     h = 1e-3

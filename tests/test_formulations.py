@@ -116,6 +116,29 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="eta_bw"):
             form.resolved(DISK_K)
 
+    @pytest.mark.parametrize("kind", formulations.FORMULATION_KINDS)
+    @pytest.mark.parametrize("coupling", [{"alpha": float("nan")}, {"alpha": float("inf")},
+                                          {"eta": complex(float("nan"), 1.0)},
+                                          {"eta_bw": complex(1.0, float("inf"))}],
+                             ids=["alpha-nan", "alpha-inf", "eta-nan", "eta_bw-inf"])
+    def test_non_finite_coupling_rejected_whatever_the_kind(self, kind, coupling):
+        # every coupling is checked, not only the ones the kind uses
+        with pytest.raises(ValueError, match="must be finite"):
+            formulations.Formulation(kind=kind, **coupling).resolved(DISK_K)
+
+    def test_bad_coupling_refused_before_any_assembly(self, disk, monkeypatch):
+        scene, mesh, _ = disk
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before the couplings were validated")
+
+        for name in ("assemble_operators", "assemble_mass"):
+            monkeypatch.setattr(bem, name, no_assembly)
+        with pytest.raises(ValueError, match="must be finite"):
+            formulations.systems(("BW",), scene, mesh, eta_bw=complex(1.0, float("nan")))
+        with pytest.raises(ValueError, match="alpha strictly inside"):
+            formulations.systems(("EFIE",), scene, mesh, alpha=1.5)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             formulations.Formulation(kind="HYPER").resolved(DISK_K)

@@ -1,5 +1,6 @@
 """Shapes, meshing and scene generation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -218,14 +219,25 @@ def config_for_generation(m_per_kind: int = 1) -> geometry.Scene:
 
 
 def test_generate_scene_deterministic():
+    cfg = dataclasses.replace(config_for_generation(), seed=7)
+    assert geometry.generate_scene(cfg) == geometry.generate_scene(cfg)
+    assert geometry.generate_scene(cfg) != geometry.generate_scene(
+        dataclasses.replace(cfg, seed=8))
+
+
+def test_generate_scene_draws_from_the_template_seed():
     cfg = config_for_generation()
-    assert geometry.generate_scene(cfg, seed=7) == geometry.generate_scene(cfg, seed=7)
-    assert geometry.generate_scene(cfg, seed=7) != geometry.generate_scene(cfg, seed=8)
+    scene = geometry.generate_scene(dataclasses.replace(cfg, seed=3))
+    assert scene.seed == 3
+    assert scene == geometry.generate_scene(dataclasses.replace(cfg, seed=3))
+    other = geometry.generate_scene(dataclasses.replace(cfg, seed=7))
+    assert other.seed == 7
+    assert [s.center for s in scene.obstacles] != [s.center for s in other.obstacles]
 
 
 def test_generate_scene_respects_min_distance():
-    cfg = config_for_generation(m_per_kind=10)  # 30 obstacles in [0,60]^2
-    scene = geometry.generate_scene(cfg, seed=3, size_jitter=0.3)
+    cfg = dataclasses.replace(config_for_generation(m_per_kind=10), seed=3)  # 30 in [0,60]^2
+    scene = geometry.generate_scene(cfg, size_jitter=0.3)
     centers = np.array([s.center for s in scene.obstacles])
     m = len(centers)
     assert m == 30
@@ -247,7 +259,7 @@ def test_generate_scene_single_obstacle():
         box=(0.0, 0.0, 8.0, 8.0),
         min_center_distance=3.0,
     )
-    scene = geometry.generate_scene(cfg, seed=0)
+    scene = geometry.generate_scene(dataclasses.replace(cfg, seed=0))
     assert len(scene.obstacles) == 1
 
 
@@ -260,4 +272,4 @@ def test_generate_scene_box_too_small():
         min_center_distance=3.0,
     )
     with pytest.raises(ValueError, match="box too small"):
-        geometry.generate_scene(cfg, seed=0)
+        geometry.generate_scene(dataclasses.replace(cfg, seed=0))

@@ -303,7 +303,10 @@ class TestDenseReference:
         report = verify.check_spectra(desk, mesh, operators=ops)
         for kind in formulations.FORMULATION_KINDS:
             dense = self.dense_preconditioned(desk, mesh, ops, kind)
-            assert np.array_equal(report.eigenvalues[kind], linalg.eigenvalues(dense))
+            # the report reorders LAPACK's output (SpectrumReport), so the
+            # two agree as multisets
+            assert np.array_equal(np.sort(report.eigenvalues[kind]),
+                                  np.sort(linalg.eigenvalues(dense)))
 
 
 class TestSpectra:
@@ -318,12 +321,15 @@ class TestSpectra:
             assert np.mean(np.abs(eig - 1.0) <= 0.5) >= 0.5
 
     def test_matchings_are_permutations(self, desk, desk15):
+        """The rows come in the canonical order: EFIE's sorted by (real,
+        imag), and row i of every other formulation matched to EFIE's row i."""
         mesh, ops = desk15
         report = verify.check_spectra(desk, mesh, operators=ops)
-        n = mesh.n_nodes
-        assert set(report.permutations) == {"MFIE", "CFIE", "BW"}
-        for perm in report.permutations.values():
-            assert np.array_equal(np.sort(perm), np.arange(n))
+        efie = report.eigenvalues["EFIE"]
+        assert np.array_equal(efie, np.sort(efie))
+        worst = max(float(np.max(np.abs(report.eigenvalues[kind] - efie) / np.abs(efie)))
+                    for kind in ("MFIE", "CFIE", "BW"))
+        assert worst == report.matched_max_rel_error
 
 
 @pytest.fixture(scope="module")
