@@ -42,10 +42,8 @@ class MieConfig:
     nmax: int | None = None
 
     def validate(self) -> "MieConfig":
-        if self.k <= 0.0:
-            raise ValueError("MieConfig requires k > 0")
-        if self.radius <= 0.0:
-            raise ValueError("MieConfig requires radius > 0")
+        geometry.check_positive(self.k, "wavenumber")
+        geometry.check_positive(self.radius, "radius")
         geometry.check_unit_direction(self.beta)
         if self.nmax is not None and self.nmax < self.k * self.radius:
             raise ValueError("MieConfig requires nmax >= k * radius")

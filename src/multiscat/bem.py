@@ -263,8 +263,7 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
     are shared between the requested kernels, so asking for both is barely
     slower than asking for one.  Returns a dict keyed by kind.
     """
-    if k <= 0.0:
-        raise ValueError("assembly requires k > 0")
+    geometry.check_positive(k, "wavenumber")
     kinds = tuple(dict.fromkeys(kinds))
     for kind in kinds:
         if kind not in _OPERATOR_KINDS:
@@ -449,8 +448,7 @@ def evaluate_potentials(
     The points are split into pieces evaluated on a thread per CPU the
     process may use; the values are the same bit for bit for any split.
     """
-    if k <= 0.0:
-        raise ValueError("evaluate_potentials requires k > 0")
+    geometry.check_positive(k, "wavenumber")
     if layer not in ("single", "double"):
         raise ValueError("layer must be 'single' or 'double'")
     _check_mesh(mesh)

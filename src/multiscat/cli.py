@@ -45,6 +45,7 @@ DENSITY_COLUMNS = ("obstacle", "node", "x", "y", "re", "im")
 # Relative L2 accuracy demanded of each formulation's scattered field on
 # the evaluation circle of the disk check.
 DISK_FIELD_THRESHOLD = 1e-2
+_DISK_RADIUS = 1.0
 _DISK_EVAL_RADIUS = 3.0
 _DISK_EVAL_POINTS = 200
 
@@ -88,25 +89,13 @@ class RunConfig:
     out_dir: str = "."
 
     def validate(self) -> "RunConfig":
-        for name in ("ppw", "tol", "disk_k"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
-        if self.ppw < 4.0:
-            raise ValueError("points per wavelength must be at least 4")
-        if self.restart < 1:
-            raise ValueError("restart must be at least 1")
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError("tolerance must be in (0, 1)")
-        if self.maxiter < 0:
-            raise ValueError("maxiter must be nonnegative")
-        if self.formulation not in formulations.FORMULATION_KINDS:
-            raise ValueError(f"unknown formulation {self.formulation!r}")
-        if self.disk_k <= 0.0:
-            raise ValueError("wavenumber must be positive")
-        # Formulation.resolved checks every coupling, whichever formulation
-        # runs; no check depends on the wavenumber, so any positive one will do
+        geometry.check_ppw(self.ppw)
+        linalg.check_gmres_settings(self.restart, self.tol, self.maxiter)
+        geometry.check_positive(self.disk_k, "wavenumber")
+        # Formulation.resolved checks the kind and every coupling, whichever
+        # formulation runs; no check depends on k, so any positive k will do
         _parameter_doc(self, 1.0)
         return self
 
@@ -203,7 +192,7 @@ def scene_from_dict(doc: dict) -> geometry.Scene:
 
 
 def write_scene(scene: geometry.Scene, path) -> None:
-    pathlib.Path(path).write_text(json.dumps(scene_to_dict(scene), indent=2) + "\n")
+    _write_json(pathlib.Path(path), scene_to_dict(scene))
 
 
 def read_scene(path) -> geometry.Scene:
@@ -421,14 +410,14 @@ def disk_field_errors(cfg: RunConfig) -> dict[str, float]:
     scene, mesh = _meshed("validate-disk", cfg, geometry.Scene(
         k=cfg.disk_k,
         beta=(0.0, 1.0),
-        obstacles=(geometry.Shape(kind="ellipse", a=1.0, b=1.0),),
+        obstacles=(geometry.Shape(kind="ellipse", a=_DISK_RADIUS, b=_DISK_RADIUS),),
         box=(-5.0, -5.0, 5.0, 5.0),
     ))
 
     theta = np.linspace(0.0, 2.0 * np.pi, _DISK_EVAL_POINTS, endpoint=False)
     points = _DISK_EVAL_RADIUS * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     reference = analytic.mie_scattered(
-        analytic.MieConfig(k=scene.k, radius=1.0, beta=scene.beta), points
+        analytic.MieConfig(k=scene.k, radius=_DISK_RADIUS, beta=scene.beta), points
     )
     scale = np.linalg.norm(reference)
 
@@ -454,7 +443,7 @@ def cmd_validate_disk(cfg: RunConfig) -> int:
         "command": "validate-disk",
         "disk": {
             "k": cfg.disk_k,
-            "radius": 1.0,
+            "radius": _DISK_RADIUS,
             "ppw": cfg.ppw,
             "evaluation_radius": _DISK_EVAL_RADIUS,
             "evaluation_points": _DISK_EVAL_POINTS,

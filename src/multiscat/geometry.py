@@ -37,6 +37,22 @@ SHAPE_KINDS = tuple(SHAPE_PARAMS)
 _KITE_RADIUS = 2.0657
 
 
+def check_positive(value, name: str) -> None:
+    """Raise ValueError unless ``value``, a wavenumber, size or extent, is finite and > 0."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+
+
+def check_ppw(ppw) -> None:
+    """Raise ValueError unless the mesh density ``ppw`` is finite and at least 4."""
+    if not math.isfinite(ppw):
+        raise ValueError(f"points per wavelength must be finite, got {ppw}")
+    if ppw < 4:
+        raise ValueError("points per wavelength must be at least 4")
+
+
 @dataclass(frozen=True)
 class Shape:
     """One obstacle boundary: kind, size parameters, placement.
@@ -57,14 +73,10 @@ class Shape:
     def validate(self) -> None:
         if self.kind not in SHAPE_KINDS:
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if self.kind in ("ellipse", "rounded_rectangle"):
-            if self.a <= 0 or self.b <= 0:
-                raise ValueError("semi-axes must be positive")
-        if self.kind == "rounded_rectangle":
-            if self.p < 4 or self.p % 2 != 0:
-                raise ValueError("superellipse exponent must be even and >= 4")
-        if self.kind == "kite" and self.s <= 0:
-            raise ValueError("kite scale must be positive")
+        for name in SHAPE_PARAMS[self.kind]:
+            check_positive(getattr(self, name), f"{self.kind} parameter {name}")
+        if self.kind == "rounded_rectangle" and (self.p < 4 or self.p % 2 != 0):
+            raise ValueError("superellipse exponent must be even and >= 4")
 
     def bounding_radius(self) -> float:
         """Radius of the circumscribed circle about the shape's center."""
@@ -96,7 +108,7 @@ def _base_curve(shape: Shape, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rp = -(1.0 / p) * f ** (-1.0 / p - 1.0) * fp
         pts = np.stack([r * ct, r * st], axis=-1)
         tan = np.stack([rp * ct - r * st, rp * st + r * ct], axis=-1)
-    elif shape.kind == "kite":
+    else:  # kite; validate() has refused any other kind
         s = shape.s
         pts = s * np.stack(
             [np.cos(t) + 0.65 * np.cos(2 * t) - 0.65, 1.5 * np.sin(t)], axis=-1
@@ -104,8 +116,6 @@ def _base_curve(shape: Shape, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tan = s * np.stack(
             [-np.sin(t) - 1.3 * np.sin(2 * t), 1.5 * np.cos(t)], axis=-1
         )
-    else:
-        raise ValueError(f"unknown shape kind {shape.kind!r}")
     return pts, tan
 
 
@@ -143,8 +153,7 @@ def _arclength_table(shape: Shape, k: float, ppw: float):
     trapezoid rule, and the node count at panel length <= lambda/ppw,
     lambda = 2 pi / k: the count of equal arcs of that length, at least 8;
     the shape and k are those of a validated scene."""
-    if ppw < 4:
-        raise ValueError("ppw must be at least 4")
+    check_ppw(ppw)
 
     t_grid = np.linspace(0.0, 2.0 * math.pi, _ARCLENGTH_SAMPLES + 1)
     _, tan = _base_curve(shape, t_grid)
@@ -177,12 +186,11 @@ class Scene:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.k <= 0:
-            raise ValueError("wavenumber must be positive")
+        check_positive(self.k, "wavenumber")
         check_unit_direction(self.beta)
         x0, y0, x1, y1 = self.box
-        if x1 <= x0 or y1 <= y0:
-            raise ValueError("box must have positive extent")
+        check_positive(x1 - x0, "box width")
+        check_positive(y1 - y0, "box height")
         for shape in self.obstacles:
             shape.validate()
         centers = np.array([s.center for s in self.obstacles])

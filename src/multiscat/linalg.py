@@ -9,6 +9,7 @@ and callback operators, which canned wrappers do not expose cleanly.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -91,6 +92,18 @@ def _givens(a: complex, b: complex):
     return np.array([[np.conj(a), np.conj(b)], [-b, a]]) / t, t
 
 
+def check_gmres_settings(restart, tol, maxiter) -> None:
+    """Raise ValueError unless restart >= 1, tol is finite in (0, 1) and maxiter >= 0."""
+    if not restart >= 1:
+        raise ValueError("restart must be at least 1")
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tolerance must be in (0, 1)")
+    if not maxiter >= 0:
+        raise ValueError("maxiter must be nonnegative")
+
+
 def gmres(apply, b, restart: int = GMRES_RESTART, tol: float = GMRES_TOL,
           maxiter: int = GMRES_MAXITER, left_precond=None):
     """Restarted GMRES on a callback operator, returning (x, GmresReport).
@@ -100,10 +113,7 @@ def gmres(apply, b, restart: int = GMRES_RESTART, tol: float = GMRES_TOL,
     the norm drops by more than 1/sqrt(2) in one step.  Hitting ``maxiter``
     total inner iterations yields a non-converged report, not an exception.
     """
-    if restart < 1:
-        raise ValueError("gmres requires restart >= 1")
-    if maxiter < 0:
-        raise ValueError("gmres requires maxiter >= 0")
+    check_gmres_settings(restart, tol, maxiter)
     b = np.asarray(b, dtype=complex)
     if b.ndim != 1:
         raise ValueError("gmres right-hand side must be a vector")

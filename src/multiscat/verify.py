@@ -84,9 +84,6 @@ class TheoremReport:
     thresholds: dict[str, float]
     passed: dict[str, bool]
 
-    def all_passed(self) -> bool:
-        return all(self.passed.values())
-
 
 @dataclasses.dataclass(frozen=True)
 class SpectrumReport:

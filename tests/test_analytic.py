@@ -81,6 +81,16 @@ def test_config_validation():
         analytic.MieConfig(k=1.0, radius=1.0, beta=(1.0, 1.0)).validate()
     with pytest.raises(ValueError):
         analytic.MieConfig(k=5.0, radius=2.0, nmax=3).validate()
+    for k, radius, message in ((np.nan, 1.0, "wavenumber must be finite"),
+                               (np.inf, 1.0, "wavenumber must be finite"),
+                               (0.0, 1.0, "wavenumber must be positive"),
+                               (1.0, np.nan, "radius must be finite"),
+                               (1.0, -np.inf, "radius must be finite"),
+                               (1.0, -1.0, "radius must be positive")):
+        with pytest.raises(ValueError, match=message):
+            analytic.MieConfig(k=k, radius=radius).validate()
+        with pytest.raises(ValueError, match=message):
+            analytic.mie_scattered(analytic.MieConfig(k=k, radius=radius), [[3.0, 0.0]])
 
 
 def test_config_takes_the_scene_unit_direction_rule():

@@ -529,6 +529,11 @@ def test_assembly_input_validation():
         bem.assemble_operators(mesh, WAVENUMBER, kinds=("double_layer",))
     with pytest.raises(TypeError):
         bem.assemble_operators(np.zeros((3, 2)), WAVENUMBER)
+    for k in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="wavenumber must be finite"):
+            bem.assemble_operators(mesh, k)
+    with pytest.raises(ValueError, match="wavenumber must be positive"):
+        bem.assemble_operators(mesh, 0.0)
     assert bem.assemble_operators(mesh, WAVENUMBER, kinds=()) == {}
 
 
@@ -748,5 +753,10 @@ def test_potential_input_validation():
         bem.evaluate_potentials(mesh, rho[:-1], WAVENUMBER, [[1.0, 2.0]])
     with pytest.raises(ValueError):
         bem.evaluate_potentials(mesh, rho, 0.0, [[1.0, 2.0]])
+    for k in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="wavenumber must be finite"):
+            bem.evaluate_potentials(mesh, rho, k, [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="wavenumber must be positive"):
+        bem.evaluate_potentials(mesh, rho, -1.0, [[1.0, 2.0]])
     with pytest.raises(ValueError):
         bem.evaluate_potentials(mesh, rho, WAVENUMBER, [[1.0, 2.0, 3.0]])

@@ -392,6 +392,20 @@ class TestExitCodes:
         assert run("validate-disk", "--eta-bw-im", "0", "--out", out) == 2
         assert "eta_bw with nonzero imaginary part" in capsys.readouterr().err
 
+    def test_config_and_library_refuse_alike(self):
+        scene = verify.desk_scene()
+        for change, library_call in (
+            ({"ppw": 3.9}, lambda: geometry.mesh_scene(scene, 3.9)),
+            ({"tol": 1.0}, lambda: linalg.gmres(lambda v: v, np.ones(3), tol=1.0)),
+            ({"restart": 0}, lambda: linalg.gmres(lambda v: v, np.ones(3), restart=0)),
+            ({"disk_k": 0.0}, lambda: dataclasses.replace(scene, k=0.0).validate()),
+        ):
+            with pytest.raises(ValueError) as config_error:
+                cli.RunConfig(**change).validate()
+            with pytest.raises(ValueError) as library_error:
+                library_call()
+            assert str(config_error.value) == str(library_error.value), change
+
     def test_real_coupling_rejected(self, tmp_path):
         code = run("solve", "--preset", "desk", "--ppw", "4", "--eta-re", "2.0",
                    "--out", str(tmp_path))

@@ -71,6 +71,12 @@ def test_shape_validation():
         geometry.Shape(kind="rounded_rectangle", p=2).validate()
     with pytest.raises(ValueError):
         geometry.Shape(kind="kite", s=0.0).validate()
+    for kind, size in (("ellipse", {"a": math.nan}), ("ellipse", {"b": math.inf}),
+                       ("rounded_rectangle", {"a": -math.inf}),
+                       ("rounded_rectangle", {"p": math.inf}),
+                       ("kite", {"s": math.nan}), ("kite", {"s": math.inf})):
+        with pytest.raises(ValueError, match="must be finite"):
+            geometry.Shape(kind=kind, **size).validate()
 
 
 def test_mesh_circle_segment_count():
@@ -120,6 +126,13 @@ def test_mesh_rejects_bad_inputs():
         mesh_one(unit_circle(), k=-1.0, ppw=15)
     with pytest.raises(ValueError):
         mesh_one(unit_circle(), k=5.0, ppw=3)
+    with pytest.raises(ValueError, match="wavenumber must be finite"):
+        mesh_one(unit_circle(), k=math.nan, ppw=15)
+    for ppw in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="points per wavelength must be finite"):
+            mesh_one(unit_circle(), k=5.0, ppw=ppw)
+    with pytest.raises(ValueError, match="points per wavelength must be at least 4"):
+        mesh_one(unit_circle(), k=5.0, ppw=3.9)
 
 
 TRIANGLE = [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]
@@ -159,6 +172,18 @@ def test_scene_validation():
         scene.validate()
     with pytest.raises(ValueError, match="unit"):
         geometry.Scene(k=1.0, beta=(1.0, 1.0), obstacles=()).validate()
+    # each extent on its own: min(10.0, nan) is 10.0
+    single = dataclasses.replace(scene, obstacles=scene.obstacles[:1])
+    for change, message in (({"k": math.nan}, "wavenumber must be finite"),
+                            ({"k": math.inf}, "wavenumber must be finite"),
+                            ({"k": -math.inf}, "wavenumber must be finite"),
+                            ({"box": (math.nan, -5.0, 5.0, 5.0)}, "box width must be finite"),
+                            ({"box": (0.0, 0.0, math.inf, 12.0)}, "box width must be finite"),
+                            ({"box": (0.0, 0.0, 12.0, math.nan)}, "box height must be finite"),
+                            ({"box": (5.0, 0.0, 5.0, 12.0)}, "box width must be positive"),
+                            ({"box": (0.0, 12.0, 12.0, 0.0)}, "box height must be positive")):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(single, **change).validate()
 
 
 def test_mesh_scene_offsets():

@@ -130,6 +130,17 @@ def test_gmres_validation():
         linalg.gmres(lambda v: v, np.ones(3), restart=0)
     with pytest.raises(ValueError):
         linalg.gmres(lambda v: v, np.ones((3, 2)))
+    # tol = 2 once returned x = 0 as converged after no iteration
+    for tol in (2.0, 1.0, 0.0, -1.0):
+        with pytest.raises(ValueError, match=r"tolerance must be in \(0, 1\)"):
+            linalg.gmres(lambda v: v, np.ones(3), tol=tol)
+    for tol in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            linalg.gmres(lambda v: v, np.ones(3), tol=tol)
+    with pytest.raises(ValueError, match="restart must be at least 1"):
+        linalg.gmres(lambda v: v, np.ones(3), restart=0)
+    with pytest.raises(ValueError, match="maxiter must be nonnegative"):
+        linalg.gmres(lambda v: v, np.ones(3), maxiter=-1)
 
 
 def test_eigenvalues_diagonal():
