@@ -37,10 +37,15 @@ SHAPE_KINDS = tuple(SHAPE_PARAMS)
 _KITE_RADIUS = 2.0657
 
 
-def check_positive(value, name: str) -> None:
-    """Raise ValueError unless ``value``, a wavenumber, size or extent, is finite and > 0."""
+def check_finite(value, name: str) -> None:
+    """Raise ValueError, naming ``value``, unless it is finite."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_positive(value, name: str) -> None:
+    """Raise ValueError unless ``value``, a wavenumber, size or extent, is finite and > 0."""
+    check_finite(value, name)
     if value <= 0:
         raise ValueError(f"{name} must be positive")
 
@@ -77,6 +82,9 @@ class Shape:
             check_positive(getattr(self, name), f"{self.kind} parameter {name}")
         if self.kind == "rounded_rectangle" and (self.p < 4 or self.p % 2 != 0):
             raise ValueError("superellipse exponent must be even and >= 4")
+        for axis, value in zip("xy", self.center):
+            check_finite(value, f"center {axis}")
+        check_finite(self.rotation, "rotation")
 
     def bounding_radius(self) -> float:
         """Radius of the circumscribed circle about the shape's center."""

@@ -13,9 +13,12 @@ the spectral and GMRES-history consequences.
 The checks read every system as a view of L, N and the mass (see
 ``formulations``) and work by obstacle row blocks: row block p of P_X is
 LU_p^{-1} A_X[rows_p, :], formed from the operators and dropped once used,
-as is LU_p.  Besides such blocks the direct check holds no full-size matrix,
-the similarity two (A_BW D_BW^{-1} A_E and the LU of A_E) and the spectra
-one P_X; GMRES applies each system as products with L, N and the mass bands.
+as is LU_p.  Besides such blocks the direct check holds no full-size matrix
+and the similarity two (A_BW D_BW^{-1} A_E and the LU of A_E).  The spectra
+hold none: P_X = I + K_X, where the coupling K_X between separated obstacles
+is numerically of low rank r, so P_X's eigenvalues are 1 plus those of an
+r x r matrix and n - r ones.  GMRES applies each system as products with L,
+N and the mass bands.
 
 The desk configuration (three obstacles, one of each shape, around 400
 unknowns) keeps every check in the seconds range; the paper-scale
@@ -29,6 +32,7 @@ import dataclasses
 import logging
 
 import numpy as np
+import scipy.linalg
 
 from . import formulations, geometry, linalg
 
@@ -42,6 +46,13 @@ DIRECT_PAIRS = (("EFIE", "MFIE"), ("MFIE", "CFIE"), ("EFIE", "CFIE"))
 DESK_DIRECT_THRESHOLD = 5e-2
 DESK_SIMILARITY_THRESHOLD = 1e-2
 DESK_SPECTRUM_THRESHOLD = 3e-2
+# A coupling's pivoted QR keeps the columns with |R_ii| > COUPLING_RANK_TOL
+# |R_11| (``_coupling_factors``).  On desk (seed 0, ppw 10 and 60) the
+# spectra then differ from dense eigensolves by about 15 times the tolerance
+# down to 1e-13, where they meet the dense solve's own rounding (2e-12);
+# at 1e-13 the rank r is 78-84 of 149-887 unknowns, and 1e-14 adds columns
+# with no consistent gain.
+COUPLING_RANK_TOL = 1e-13
 
 
 # One obstacle of each shape, as the desk and paper presets place them.
@@ -208,32 +219,77 @@ def check_bw_similarity(scene, mesh, eta_bw: complex | None = None, operators=No
     )
 
 
+def _coupling_factors(system, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W, U) with row block p of P_X - I equal to U W^H, up to the
+    truncation at ``COUPLING_RANK_TOL``.
+
+    That row block is LU_p^{-1} C_p, where C_p is obstacle p's rows of A_X
+    outside its own columns.  The pivoted QR C_p^H Pi = Q R gives W, the
+    first r_p columns of Q with zeros in p's own rows: an orthonormal basis
+    of C_p's numerical row space.  Then C_p W = Pi R[:r_p]^H, so
+    U = LU_p^{-1} Pi R[:r_p]^H takes no second product with C_p.
+    """
+    n = system.n
+    lo, hi = system.mesh.block_range(p)
+    # C_p^H in Fortran order, filled once and factored in place
+    coupling_h = np.empty((n - (hi - lo), hi - lo), dtype=complex, order="F")
+    np.conjugate(system.rows(lo, hi, 0, lo).T, out=coupling_h[:lo])
+    np.conjugate(system.rows(lo, hi, hi, n).T, out=coupling_h[lo:])
+    q, r, piv = scipy.linalg.qr(coupling_h, overwrite_a=True, mode="economic",
+                                pivoting=True, check_finite=False)
+    diagonal = np.abs(np.diagonal(r))  # empty with one obstacle: rank 0
+    rank = int(np.count_nonzero(diagonal > COUPLING_RANK_TOL * diagonal[:1]))
+    basis = np.zeros((n, rank), dtype=complex)
+    basis[:lo] = q[:lo, :rank]
+    basis[hi:] = q[lo:, :rank]
+    projected = np.empty((hi - lo, rank), dtype=complex)
+    projected[piv] = r[:rank].conj().T
+    return basis, linalg.lu_solve(system.block_lu(p), projected)
+
+
+def _preconditioned_spectrum(system) -> np.ndarray:
+    """The n eigenvalues of P_X = I + K_X, from its coupling factors.
+
+    K_X = U W^H, with U block diagonal (obstacle p's block U_p) and W every
+    obstacle's basis side by side (``_coupling_factors``).  By Sylvester's
+    determinant identity K_X's nonzero eigenvalues are those of the r x r
+    matrix S = W^H U, so the spectrum is 1 + eig(S) followed by n - r
+    entries of exactly 1.
+    """
+    offsets = system.mesh.block_offsets
+    bases, solved = zip(*(_coupling_factors(system, p)
+                          for p in range(system.mesh.n_obstacles)))
+    basis = np.hstack(bases)
+    reduced = np.hstack([basis[lo:hi].conj().T @ u
+                         for lo, hi, u in zip(offsets, offsets[1:], solved)])
+    return np.concatenate([1.0 + linalg.eigenvalues(reduced),
+                           np.ones(system.n - reduced.shape[0], dtype=complex)])
+
+
 def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
                   eta: complex | None = None, eta_bw: complex | None = None,
                   operators=None) -> SpectrumReport:
     """Eigenvalues of the four preconditioned matrices, greedily matched.
 
-    MFIE/CFIE/BW spectra are matched against the EFIE spectrum; the report
-    carries the worst matched relative mismatch and every spectrum in the
-    canonical row order (``SpectrumReport``).  Meshes above
-    ``linalg.EIG_DIM_LIMIT`` unknowns are refused before any assembly.
+    Each spectrum comes from the low-rank coupling of its system
+    (``_preconditioned_spectrum``): one r x r eigensolve, with r the
+    coupling's numerical rank, in place of an n x n one.  MFIE/CFIE/BW
+    spectra are matched against the EFIE spectrum; the report carries the
+    worst matched relative mismatch and every spectrum in the canonical row
+    order (``SpectrumReport``).  Meshes above ``linalg.EIG_DIM_LIMIT``
+    unknowns are refused before any assembly.
     """
     linalg.check_eig_size(mesh.n_nodes)
-    matrix = np.empty((mesh.n_nodes, mesh.n_nodes), dtype=complex)
-    eigenvalues = {}
-    for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
-                                             alpha, eta, eta_bw, operators).items():
-        for p in range(mesh.n_obstacles):
-            lo, hi = mesh.block_range(p)
-            matrix[lo:hi] = formulations.preconditioned_rows(system, p)
-        eigenvalues[kind] = linalg.eigenvalues(matrix)
-    del matrix  # not held while the spectra are matched
+    eigenvalues = {kind: _preconditioned_spectrum(system)
+                   for kind, system in formulations.systems(
+                       formulations.FORMULATION_KINDS, scene, mesh, alpha, eta, eta_bw,
+                       operators).items()}
     reference = eigenvalues["EFIE"]
     order = np.lexsort((reference.imag, reference.real))
     eigenvalues["EFIE"] = reference[order]
     worst = 0.0
     for kind in ("MFIE", "CFIE", "BW"):
-        # matched to LAPACK's order, which sets the order the greedy
+        # matched to EFIE's computed order, which sets the order the greedy
         # matching visits equal magnitudes in, then put in the sorted order
         perm = linalg.match_eigenvalues(reference, eigenvalues[kind])
         if not np.array_equal(np.sort(perm), np.arange(perm.size)):

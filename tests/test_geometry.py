@@ -186,6 +186,22 @@ def test_scene_validation():
             dataclasses.replace(single, **change).validate()
 
 
+def test_placement_must_be_finite():
+    """A non-finite center or rotation is refused by name before meshing,
+    not as a quadrature order or math domain error inside it."""
+    for change, message in (({"center": (math.nan, 0.0)}, "center x must be finite, got nan"),
+                            ({"center": (0.0, -math.inf)}, "center y must be finite, got -inf"),
+                            ({"rotation": math.inf}, "rotation must be finite, got inf"),
+                            ({"rotation": math.nan}, "rotation must be finite, got nan")):
+        shape = geometry.Shape(kind="ellipse", **change)
+        scene = geometry.Scene(k=5.0, beta=(0.0, 1.0), obstacles=(shape,),
+                               box=(-4.0, -4.0, 4.0, 4.0))
+        with pytest.raises(ValueError, match=message):
+            shape.validate()
+        with pytest.raises(ValueError, match=message):
+            geometry.mesh_scene(scene, ppw=10)
+
+
 def test_mesh_scene_offsets():
     scene = geometry.Scene(
         k=5.0,
