@@ -112,6 +112,12 @@ def gmres(apply, b, restart: int = GMRES_RESTART, tol: float = GMRES_TOL,
     Orthogonalization is modified Gram-Schmidt with a second pass whenever
     the norm drops by more than 1/sqrt(2) in one step.  Hitting ``maxiter``
     total inner iterations yields a non-converged report, not an exception.
+    A run stopped at ``maxiter = m`` repeats the first m Arnoldi steps of
+    any longer run with the same ``restart`` (for m < restart too: the clamp
+    below narrows only the basis buffer), so its history is the first m + 1
+    entries of the longer run's; only where m ends one of its cycles may the
+    longer run, testing the explicit residual, call converged what this run
+    does not.
     """
     check_gmres_settings(restart, tol, maxiter)
     b = np.asarray(b, dtype=complex)
@@ -122,12 +128,8 @@ def gmres(apply, b, restart: int = GMRES_RESTART, tol: float = GMRES_TOL,
     pb = np.asarray(pre(b), dtype=complex)
     beta0 = np.linalg.norm(pb)
     if beta0 == 0.0:
-        return np.zeros(n, dtype=complex), GmresReport(
-            iterations=0, residual_history=np.array([0.0]), converged=True
-        )
+        return np.zeros(n, dtype=complex), GmresReport(0, np.array([0.0]), converged=True)
 
-    # no cycle runs more than maxiter inner iterations, so a longer basis
-    # would never be filled
     restart = max(1, min(restart, maxiter))
     x = np.zeros(n, dtype=complex)
     history = [1.0]
@@ -191,11 +193,7 @@ def gmres(apply, b, restart: int = GMRES_RESTART, tol: float = GMRES_TOL,
         if converged or total >= maxiter:
             break
 
-    return x, GmresReport(
-        iterations=total,
-        residual_history=np.array(history),
-        converged=converged,
-    )
+    return x, GmresReport(total, np.array(history), converged)
 
 
 def check_eig_size(n: int) -> None:

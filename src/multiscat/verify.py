@@ -123,7 +123,10 @@ class SolveRecord:
 
 @dataclasses.dataclass(frozen=True)
 class ConvergenceReport:
+    """GMRES records, plain then preconditioned per formulation, and their verdicts."""
+
     records: tuple[SolveRecord, ...]
+    passed: dict[str, bool]
 
     def record(self, formulation: str, preconditioned: bool) -> SolveRecord:
         for rec in self.records:
@@ -305,22 +308,26 @@ def convergence_histories(scene, mesh, alpha: float = formulations.ALPHA,
                           operators=None, restart: int = linalg.GMRES_RESTART,
                           tol: float = linalg.GMRES_TOL,
                           maxiter: int = linalg.GMRES_MAXITER) -> ConvergenceReport:
-    """GMRES histories for the eight systems: four plain, four preconditioned.
-
-    Non-convergence is recorded in the corresponding SolveRecord, never
-    raised; preconditioned histories are measured in the preconditioned
-    residual norm.
+    """GMRES histories for the eight systems and the two verdicts they settle:
+    the preconditioned counts differ by at most one, and preconditioning
+    improves X when X's preconditioned run converged and its plain run,
+    capped at that count, did not.  A capped history is the start of the full
+    one (``linalg.gmres``) that ``multiscat solve --plain`` writes.
+    Non-convergence is recorded, never raised; preconditioned residuals are
+    in the preconditioned norm.
     """
-    records = []
+    records, improves = [], {}
     for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
                                              alpha, eta, eta_bw, operators).items():
-        for preconditioned in (False, True):
-            # the next system's plain run drops these LUs: one system's at a time
-            pre = formulations.single_scattering_preconditioner(system) if preconditioned else None
-            _, report = formulations.solve(system, pre, restart=restart, tol=tol,
-                                           maxiter=maxiter)
-            records.append(SolveRecord.of(kind, preconditioned, report))
-            logger.info("%s %s: %d iterations, converged=%s", kind,
-                        "preconditioned" if preconditioned else "plain", report.iterations,
-                        report.converged)
-    return ConvergenceReport(records=tuple(records))
+        # the block LUs are dropped when this run returns: one system's at a time
+        _, pre = formulations.solve(system, formulations.single_scattering_preconditioner(system),
+                                    restart=restart, tol=tol, maxiter=maxiter)
+        _, plain = formulations.solve(system, None, restart=restart, tol=tol,
+                                      maxiter=pre.iterations)
+        records += [SolveRecord.of(kind, False, plain), SolveRecord.of(kind, True, pre)]
+        improves[f"preconditioning improves {kind}"] = pre.converged and not plain.converged
+        logger.info("%s: %d preconditioned iterations (converged=%s), plain converged=%s",
+                    kind, pre.iterations, pre.converged, plain.converged)
+    counts = [rec.iterations for rec in records[1::2]]
+    return ConvergenceReport(tuple(records), {
+        "iteration counts superimposed": max(counts) - min(counts) <= 1, **improves})

@@ -101,25 +101,15 @@ def test_convergence_histories_superimpose(desk, desk15):
     histories = verify.convergence_histories(
         desk, mesh, operators=ops, restart=50, tol=1e-6
     )
-    pre = {
-        kind: histories.record(kind, True).iterations
-        for kind in formulations.FORMULATION_KINDS
-    }
-    spread = max(pre.values()) - min(pre.values())
-    improved = {}
-    for kind in ("CFIE", "BW"):
-        rec = histories.record(kind, True)
-        improved[kind] = rec.converged and rec.iterations < histories.record(
-            kind, False
-        ).iterations
-
-    ok = spread <= 1 and all(improved.values())
+    pre = sorted(rec.iterations for rec in histories.records if rec.preconditioned)
+    ok = all(histories.passed.values())
     report(ok, "preconditioned histories superimpose: "
-               f"iteration counts {sorted(pre.values())} (spread {spread} <= 1), "
-               f"CFIE improved {improved['CFIE']}, BW improved {improved['BW']}")
-    assert spread <= 1, f"preconditioned iteration counts {pre}"
-    for kind, flag in improved.items():
-        assert flag, f"preconditioning did not strictly improve {kind}"
+               f"iteration counts {pre}, "
+               + ", ".join(f"{name} {flag}" for name, flag in histories.passed.items()))
+    assert set(histories.passed) == {"iteration counts superimposed"} | {
+        f"preconditioning improves {kind}" for kind in formulations.FORMULATION_KINDS}
+    for name, flag in histories.passed.items():
+        assert flag, f"{name} failed; preconditioned iteration counts {pre}"
 
 
 def test_disk_scattered_field_matches_the_series_for_all_formulations():

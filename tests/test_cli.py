@@ -153,6 +153,7 @@ class TestVerifyCommand:
         doc = json.loads((out / "verify.json").read_text())
         assert doc["passed"] is True
         assert all(doc["checks"].values())
+        assert len(doc["checks"]) == 9
         assert set(doc["differences"]) == {"EFIE/MFIE", "MFIE/CFIE", "EFIE/CFIE"}
         assert 0.0 < doc["similarity_difference"] <= doc["thresholds"]["EFIE/BW"]
         assert doc["unknowns"] > 0
@@ -178,6 +179,25 @@ class TestVerifyCommand:
         pre = [e["iterations"] for e in doc["iterations"] if e["preconditioned"]]
         assert len(pre) == 4
         assert max(pre) - min(pre) <= 1
+
+    def test_plain_rows_start_the_full_plain_solve(self, verify_run, tmp_path):
+        _, out = verify_run
+        _, rows = read_csv(out / "residuals.csv")
+        for kind in formulations.FORMULATION_KINDS:
+            assert run("solve", "--preset", "desk", "--ppw", "10", "--plain", "--formulation",
+                       kind, "--out", str(tmp_path / kind)) == 0
+            _, full = read_csv(tmp_path / kind / "residuals.csv")
+            capped = [row for row in rows if row[:2] == [kind, "false"]]
+            assert 1 < len(capped) < len(full)
+            assert capped == full[:len(capped)]
+
+    def test_capped_runs_fail_every_improvement_check(self, tmp_path):
+        assert run("verify", "--preset", "desk", "--ppw", "4", "--maxiter", "5",
+                   "--out", str(tmp_path)) == 1
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert checks["iteration counts superimposed"] is True
+        for kind in formulations.FORMULATION_KINDS:
+            assert checks[f"preconditioning improves {kind}"] is False
 
     def test_rerun_writes_identical_reports(self, verify_run, tmp_path):
         _, out = verify_run

@@ -118,6 +118,22 @@ def test_gmres_maxiter_reports_not_converged():
     assert report.residual_history.size == 4
 
 
+def test_gmres_stopped_at_maxiter_repeats_the_start_of_a_longer_run():
+    """A run capped at m iterations makes the first m Arnoldi steps of a
+    longer run with the same restart, below the restart length (where the
+    basis buffer is narrowed to m) and across a restart alike."""
+    rng = np.random.default_rng(11)
+    # unit eigenvalues under a strong upper triangle: far from normal, slow
+    a = np.eye(30) + 0.5 * np.triu(random_complex(rng, 30, 30), 1)
+    b = random_complex(rng, 30)
+    _, longer = linalg.gmres(lambda v: a @ v, b, restart=5, tol=1e-12, maxiter=40)
+    assert longer.iterations > 12
+    for m in (3, 5, 7, 12):
+        _, capped = linalg.gmres(lambda v: a @ v, b, restart=5, tol=1e-12, maxiter=m)
+        assert capped.iterations == m and not capped.converged
+        assert np.array_equal(capped.residual_history, longer.residual_history[:m + 1])
+
+
 def test_gmres_zero_rhs():
     x, report = linalg.gmres(lambda v: v, np.zeros(3), restart=5, tol=1e-8)
     assert report.converged

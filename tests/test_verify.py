@@ -361,6 +361,12 @@ class TestSpectra:
 
 
 @pytest.fixture(scope="module")
+def desk4(desk):
+    mesh = geometry.mesh_scene(desk, ppw=4)
+    return mesh, {**bem.assemble_operators(mesh, desk.k), "mass": bem.assemble_mass(mesh)}
+
+
+@pytest.fixture(scope="module")
 def history_report(desk, desk15):
     mesh, ops = desk15
     return verify.convergence_histories(desk, mesh, operators=ops)
@@ -383,12 +389,20 @@ class TestConvergenceHistories:
         ]
         assert max(counts) - min(counts) <= 1
 
-    def test_preconditioning_strictly_helps_cfie_and_bw(self, history_report):
-        for kind in ("CFIE", "BW"):
-            plain = history_report.record(kind, False)
-            cond = history_report.record(kind, True)
+    def test_preconditioning_improves_every_formulation(self, desk, desk15, history_report):
+        """Every plain run converges, in more iterations than its preconditioned
+        run, and the recorded plain run is the start of it, bit for bit."""
+        mesh, ops = desk15
+        for kind, system in formulations.systems(formulations.FORMULATION_KINDS, desk, mesh,
+                                                 operators=ops).items():
+            _, plain = formulations.solve(system, None)
+            cond, capped = history_report.record(kind, True), history_report.record(kind, False)
             assert plain.converged and cond.converged
             assert cond.iterations < plain.iterations
+            assert capped.iterations == cond.iterations and not capped.converged
+            assert capped.residual_history == tuple(
+                float(r) for r in plain.residual_history[:capped.iterations + 1])
+            assert history_report.passed[f"preconditioning improves {kind}"]
 
     def test_preconditioned_histories_superimpose(self, history_report):
         """The four preconditioned residual curves track each other closely;
@@ -400,6 +414,27 @@ class TestConvergenceHistories:
             m = min(history.size, reference.size)
             rel = np.abs(history[:m] - reference[:m]) / reference[:m]
             assert rel.max() <= bound
+
+    @pytest.mark.parametrize("bundle, maxiter", [("desk15", 1000), ("desk30", 1000),
+                                                 ("desk4", 5)])
+    def test_verdicts_equal_the_rule_on_uncapped_runs(self, desk, request, bundle, maxiter):
+        """Each verdict is what the rule on full plain runs gives: the
+        preconditioned run converged in fewer iterations than the plain run
+        (true on desk at ppw 15 and 30, false at ppw 4 with 5 iterations)."""
+        mesh, ops = request.getfixturevalue(bundle)
+        report = verify.convergence_histories(desk, mesh, operators=ops, maxiter=maxiter)
+        counts = [report.record(kind, True).iterations for kind in formulations.FORMULATION_KINDS]
+        expected = {"iteration counts superimposed": max(counts) - min(counts) <= 1}
+        for kind, system in formulations.systems(formulations.FORMULATION_KINDS, desk, mesh,
+                                                 operators=ops).items():
+            pre = report.record(kind, True)
+            _, plain = formulations.solve(system, None, maxiter=maxiter)
+            expected[f"preconditioning improves {kind}"] = (
+                pre.converged and pre.iterations < plain.iterations)
+        assert report.passed == expected
+        improves = [expected[f"preconditioning improves {kind}"]
+                    for kind in formulations.FORMULATION_KINDS]
+        assert all(improves) if maxiter == 1000 else not any(improves)
 
     def test_nonconvergence_is_recorded_not_raised(self, desk, desk15):
         mesh, ops = desk15
