@@ -62,7 +62,7 @@ import os
 
 import numpy as np
 
-from . import geometry, specfun
+from . import geometry, linalg, specfun
 
 _NEAR_ORDER = 16
 # Tensor Gauss order of a pair of panels sharing no node.  With h the longer
@@ -272,13 +272,8 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
         return {}
     _check_mesh(mesh)
     n = mesh.n_nodes
-    needed = len(kinds) * n * n * np.dtype(complex).itemsize
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if needed > physical:
-        raise ValueError(
-            f"{len(kinds)} dense {n} x {n} operator matrices need {needed / 2**30:.1f} GiB, "
-            f"more than the {physical / 2**30:.1f} GiB of physical memory"
-        )
+    linalg.check_memory(len(kinds) * n * n * np.dtype(complex).itemsize,
+                        f"assembling {len(kinds)} dense {n} x {n} operator matrices")
     mats = {kind: np.zeros((n, n), dtype=complex) for kind in kinds}
 
     for order, ti, si in _separated_pairs(mesh, k):

@@ -52,8 +52,7 @@ def check_positive(value, name: str) -> None:
 
 def check_ppw(ppw) -> None:
     """Raise ValueError unless the mesh density ``ppw`` is finite and at least 4."""
-    if not math.isfinite(ppw):
-        raise ValueError(f"points per wavelength must be finite, got {ppw}")
+    check_finite(ppw, "points per wavelength")
     if ppw < 4:
         raise ValueError("points per wavelength must be at least 4")
 
@@ -127,33 +126,12 @@ def _base_curve(shape: Shape, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts, tan
 
 
-def parametrize(shape: Shape, t):
-    """Boundary point and outward unit normal at parameter t in [0, 2pi).
-
-    Parameters
-    ----------
-    shape : Shape
-    t : float or array of floats
-
-    Returns
-    -------
-    point : ndarray, shape t.shape + (2,)
-    normal : ndarray, same shape
-        Unit normal pointing away from the enclosed region.  All three
-        curve families run counter-clockwise, so the normal is the
-        tangent rotated by -pi/2.
-    """
+def parametrize(shape: Shape, t) -> np.ndarray:
+    """Boundary points at the array of parameters t in [0, 2pi), shape
+    t.shape + (2,)."""
     shape.validate()
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    pts, tan = _base_curve(shape, t_arr)
-    rot = _rotation_matrix(shape.rotation)
-    pts = pts @ rot.T + np.asarray(shape.center)
-    tan = tan @ rot.T
-    speed = np.linalg.norm(tan, axis=-1, keepdims=True)
-    normal = np.stack([tan[..., 1], -tan[..., 0]], axis=-1) / speed
-    if np.ndim(t) == 0:
-        return pts[0], normal[0]
-    return pts, normal
+    pts, _ = _base_curve(shape, np.asarray(t, dtype=float))
+    return pts @ _rotation_matrix(shape.rotation).T + np.asarray(shape.center)
 
 
 def _arclength_table(shape: Shape, k: float, ppw: float):
@@ -285,7 +263,7 @@ def mesh_scene(scene: Scene, ppw: float) -> SceneMesh:
     for shape in scene.obstacles:
         t_grid, s_table, n = _arclength_table(shape, scene.k, ppw)
         t_nodes = np.interp(np.arange(n) * (s_table[-1] / n), s_table, t_grid)
-        loops.append(parametrize(shape, t_nodes)[0])
+        loops.append(parametrize(shape, t_nodes))
     return polygon_mesh(loops)
 
 

@@ -1,4 +1,5 @@
-"""Dense complex linear algebra: LU, restarted GMRES, eigenvalues, norms.
+"""Dense complex linear algebra: LU, restarted GMRES, eigenvalues, norms,
+and the one memory probe every dense size is checked against.
 
 LU factorization and the eigenvalue solve delegate to LAPACK through scipy
 and numpy (Hessenberg reduction plus shifted QR); GMRES is written out here
@@ -10,10 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 EIG_DIM_LIMIT = 3000
 # restarted GMRES defaults: restart length, relative residual target and
@@ -51,6 +53,26 @@ class GmresReport:
     iterations: int
     residual_history: np.ndarray
     converged: bool
+
+
+def _available_memory() -> int:
+    """Bytes of physical memory available: MemAvailable from /proc/meminfo,
+    or all physical memory where that is not readable."""
+    try:
+        with open("/proc/meminfo") as handle:
+            fields = dict(line.split(":", 1) for line in handle)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise ValueError, naming ``what``, when ``nbytes`` exceed the
+    available memory; called before the bytes are allocated."""
+    available = _available_memory()
+    if nbytes > available:
+        raise ValueError(f"{what} needs about {nbytes / 2**30:.1f} GiB, more than the "
+                         f"{available / 2**30:.1f} GiB of physical memory available")
 
 
 def _require_square(a: np.ndarray, who: str) -> np.ndarray:

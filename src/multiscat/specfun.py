@@ -4,9 +4,6 @@ Every Bessel value comes from ``scipy.special``; this module adds the
 argument checks the assembly relies on, a choice of orders so that a layer
 pays only for the functions it needs, and the order-by-order arrays of the
 disk series with an overflow check.
-
-``scipy.special`` is reached through ``import scipy``, which loads the
-submodule on first use and keeps it out of ``import multiscat``.
 """
 
 from __future__ import annotations
@@ -16,11 +13,11 @@ import scipy
 
 
 def bessel_j0j1y0y1(x, orders=(0, 1)):
-    """Evaluate J0, J1, Y0 and Y1 at x (scalar or array), elementwise.
+    """Evaluate J0, J1, Y0 and Y1 at the array x, elementwise.
 
     Parameters
     ----------
-    x : float or array_like
+    x : array_like
         Argument(s); must be nonnegative.  At x = 0 the J values are exact
         (1 and 0) and the Y values are -inf, their limiting value.
     orders : collection of 0 and 1
@@ -28,7 +25,7 @@ def bessel_j0j1y0y1(x, orders=(0, 1)):
 
     Returns
     -------
-    (J0, J1, Y0, Y1) : floats or ndarrays matching x, None where not asked for
+    (J0, J1, Y0, Y1) : ndarrays matching x, None where not asked for
 
     Raises
     ------
@@ -40,10 +37,7 @@ def bessel_j0j1y0y1(x, orders=(0, 1)):
         raise ValueError("bessel_j0j1y0y1 requires x >= 0")
     sp = scipy.special
     functions = ((sp.j0, 0), (sp.j1, 1), (sp.y0, 0), (sp.y1, 1))
-    values = tuple(fn(x_arr) if n in orders else None for fn, n in functions)
-    if x_arr.ndim == 0:
-        return tuple(None if v is None else float(v) for v in values)
-    return values
+    return tuple(fn(x_arr) if n in orders else None for fn, n in functions)
 
 
 def bessel_arrays(nmax: int, x: float):

@@ -32,7 +32,7 @@ import dataclasses
 import logging
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import formulations, geometry, linalg
 
@@ -100,10 +100,13 @@ class TheoremReport:
 class SpectrumReport:
     """Eigenvalues of the four preconditioned matrices in one canonical row
     order: EFIE's sorted by (real, imag), every other formulation's in its
-    matching to EFIE's, so LAPACK's output order never shows."""
+    matching to EFIE's, so LAPACK's output order never shows; the worst
+    matched relative error with its threshold and verdict."""
 
     eigenvalues: dict[str, np.ndarray]
     matched_max_rel_error: float
+    threshold: float
+    passed: dict[str, bool]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -247,6 +250,7 @@ def _coupling_factors(system, p: int) -> tuple[np.ndarray, np.ndarray]:
     basis[hi:] = q[lo:, :rank]
     projected = np.empty((hi - lo, rank), dtype=complex)
     projected[piv] = r[:rank].conj().T
+    # factored at rank 0 too: that LU is how a one-obstacle spectrum refuses a singular block
     return basis, linalg.lu_solve(system.block_lu(p), projected)
 
 
@@ -278,7 +282,8 @@ def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
     (``_preconditioned_spectrum``): one r x r eigensolve, with r the
     coupling's numerical rank, in place of an n x n one.  MFIE/CFIE/BW
     spectra are matched against the EFIE spectrum; the report carries the
-    worst matched relative mismatch and every spectrum in the canonical row
+    worst matched relative mismatch, its verdict against
+    ``DESK_SPECTRUM_THRESHOLD``, and every spectrum in the canonical row
     order (``SpectrumReport``).  Meshes above ``linalg.EIG_DIM_LIMIT``
     unknowns are refused before any assembly.
     """
@@ -300,7 +305,9 @@ def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
         eigenvalues[kind] = eigenvalues[kind][perm[order]]
         rel = np.abs(eigenvalues[kind] - eigenvalues["EFIE"]) / np.abs(eigenvalues["EFIE"])
         worst = max(worst, float(rel.max()))
-    return SpectrumReport(eigenvalues=eigenvalues, matched_max_rel_error=worst)
+    return SpectrumReport(eigenvalues=eigenvalues, matched_max_rel_error=worst,
+                          threshold=DESK_SPECTRUM_THRESHOLD,
+                          passed={"matched spectra": worst <= DESK_SPECTRUM_THRESHOLD})
 
 
 def convergence_histories(scene, mesh, alpha: float = formulations.ALPHA,

@@ -12,7 +12,7 @@ from scipy.integrate import dblquad
 from scipy.special import hankel1 as scipy_hankel1
 from scipy.special import j0, jv, jvp, y0, yv, yvp
 
-from multiscat import bem, formulations, geometry, specfun
+from multiscat import bem, formulations, geometry, linalg, specfun
 
 WAVENUMBER = 2.0
 
@@ -546,8 +546,22 @@ def test_assembly_refuses_more_than_physical_memory_before_allocating(monkeypatc
         raise AssertionError("np.zeros called before the memory check")
 
     monkeypatch.setattr(np, "zeros", no_allocation)
-    with pytest.raises(ValueError, match=r"need \d+\.\d GiB, more than the \d+\.\d GiB"):
+    with pytest.raises(ValueError, match=r"^assembling 2 dense 300000 x 300000 operator "
+                       r"matrices needs about \d+\.\d GiB, more than the \d+\.\d GiB"):
         bem.assemble_operators(mesh, WAVENUMBER)
+
+
+@pytest.mark.parametrize("kinds", [("single_layer",), bem._OPERATOR_KINDS])
+def test_assembly_refuses_beyond_the_available_memory(kinds, monkeypatch):
+    """The refusal compares the dense matrices with the one memory probe,
+    ``linalg._available_memory``, the one the commands use."""
+    mesh = circle_mesh(12)
+    needed = len(kinds) * 16 * mesh.n_nodes ** 2
+    monkeypatch.setattr(linalg, "_available_memory", lambda: needed - 1)
+    with pytest.raises(ValueError, match="of physical memory available"):
+        bem.assemble_operators(mesh, WAVENUMBER, kinds)
+    monkeypatch.setattr(linalg, "_available_memory", lambda: needed)
+    assert set(bem.assemble_operators(mesh, WAVENUMBER, kinds)) == set(kinds)
 
 
 def test_gauss_rule_properties():

@@ -51,6 +51,11 @@ def refuse_large_allocations(monkeypatch):
         monkeypatch.setattr(np, name, guarded)
 
 
+def singular_lu_factor(a):
+    """Stands in for linalg.lu_factor on an exactly singular matrix."""
+    raise linalg.SingularMatrixError("singular matrix: zero pivot at index 0")
+
+
 def fail_on_large_arrays(monkeypatch):
     """Make np.zeros, np.empty and np.arange fail the test when asked for
     10^7 entries or more: an AssertionError maps to no exit code."""
@@ -489,6 +494,25 @@ class TestExitCodes:
         assert run("validate-disk", "--out", str(tmp_path)) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_singular_disk_block_names_the_obstacle(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(linalg, "lu_factor", singular_lu_factor)
+        assert run("validate-disk", "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: diagonal block of obstacle 0 is singular")
+
+    def test_one_obstacle_spectrum_refuses_a_singular_block(self, tmp_path, monkeypatch, capsys):
+        """With one obstacle the coupling has rank 0 and no eigenvalue needs
+        the block's LU, which is still made: it is how a singular block is refused."""
+        doc = cli.scene_to_dict(geometry.Scene(
+            k=5.0, beta=(0.0, 1.0), obstacles=(geometry.Shape(kind="kite", s=0.8),),
+            box=(-4.0, -4.0, 4.0, 4.0)))
+        path = tmp_path / "kite.json"
+        path.write_text(json.dumps(doc))
+
+        monkeypatch.setattr(linalg, "lu_factor", singular_lu_factor)
+        assert run("spectrum", "--scene", str(path), "--ppw", "8", "--out", str(tmp_path)) == 3
+        assert "diagonal block of obstacle 0 is singular" in capsys.readouterr().err
+
     def test_internal_numeric_failure_maps_to_three(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
             raise RuntimeError("QR iteration stalled")
@@ -540,19 +564,19 @@ class TestExitCodes:
             raise AssertionError("operators were assembled")
 
         monkeypatch.setattr(bem, "assemble_operators", no_assembly)
-        monkeypatch.setattr(cli, "_available_memory", lambda: needed - 1)
+        monkeypatch.setattr(linalg, "_available_memory", lambda: needed - 1)
         assert run(*argv, "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {command} on {unknowns} unknowns needs about 0.0 GiB, ")
         assert "GiB of physical memory available" in err
         # with the estimate available the command goes on to assembly
-        monkeypatch.setattr(cli, "_available_memory", lambda: needed)
+        monkeypatch.setattr(linalg, "_available_memory", lambda: needed)
         with pytest.raises(AssertionError, match="operators were assembled"):
             run(*argv, "--out", str(tmp_path))
 
     def test_memory_reader_reports_available_within_physical(self):
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        assert 0 < cli._available_memory() <= physical
+        assert 0 < linalg._available_memory() <= physical
 
     def test_spectrum_beyond_eigenvalue_limit_refused_before_assembly(
         self, tmp_path, monkeypatch, capsys
@@ -568,7 +592,7 @@ class TestExitCodes:
     def test_spectrum_eigenvalue_limit_reported_whatever_memory_is_free(
         self, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setattr(cli, "_available_memory", lambda: 0)
+        monkeypatch.setattr(linalg, "_available_memory", lambda: 0)
         assert run("spectrum", "--preset", "desk", "--ppw", "250", "--out", str(tmp_path)) == 2
         assert f"limited to {linalg.EIG_DIM_LIMIT} unknowns" in capsys.readouterr().err
 
@@ -722,3 +746,15 @@ class TestDefaults:
         assert result.returncode == 0
         assert result.stderr == ""
         assert "validate-disk" in result.stdout
+
+
+def test_import_leaves_scipy_submodules_unloaded():
+    """scipy.linalg and scipy.special load on first use, not with the package."""
+    src = pathlib.Path(multiscat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, multiscat; "
+            "print([name for name in ('scipy.linalg', 'scipy.special') if name in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -30,14 +30,13 @@ def desk_templates() -> tuple[geometry.Shape, ...]:
 
 def test_parametrize_circle():
     t = np.linspace(0, 2 * np.pi, 17, endpoint=False)
-    pts, normals = geometry.parametrize(unit_circle(), t)
+    pts = geometry.parametrize(unit_circle(), t)
     assert_allclose(pts, np.stack([np.cos(t), np.sin(t)], axis=-1), atol=1e-14)
-    assert_allclose(normals, pts, atol=1e-14)
 
 
 def test_parametrize_kite_start_point():
-    pts, _ = geometry.parametrize(geometry.Shape(kind="kite", s=1.0), 0.0)
-    assert_allclose(pts, [1.0, 0.0], atol=1e-15)
+    pts = geometry.parametrize(geometry.Shape(kind="kite", s=1.0), np.array([0.0]))
+    assert_allclose(pts, [[1.0, 0.0]], atol=1e-15)
 
 
 def test_parametrize_rotation_central_symmetry():
@@ -46,18 +45,17 @@ def test_parametrize_rotation_central_symmetry():
         kind="ellipse", a=2.0, b=0.5, rotation=0.4 + math.pi, center=(1.0, -2.0)
     )
     t = np.linspace(0, 2 * np.pi, 9)
-    p0, _ = geometry.parametrize(base, t)
-    p1, _ = geometry.parametrize(rotated, t)
+    p0 = geometry.parametrize(base, t)
+    p1 = geometry.parametrize(rotated, t)
     assert_allclose(p1, 2.0 * np.asarray(base.center) - p0, atol=1e-13)
 
 
 def test_parametrize_superellipse_on_curve():
     shape = geometry.Shape(kind="rounded_rectangle", a=0.9, b=0.7, p=8)
     t = np.linspace(0, 2 * np.pi, 101)
-    pts, normals = geometry.parametrize(shape, t)
+    pts = geometry.parametrize(shape, t)
     lame = np.abs(pts[:, 0] / 0.9) ** 8 + np.abs(pts[:, 1] / 0.7) ** 8
     assert_allclose(lame, 1.0, atol=1e-12)
-    assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
 
 
 def test_shape_validation():

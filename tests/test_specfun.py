@@ -21,20 +21,20 @@ J10_5 = 0.001467802647310474
 
 
 def test_values_at_one():
-    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(1.0)
-    assert_allclose([j0, j1, y0, y1], [J0_1, J1_1, Y0_1, Y1_1], atol=1e-8)
+    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(np.array([1.0]))
+    assert_allclose(np.concatenate([j0, j1, y0, y1]), [J0_1, J1_1, Y0_1, Y1_1], atol=1e-8)
 
 
 def test_values_at_origin():
-    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(0.0)
-    assert j0 == 1.0
-    assert j1 == 0.0
-    assert y0 == -np.inf and y1 == -np.inf
+    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(np.array([0.0, 1.0]))
+    assert j0[0] == 1.0
+    assert j1[0] == 0.0
+    assert y0[0] == -np.inf and y1[0] == -np.inf
 
 
 def test_negative_argument_rejected():
     with pytest.raises(ValueError):
-        specfun.bessel_j0j1y0y1(-0.5)
+        specfun.bessel_j0j1y0y1(np.array([1.0, -0.5]))
 
 
 @pytest.mark.parametrize("orders", [(0,), (1,), ()])
@@ -49,10 +49,10 @@ def test_only_the_requested_orders_are_evaluated(orders):
             assert part[slot] is None
 
 
-def test_scalar_with_one_order():
-    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(1.0, (1,))
+def test_one_order_at_one():
+    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(np.array([1.0]), (1,))
     assert j0 is None and y0 is None
-    assert_allclose([j1, y1], [J1_1, Y1_1], atol=1e-8)
+    assert_allclose(np.concatenate([j1, y1]), [J1_1, Y1_1], atol=1e-8)
 
 
 def test_grid_against_scipy():
@@ -72,11 +72,11 @@ def test_wide_logarithmic_grid():
     assert_allclose(y1, sp.y1(x), atol=1e-8)
 
 
-def test_arrays_consistent_with_scalar():
+def test_arrays_consistent_with_pointwise_values():
     j, y = specfun.bessel_arrays(1, 2.7)
-    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(2.7)
-    assert_allclose(j, [j0, j1], rtol=1e-12)
-    assert_allclose(y, [y0, y1], rtol=1e-12)
+    j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(np.array([2.7]))
+    assert_allclose(j, np.concatenate([j0, j1]), rtol=1e-12)
+    assert_allclose(y, np.concatenate([y0, y1]), rtol=1e-12)
 
 
 @pytest.mark.parametrize("x", [1.0, 5.0, 20.0])

@@ -348,6 +348,18 @@ class TestSpectra:
             assert eig.shape == (n,)
             assert np.mean(np.abs(eig - 1.0) <= 0.5) >= 0.5
 
+    def test_report_carries_its_verdict(self, desk, desk15, monkeypatch):
+        """The verdict is the worst matched error against the threshold the
+        report carries, decided in check_spectra."""
+        mesh, ops = desk15
+        report = verify.check_spectra(desk, mesh, operators=ops)
+        assert report.threshold == verify.DESK_SPECTRUM_THRESHOLD
+        assert report.passed == {"matched spectra": True}
+        monkeypatch.setattr(verify, "DESK_SPECTRUM_THRESHOLD", report.matched_max_rel_error / 2)
+        tight = verify.check_spectra(desk, mesh, operators=ops)
+        assert tight.threshold == report.matched_max_rel_error / 2
+        assert tight.passed == {"matched spectra": False}
+
     def test_matchings_are_permutations(self, desk, desk15):
         """The rows come in the canonical order: EFIE's sorted by (real,
         imag), and row i of every other formulation matched to EFIE's row i."""
