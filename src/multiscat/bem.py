@@ -38,12 +38,16 @@ the shared vertex and N's kernel is homogeneous of degree -1 there, so the
 tensor rule converges only algebraically on them.  ``evaluate_potentials``
 uses the same kernels and bands: a receiver x takes, on every panel, the
 largest band order over the panels p keyed on |x - mid_p| / h_p and k h_p.
-The receivers are evaluated in pieces on a thread per CPU the process may
-use; a receiver's value depends on that receiver alone, so the values do
-not depend on the split.  On a panel paired with itself the N kernel
-vanishes identically because (x - y) is parallel to a flat panel.  L's
-kernel there depends on u = |s - t| alone, so its block is a 1-D integral
-in u against the autocorrelation of the hats; splitting off the logarithm,
+The receivers of each order are evaluated in cache-sized pieces of at most
+``_FIELD_PIECE_POINTS`` receiver-Gauss points, on a thread per CPU the
+process may use; a receiver's value depends on that receiver alone, so the
+values do not depend on the split.  A stack of d densities, shape (n, d),
+shares each piece's kernel and has values of shape (m, d), each column
+contracted exactly as its density alone.  On a panel paired with itself
+the N kernel vanishes identically because (x - y) is parallel to a flat
+panel.  L's kernel there depends on u = |s - t| alone, so its block is a
+1-D integral in u against the autocorrelation of the hats; splitting off
+the logarithm,
 
     H0^(1)(k l u) = (2i/pi) ln(u) J0(k l u) + W(u),
 
@@ -83,12 +87,23 @@ _CHUNK_PAIR_POINTS = 4_000_000
 # took 0.13-0.14 and 0.33-0.35 s (medians of 7) with pieces of 16k or 64k
 # points, and its peak RSS grew 15 MiB at ppw 15 with 16k, 23 MiB with 64k.
 _PIECE_PAIR_POINTS = 16_384
-# Receiver-Gauss-point pairs per piece of field evaluation.  Each thread's
-# allocator arena keeps about its largest piece after freeing it, so small
-# pieces hold peak RSS down: on the disk-field grid on two CPUs, pieces of
-# 250k points took no longer than one 640k-point piece per CPU and peaked
-# about 30 MiB lower; pieces of 60k points took longer.
-_FIELD_PIECE_POINTS = 250_000
+# Receiver-Gauss-point pairs per piece of field evaluation; a piece holds
+# receivers of one order.  Each thread's allocator arena keeps about its
+# largest piece after freeing it, so small pieces hold peak RSS down, and
+# pieces of 32k points keep each array within about 1 MiB.  One single- and
+# one double-layer pass on two CPUs, medians of 41 (time) and tracemalloc
+# peaks of one call per layer, on the disk-field grid (75 panels, 2148
+# receivers) and on desk at ppw 30 (444 panels, 2304 receivers on a grid):
+#     points     disk grid               desk ppw 30
+#     16,384     0.092 s  2.1/2.4 MiB    0.515 s  2.4/2.7 MiB
+#     32,768     0.079 s  2.9/3.4 MiB    0.413 s  2.9/3.5 MiB
+#     65,536     0.078 s  5.3/6.3 MiB    0.392 s  4.8/6.4 MiB
+#     131,072    0.083 s  9.2/11.3 MiB   0.381 s  10.4/12.4 MiB
+#     250,000    0.102 s  17.4/21.2 MiB  0.520 s  19.4/21.2 MiB
+# In 61 interleaved pairs, 32k was faster than 64k in 37 (disk grid) and 48
+# (desk).  Pieces that mixed orders, each budgeted as if at order 8, took
+# 0.114 and 0.494 s at 250k in a separate run.
+_FIELD_PIECE_POINTS = 32_768
 _OPERATOR_KINDS = ("single_layer", "adjoint_double_layer")
 
 
@@ -204,8 +219,10 @@ class BandedMass:
 class PotentialField:
     """Layer-potential values at evaluation points.
 
-    ``near_boundary`` marks points closer to some panel than that panel is
-    long; values there are quadrature-limited and should not be trusted.
+    ``values`` has shape (m,) for one density and (m, d) for a stack of d.
+    ``near_boundary``, shape (m,), marks points closer to some panel than
+    that panel is long; values there are quadrature-limited and should not
+    be trusted.
     """
 
     values: np.ndarray
@@ -440,8 +457,13 @@ def evaluate_potentials(
     Each point takes one Gauss order on every panel, its band order (see the
     module docstring) or ``order`` if that is larger: ``order`` is the least
     order any point takes, so ``order=32`` is an order-32 rule everywhere.
-    The points are split into pieces evaluated on a thread per CPU the
-    process may use; the values are the same bit for bit for any split.
+    The points of each order are split into pieces of at most
+    ``_FIELD_PIECE_POINTS`` receiver-Gauss points, evaluated on a thread per
+    CPU the process may use; the values are the same bit for bit for any
+    split.  ``density`` is one density of shape (n,), with values of shape
+    (m,), or a stack of d densities of shape (n, d), with values of shape
+    (m, d): the stack shares one kernel pass, and column j equals bit for
+    bit the values of ``density[:, j]`` alone.
     """
     geometry.check_positive(k, "wavenumber")
     if layer not in ("single", "double"):
@@ -449,43 +471,52 @@ def evaluate_potentials(
     _check_mesh(mesh)
     n, length = mesh.n_nodes, mesh.lengths
     rho = np.asarray(density)
-    if rho.shape != (n,):
-        raise ValueError(f"density must have one value per node ({n})")
+    if rho.ndim not in (1, 2) or rho.shape[0] != n:
+        raise ValueError(f"density must have shape ({n},) or ({n}, d), got {rho.shape}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
 
     mid = 0.5 * (mesh.nodes + mesh.nodes[mesh.next_node])
     m = pts.shape[0]
-    values = np.empty(m, dtype=complex)
+    columns = (rho if rho.ndim == 2 else rho[:, None]).T
+    values = np.empty((m, len(columns)), dtype=complex)
     near = np.empty(m, dtype=bool)
-    top = max(order, *(o for *_, o in _SEPARATED_ORDERS))
     # os.sched_getaffinity, the CPUs the process may use, is missing on macOS
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # each piece holds at most _FIELD_PIECE_POINTS points, and the pieces in
     # flight together at most _CHUNK_PAIR_POINTS
     budget = min(_FIELD_PIECE_POINTS, _CHUNK_PAIR_POINTS // workers)
-    piece = max(1, min(m // workers, budget // (n * top)))
     normals = (mesh.normals[None, :, None],) if layer == "double" else ()
+    rows = max(1, budget // n)  # receivers per piece of the pass that orders them
 
-    def evaluate_piece(lo):
-        rows = np.arange(lo, min(lo + piece, m))
-        ratio = np.hypot(*(pts[rows, None] - mid[None]).transpose(2, 0, 1)) / length
-        orders = np.maximum(order, _band_order(ratio, k * length).max(axis=1))
-        for o in np.unique(orders):
-            sel = rows[orders == o]
-            rule = gauss_rule(int(o))
-            u = rule.points
-            w = rule.weights * length[:, None]
-            coeff = (rho[:, None] * (1.0 - u) + rho[mesh.next_node, None] * u) * w
-            r, along = _separation(pts[sel, None, None], _quad_points(mesh, rule)[None], normals)
-            near[sel] = np.any(r < length[None, :, None], axis=(1, 2))
-            g, f = _kernels(k, np.maximum(r, 1e-12, out=r), layer == "single", layer == "double")
-            del r
-            kernel = g if f is None else f * along[0]
-            del along, g, f
-            values[sel] = np.einsum("cpr,pr->c", kernel, coeff)
+    def receiver_orders(lo):
+        ratio = np.hypot(*(pts[lo:lo + rows, None] - mid[None]).transpose(2, 0, 1)) / length
+        return np.maximum(order, _band_order(ratio, k * length).max(axis=1))
+
+    def evaluate_piece(piece):
+        o, sel = piece
+        rule = gauss_rule(o)
+        u = rule.points
+        w = rule.weights * length[:, None]
+        r, along = _separation(pts[sel, None, None], _quad_points(mesh, rule)[None], normals)
+        near[sel] = np.any(r < length[None, :, None], axis=(1, 2))
+        g, f = _kernels(k, np.maximum(r, 1e-12, out=r), layer == "single", layer == "double")
+        del r
+        kernel = g if f is None else f * along[0]
+        del along, g, f
+        # one kernel for every density, each contracted as if alone
+        for j, col in enumerate(columns):
+            coeff = (col[:, None] * (1.0 - u) + col[mesh.next_node, None] * u) * w
+            values[sel, j] = np.einsum("cpr,pr->c", kernel, coeff)
 
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        list(pool.map(evaluate_piece, range(0, m, piece)))  # re-raises a piece's exception
-    return PotentialField(values=values, near_boundary=near)
+        orders = np.concatenate([np.empty(0, int), *pool.map(receiver_orders, range(0, m, rows))])
+        pieces = []
+        for o in np.unique(orders):
+            sel = np.flatnonzero(orders == o)
+            # at most ``budget`` points a piece, and a piece for every worker
+            step = max(1, min(-(-sel.size // workers), budget // (n * o)))
+            pieces += [(int(o), sel[lo:lo + step]) for lo in range(0, sel.size, step)]
+        list(pool.map(evaluate_piece, pieces))  # re-raises a piece's exception
+    return PotentialField(values=values.reshape((m,) + rho.shape[1:]), near_boundary=near)

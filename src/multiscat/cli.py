@@ -58,9 +58,12 @@ EXIT_NUMERIC = 3
 # three runs each on desk at ppw 60 and 90 (887 and 1330 unknowns), on one
 # 4 x 3 ellipse at k = 5 and ppw 40 and 60 (704 and 1056; its one n x n block
 # is the worst case) and, for validate-disk, the disk at ppw 180 and 270, plus
-# 20% (other days ran up to 12% higher), rounded up.  The largest were all on
-# the ellipse at 704: 135.4, 89.4 and 68.8/78.0/90.9/90.8 (the disk: 94.4).
-_BYTES_PER_ENTRY = {"verify": 163, "spectrum": 108, "validate-disk": 114, "solve EFIE": 83,
+# 20% (other days ran up to 12% higher), rounded up.  The largest were on the
+# ellipse at 704: 135.4, 89.4 and 68.8/78.0/90.9/90.8, and on the disk at ppw
+# 180 (900 unknowns): 112.7-125.5, of which about 35 is the 28 MiB of loading
+# scipy.linalg and scipy.special, which ``import multiscat`` leaves to the
+# commands (at 1350 unknowns: 84.8-85.6).
+_BYTES_PER_ENTRY = {"verify": 163, "spectrum": 108, "validate-disk": 151, "solve EFIE": 83,
                     "solve MFIE": 94, "solve CFIE": 110, "solve BW": 109}
 
 # the keys of a scene file and of each of its obstacles, as scene_to_dict writes them
@@ -365,9 +368,11 @@ def disk_field_errors(cfg: RunConfig) -> dict[str, float]:
     """Relative L2 field error of every formulation for the unit disk at
     wavenumber ``cfg.disk_k``.
 
-    Each system is solved directly (LU) and its scattered field compared
-    against the separation-of-variables series on a circle of radius 3
-    about the disk center.
+    Each system is solved directly (LU); then all four scattered fields
+    come from one ``formulations.scattered_fields`` call, one single-layer
+    pass over the four densities and one double-layer pass over BW's, and
+    each is compared against the separation-of-variables series on a circle
+    of radius 3 about the disk center.
     """
     scene, mesh = _meshed("validate-disk", cfg, geometry.Scene(
         k=cfg.disk_k,
@@ -383,12 +388,13 @@ def disk_field_errors(cfg: RunConfig) -> dict[str, float]:
     )
     scale = np.linalg.norm(reference)
 
+    systems = formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
+                                   cfg.alpha, cfg.eta, cfg.eta_bw)
+    # the disk is the one obstacle, so its diagonal block is the whole matrix
+    densities = [linalg.lu_solve(system.block_lu(0), system.rhs) for system in systems.values()]
+    fields = formulations.scattered_fields(systems.values(), densities, points)
     errors = {}
-    for kind, system in formulations.systems(formulations.FORMULATION_KINDS, scene, mesh,
-                                             cfg.alpha, cfg.eta, cfg.eta_bw).items():
-        # the disk is the one obstacle, so its diagonal block is the whole matrix
-        density = linalg.lu_solve(system.block_lu(0), system.rhs)
-        field = formulations.scattered_field(system, density, points)
+    for kind, field in zip(systems, fields):
         errors[kind] = float(np.linalg.norm(field.values - reference) / scale)
         logger.info("disk %s: relative L2 field error %.3e", kind, errors[kind])
     return errors

@@ -260,22 +260,44 @@ def solve(system: BlockSystem, pre=None,
                         left_precond=left)
 
 
-def scattered_field(system: BlockSystem, density, points) -> bem.PotentialField:
-    """Scattered field of a solved density at exterior points.
+def scattered_fields(systems, densities, points) -> list[bem.PotentialField]:
+    """Scattered fields of solved densities at exterior points, one per
+    system, from one single-layer pass over all the densities and one
+    double-layer pass over BW's.
 
     Direct formulations represent the field by the single-layer potential of
     the density; BW combines single and double layers with its coupling.
-    The near-boundary flags from the potential evaluation pass through.
+    Every system must hold the same mesh and k.  Each field equals, bit for
+    bit, that of its system alone.  The near-boundary flags from the
+    potential evaluation pass through.
     """
-    density = np.asarray(density)
-    if density.shape != (system.n,):
-        raise ValueError(f"density has shape {density.shape}, expected ({system.n},)")
-    k = system.scene.k
-    single = bem.evaluate_potentials(system.mesh, density, k, points, layer="single")
-    if system.formulation.kind != "BW":
-        return single
-    double = bem.evaluate_potentials(system.mesh, density, k, points, layer="double")
-    values = -system.formulation.eta_bw * single.values - double.values
-    return bem.PotentialField(
-        values=values, near_boundary=single.near_boundary | double.near_boundary
-    )
+    systems, densities = list(systems), [np.asarray(d) for d in densities]
+    if len(densities) != len(systems):
+        raise ValueError(f"{len(densities)} densities for {len(systems)} systems")
+    if not systems:
+        return []
+    mesh, k = systems[0].mesh, systems[0].scene.k
+    for system, density in zip(systems, densities):
+        if system.mesh is not mesh or system.scene.k != k:
+            raise ValueError("the systems must share one mesh and one k")
+        if density.shape != (system.n,):
+            raise ValueError(f"density has shape {density.shape}, expected ({system.n},)")
+    single = bem.evaluate_potentials(mesh, np.stack(densities, axis=1), k, points)
+    bw = [i for i, system in enumerate(systems) if system.formulation.kind == "BW"]
+    if bw:
+        double = bem.evaluate_potentials(mesh, np.stack([densities[i] for i in bw], axis=1),
+                                         k, points, layer="double")
+    fields = []
+    for i, system in enumerate(systems):
+        values = single.values[:, i]
+        near = single.near_boundary
+        if i in bw:
+            values = -system.formulation.eta_bw * values - double.values[:, bw.index(i)]
+            near = near | double.near_boundary
+        fields.append(bem.PotentialField(values=np.ascontiguousarray(values), near_boundary=near))
+    return fields
+
+
+def scattered_field(system: BlockSystem, density, points) -> bem.PotentialField:
+    """``scattered_fields`` of one system."""
+    return scattered_fields([system], [density], points)[0]

@@ -1,8 +1,10 @@
 """Galerkin assembly of the layer operators and potential evaluation."""
 
+import itertools
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,7 +410,9 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
     a potential or an assembly of one kind asks for its order only, BW's
     combined field for each order once, and an assembly of both kinds for
     both orders in every call over distinct panels and for order 0 in its
-    one call over the panels paired with themselves, where N vanishes."""
+    one call over the panels paired with themselves, where N vanishes.  The
+    fields of all four systems at once ask for the Bessel points of one
+    single-layer pass and one double-layer pass."""
     scene = geometry.Scene(
         k=WAVENUMBER, beta=(0.0, 1.0), obstacles=(geometry.Shape(kind="ellipse"),),
         box=(-3.0, -3.0, 3.0, 3.0),
@@ -417,25 +421,36 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
     bw = formulations.build_system(formulations.Formulation(kind="BW"), scene, mesh)
     rho = np.ones(mesh.n_nodes, dtype=complex)
     point = np.array([[3.0, 1.0]])
-    asked = []
+    calls = []
     bessel = specfun.bessel_j0j1y0y1
 
     def recording(x, orders=(0, 1)):
-        asked.append(tuple(orders))
+        calls.append((tuple(orders), np.size(x)))
         return bessel(x, orders)
 
     monkeypatch.setattr(specfun, "bessel_j0j1y0y1", recording)
 
     def orders_asked(call):
-        asked.clear()
+        calls.clear()
         call()
-        return asked
+        return [asked for asked, _ in calls]
+
+    def bessel_calls(call):
+        orders_asked(call)
+        return sorted(calls)
 
     assert orders_asked(lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, point)) == [(0,)]
     assert orders_asked(
         lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, point, layer="double")
     ) == [(1,)]
     assert orders_asked(lambda: formulations.scattered_field(bw, rho, point)) == [(0,), (1,)]
+    ring = 3.0 * np.stack([np.cos(np.arange(40) / 6.0), np.sin(np.arange(40) / 6.0)], axis=1)
+    one_pass_each = sorted(
+        bessel_calls(lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, ring))
+        + bessel_calls(lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, ring, layer="double")))
+    every = formulations.systems(formulations.FORMULATION_KINDS, scene, mesh, operators=bw.operators)
+    assert bessel_calls(
+        lambda: formulations.scattered_fields(every.values(), [rho] * 4, ring)) == one_pass_each
     for kinds, wanted, same in (
         (("single_layer",), (0,), [(0,)]),
         (("adjoint_double_layer",), (1,), []),
@@ -681,25 +696,35 @@ def test_double_layer_constant_density_decays_and_matches_direct_integral():
 
 def test_potentials_do_not_depend_on_the_split_into_pieces(monkeypatch):
     """Each receiver's value depends on that receiver alone: evaluating the
-    whole set (in pieces, on any number of workers) gives exactly the values
-    of evaluating slices of it, single receivers included."""
+    whole set (in pieces of the default size or of one receiver each, on
+    any number of workers) gives exactly the values of evaluating slices of
+    it, single receivers included.  A stack of densities gives, column by
+    column, exactly the values of each density alone."""
     mesh, points = two_polygons_and_banded_receivers()
     rng = np.random.default_rng(8)
-    rho = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
+    stack = rng.standard_normal((mesh.n_nodes, 3)) + 1j * rng.standard_normal((mesh.n_nodes, 3))
     splits = [[(i, i + 1) for i in range(len(points))], [(0, 5), (5, 6), (6, 13)]]
-    for layer in ("single", "double"):
-        whole = bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer)
+    for piece, layer in itertools.product((bem._FIELD_PIECE_POINTS, 50), ("single", "double")):
+        monkeypatch.setattr(bem, "_FIELD_PIECE_POINTS", piece)
+        alone = [bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer) for rho in stack.T]
+        whole = bem.evaluate_potentials(mesh, stack, 0.3, points, layer=layer)
+        assert whole.values.shape == (len(points), 3)
+        for j, field in enumerate(alone):
+            assert np.array_equal(whole.values[:, j], field.values)
+            assert np.array_equal(whole.near_boundary, field.near_boundary)
         for bounds in splits:
-            parts = [bem.evaluate_potentials(mesh, rho, 0.3, points[lo:hi], layer=layer)
-                     for lo, hi in bounds]
-            assert np.array_equal(np.concatenate([p.values for p in parts]), whole.values)
-            assert np.array_equal(
-                np.concatenate([p.near_boundary for p in parts]), whole.near_boundary
-            )
+            for rho, field in ((stack[:, 0], alone[0]), (stack, whole)):
+                parts = [bem.evaluate_potentials(mesh, rho, 0.3, points[lo:hi], layer=layer)
+                         for lo, hi in bounds]
+                assert np.array_equal(np.concatenate([p.values for p in parts]), field.values)
+                assert np.array_equal(
+                    np.concatenate([p.near_boundary for p in parts]), field.near_boundary
+                )
         for cpus in (1, 3, 8):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-            again = bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer)
-            assert np.array_equal(again.values, whole.values)
+            for rho, field in ((stack[:, 0], alone[0]), (stack, whole)):
+                again = bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer)
+                assert np.array_equal(again.values, field.values)
 
 
 def test_potentials_without_cpu_affinity_are_unchanged(monkeypatch):
@@ -758,6 +783,24 @@ def test_an_error_in_a_piece_reaches_the_caller(monkeypatch):
     assert [str(exc) for exc in raised] == ["Bessel evaluation failed"]
 
 
+@pytest.mark.parametrize("layer", ["single", "double"])
+def test_one_field_call_holds_cache_sized_pieces(layer, monkeypatch):
+    """On two CPUs, one call on the disk-field grid allocates at most 5 MiB
+    at its peak (tracemalloc sees NumPy's buffers): the two pieces in
+    flight, the receivers' orders and the values."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    mesh, points = disk_field_grid()
+    rho = np.ones(mesh.n_nodes, dtype=complex)
+    bem.evaluate_potentials(mesh, rho, 5.0, points, layer=layer)  # fills the rule caches
+    tracemalloc.start()
+    try:
+        bem.evaluate_potentials(mesh, rho, 5.0, points, layer=layer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20
+
+
 def test_potential_input_validation():
     mesh = circle_mesh()
     rho = np.ones(mesh.n_nodes, dtype=complex)
@@ -765,6 +808,9 @@ def test_potential_input_validation():
         bem.evaluate_potentials(mesh, rho, WAVENUMBER, [[1.0, 2.0]], layer="triple")
     with pytest.raises(ValueError):
         bem.evaluate_potentials(mesh, rho[:-1], WAVENUMBER, [[1.0, 2.0]])
+    for shape in ((mesh.n_nodes + 1,), (mesh.n_nodes, 2, 1)):
+        with pytest.raises(ValueError, match="density must have shape"):
+            bem.evaluate_potentials(mesh, np.ones(shape), WAVENUMBER, [[1.0, 2.0]])
     with pytest.raises(ValueError):
         bem.evaluate_potentials(mesh, rho, 0.0, [[1.0, 2.0]])
     for k in (math.nan, math.inf, -math.inf):

@@ -378,6 +378,20 @@ class TestValidateDisk:
         for kind in formulations.FORMULATION_KINDS:
             assert fine["errors"][kind] < coarse["errors"][kind]
 
+    def test_fields_take_one_pass_per_layer(self, disk_run, tmp_path, monkeypatch):
+        # one single-layer pass over the four densities, one double-layer pass over BW's
+        passes = []
+        evaluate = bem.evaluate_potentials
+
+        def recording(mesh, density, *args, layer="single", **kwargs):
+            passes.append((layer, np.shape(density)[1:]))
+            return evaluate(mesh, density, *args, layer=layer, **kwargs)
+
+        monkeypatch.setattr(bem, "evaluate_potentials", recording)
+        assert run("validate-disk", "--out", str(tmp_path)) == 0
+        assert passes == [("single", (4,)), ("double", (1,))]
+        assert json.loads((tmp_path / "validate_disk.json").read_text()) == disk_run[1]
+
     def test_report_is_unchanged_without_cpu_affinity(self, disk_run, tmp_path, monkeypatch):
         # macOS has no os.sched_getaffinity; the field then runs on os.cpu_count()
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

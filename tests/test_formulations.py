@@ -485,3 +485,48 @@ class TestScatteredField:
         )
         with pytest.raises(ValueError, match="density"):
             formulations.scattered_field(sys_, np.zeros(sys_.n - 1), np.array([[3.0, 0.0]]))
+
+
+class TestScatteredFields:
+    @pytest.mark.parametrize("case", ["disk", "desk"])
+    def test_equal_one_call_per_system_and_the_representation(self, case, disk, desk, desk15):
+        """All four fields from one call equal, bit for bit, the field of
+        each system alone and its representation: the single-layer potential
+        of the density, and for BW -eta_bw S rho - D rho."""
+        if case == "disk":
+            (scene, mesh, ops), box = disk, (-4.0, 4.0)
+        else:
+            (scene, (mesh, ops)), box = (desk, desk15), (0.0, 12.0)
+        axis = np.linspace(*box, 17)
+        points = np.stack([c.ravel() for c in np.meshgrid(axis, axis)], axis=1)
+        systems = formulations.systems(formulations.FORMULATION_KINDS, scene, mesh, operators=ops)
+        rng = np.random.default_rng(4)
+        densities = [rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
+                     for _ in systems]
+        fields = formulations.scattered_fields(systems.values(), densities, points)
+        assert len(fields) == 4
+        for system, density, field in zip(systems.values(), densities, fields):
+            alone = formulations.scattered_field(system, density, points)
+            assert np.array_equal(field.values, alone.values)
+            assert np.array_equal(field.near_boundary, alone.near_boundary)
+            single = bem.evaluate_potentials(mesh, density, scene.k, points)
+            expected = single.values
+            if system.formulation.kind == "BW":
+                double = bem.evaluate_potentials(mesh, density, scene.k, points, layer="double")
+                expected = -system.formulation.eta_bw * single.values - double.values
+            assert np.array_equal(field.values, expected)
+
+    def test_systems_on_other_meshes_or_wavenumbers_are_refused(self, disk):
+        scene, mesh, ops = disk
+        efie = formulations.build_system(formulations.Formulation(kind="EFIE"), scene, mesh,
+                                         operators=ops)
+        coarse = formulations.build_system(formulations.Formulation(kind="EFIE"), scene,
+                                           geometry.mesh_scene(scene, ppw=6))
+        other_k = formulations.build_system(formulations.Formulation(kind="BW"),
+                                            dataclasses.replace(scene, k=4.0), mesh)
+        points = np.array([[3.0, 0.0]])
+        for pair in ((efie, coarse), (efie, other_k)):
+            with pytest.raises(ValueError, match="one mesh and one k"):
+                formulations.scattered_fields(pair, [np.ones(s.n) for s in pair], points)
+        with pytest.raises(ValueError, match="densities"):
+            formulations.scattered_fields([efie], [], points)
