@@ -291,7 +291,7 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
     n = mesh.n_nodes
     linalg.check_memory(len(kinds) * n * n * np.dtype(complex).itemsize,
                         f"assembling {len(kinds)} dense {n} x {n} operator matrices")
-    mats = {kind: np.zeros((n, n), dtype=complex) for kind in kinds}
+    mats = {kind: np.zeros((n, n), dtype=complex) for kind in kinds}  # cli._peak_bytes's operators
 
     for order, ti, si in _separated_pairs(mesh, k):
         _add_panel_pairs(mats, mesh, k, gauss_rule(order), ti, si)

@@ -53,18 +53,10 @@ EXIT_THRESHOLD = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-# Peak bytes per squared unknown of a whole command (solve: per formulation):
-# the largest growth of peak RSS over the command from a fresh interpreter,
-# three runs each on desk at ppw 60 and 90 (887 and 1330 unknowns), on one
-# 4 x 3 ellipse at k = 5 and ppw 40 and 60 (704 and 1056; its one n x n block
-# is the worst case) and, for validate-disk, the disk at ppw 180 and 270, plus
-# 20% (other days ran up to 12% higher), rounded up.  The largest were on the
-# ellipse at 704: 135.4, 89.4 and 68.8/78.0/90.9/90.8, and on the disk at ppw
-# 180 (900 unknowns): 112.7-125.5, of which about 35 is the 28 MiB of loading
-# scipy.linalg and scipy.special, which ``import multiscat`` leaves to the
-# commands (at 1350 unknowns: 84.8-85.6).
-_BYTES_PER_ENTRY = {"verify": 163, "spectrum": 108, "validate-disk": 151, "solve EFIE": 83,
-                    "solve MFIE": 94, "solve CFIE": 110, "solve BW": 109}
+# Peak-RSS growth over ``main`` beyond ``_peak_bytes``'s buffers (scipy's modules, BLAS,
+# the allocator, assembly's pieces): at most 75.7 MiB, by verify at paper scale, and 50
+# on 704-1872 unknowns (2-core x86-64, one BLAS thread), plus 20%, rounded up.
+_FIXED_BYTES = 96 * 2**20
 
 # the keys of a scene file and of each of its obstacles, as scene_to_dict writes them
 _SCENE_KEYS = ("schema_version", "k", "beta", "box", "min_center_distance", "seed", "obstacles")
@@ -197,15 +189,30 @@ def _resolve_scene(cfg: RunConfig) -> geometry.Scene:
     return verify.paper_scene(cfg.seed)
 
 
+def _peak_bytes(command: str, cfg: RunConfig, counts) -> int:
+    """``_FIXED_BYTES`` plus the dense complex buffers ``command`` ("solve KIND"
+    for a solve) holds at its peak, each marked where it is allocated, on
+    obstacles of ``counts`` nodes: n in all, b on the largest."""
+    n, b = sum(counts), max(counts)
+    kinds = command.split()[1:] or formulations.FORMULATION_KINDS
+    entries = len(formulations.operator_kinds(kinds)) * n * n
+    if command == "verify":  # the direct check's row blocks, or the similarity's buffers
+        entries += max(5 * b * n, 2 * n * n + 2 * b * n)
+    elif command == "spectrum":  # the coupling bases (r <= n), one obstacle's QR and LU
+        entries += n * n + 3 * b * n
+    else:  # every block LU beside the rows of the one being factored
+        entries += sum(c * c for c in counts) + b * b
+        if command != "validate-disk":  # a solve's GMRES basis; validate-disk solves by LU
+            entries += n * (min(cfg.restart, cfg.maxiter) + 1)
+    return _FIXED_BYTES + 16 * entries
+
+
 def _meshed(command: str, cfg: RunConfig, scene: geometry.Scene | None = None):
-    """The scene (``cfg``'s, unless given) and its mesh at ``cfg.ppw``; a size
-    beyond the spectrum's eigenvalue limit or the memory ``command`` would
-    need is refused before any node is placed, the fixed limit first."""
+    """The scene (``cfg``'s, unless given) and its mesh at ``cfg.ppw``, unless
+    ``_peak_bytes`` exceed the available memory, checked before meshing."""
     scene = _resolve_scene(cfg) if scene is None else scene
-    n = geometry.scene_node_count(scene, cfg.ppw)
-    if command == "spectrum":
-        linalg.check_eig_size(n)
-    linalg.check_memory(_BYTES_PER_ENTRY[command] * n * n, f"{command} on {n} unknowns")
+    counts = geometry.obstacle_node_counts(scene, cfg.ppw)
+    linalg.check_memory(_peak_bytes(command, cfg, counts), f"{command} on {sum(counts)} unknowns")
     return scene, geometry.mesh_scene(scene, cfg.ppw)
 
 

@@ -108,6 +108,12 @@ def incident_loads(scene, mesh) -> tuple[np.ndarray, np.ndarray]:
     return loads[0], loads[1]
 
 
+def operator_kinds(kinds) -> tuple[str, ...]:
+    """The operators the formulation ``kinds`` need: EFIE needs L, MFIE N, the others both."""
+    needed = {"single_layer": set(kinds) - {"MFIE"}, "adjoint_double_layer": set(kinds) - {"EFIE"}}
+    return tuple(kind for kind, users in needed.items() if users)
+
+
 def checked_operators(kinds, scene, mesh, operators=None) -> dict:
     """``operators`` checked against the mesh and k, with the mass and the
     operators the formulation ``kinds`` need assembled, in one call, if missing."""
@@ -117,8 +123,7 @@ def checked_operators(kinds, scene, mesh, operators=None) -> dict:
             raise ValueError("pre-assembled operator does not match the mesh")
         if kind != "mass" and op.k != scene.k:
             raise ValueError("pre-assembled operator was built for a different k")
-    needed = {"single_layer": set(kinds) - {"MFIE"}, "adjoint_double_layer": set(kinds) - {"EFIE"}}
-    missing = tuple(kind for kind, users in needed.items() if users and kind not in ops)
+    missing = tuple(kind for kind in operator_kinds(kinds) if kind not in ops)
     if missing:
         ops.update(bem.assemble_operators(mesh, scene.k, kinds=missing))
     if "mass" not in ops:
@@ -233,7 +238,8 @@ def build_system(form: Formulation, scene, mesh, operators=None) -> BlockSystem:
 
 
 def single_scattering_preconditioner(system: BlockSystem) -> tuple[linalg.LuFactors, ...]:
-    """The LU factors of each obstacle's diagonal block, factored here."""
+    """The LU factors of each obstacle's diagonal block, factored here: the
+    block LUs of ``cli._peak_bytes``, sum b_p^2 <= n^2 entries."""
     return tuple(system.block_lu(p) for p in range(system.mesh.n_obstacles))
 
 

@@ -243,11 +243,15 @@ def polygon_mesh(loops) -> SceneMesh:
                      block_offsets=tuple(int(off) for off in offsets))
 
 
-def scene_node_count(scene: Scene, ppw: float) -> int:
-    """The unknowns ``mesh_scene(scene, ppw)`` places, found without placing
-    them, so a size can be refused before any node is placed."""
+def obstacle_node_counts(scene: Scene, ppw: float) -> tuple[int, ...]:
+    """The nodes ``mesh_scene(scene, ppw)`` places on each obstacle, found
+    without placing them, so a size can be refused before any node is placed."""
     scene.validate()
-    return sum(_arclength_table(s, scene.k, ppw)[2] for s in scene.obstacles)
+    return tuple(_arclength_table(s, scene.k, ppw)[2] for s in scene.obstacles)
+
+
+def scene_node_count(scene: Scene, ppw: float) -> int:
+    return sum(obstacle_node_counts(scene, ppw))
 
 
 def mesh_scene(scene: Scene, ppw: float) -> SceneMesh:

@@ -157,7 +157,7 @@ def gmres(apply, b, restart: int = GMRES_RESTART, tol: float = GMRES_TOL,
     history = [1.0]
     total = 0
     converged = False
-    v_basis = np.empty((n, restart + 1), dtype=complex)
+    v_basis = np.empty((n, restart + 1), dtype=complex)  # the GMRES basis of cli._peak_bytes
 
     while True:
         residual = pb if total == 0 else np.asarray(pre(b - apply(x)), dtype=complex)
@@ -218,16 +218,11 @@ def gmres(apply, b, restart: int = GMRES_RESTART, tol: float = GMRES_TOL,
     return x, GmresReport(total, np.array(history), converged)
 
 
-def check_eig_size(n: int) -> None:
-    """Raise ValueError when n unknowns exceed the eigenvalue limit."""
-    if n > EIG_DIM_LIMIT:
-        raise ValueError(f"eigenvalues are limited to {EIG_DIM_LIMIT} unknowns, got {n}")
-
-
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a square matrix of dimension at most ``EIG_DIM_LIMIT``."""
     a = _require_square(a, "eigenvalues")
-    check_eig_size(a.shape[0])
+    if a.shape[0] > EIG_DIM_LIMIT:
+        raise ValueError(f"eigenvalues are limited to dimension {EIG_DIM_LIMIT}, got {a.shape[0]}")
     if not np.all(np.isfinite(a)):
         raise ValueError("eigenvalues requires finite entries")
     try:

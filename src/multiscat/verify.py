@@ -13,12 +13,10 @@ the spectral and GMRES-history consequences.
 The checks read every system as a view of L, N and the mass (see
 ``formulations``) and work by obstacle row blocks: row block p of P_X is
 LU_p^{-1} A_X[rows_p, :], formed from the operators and dropped once used,
-as is LU_p.  Besides such blocks the direct check holds no full-size matrix
-and the similarity two (A_BW D_BW^{-1} A_E and the LU of A_E).  The spectra
-hold none: P_X = I + K_X, where the coupling K_X between separated obstacles
-is numerically of low rank r, so P_X's eigenvalues are 1 plus those of an
-r x r matrix and n - r ones.  GMRES applies each system as products with L,
-N and the mass bands.
+as is LU_p; ``cli._peak_bytes`` counts what each check holds.  P_X = I + K_X,
+where the coupling K_X between separated obstacles is numerically of low
+rank r, so P_X's eigenvalues are 1 plus those of an r x r matrix and n - r
+ones.  GMRES applies each system as products with L, N and the mass bands.
 
 The desk configuration (three obstacles, one of each shape, around 400
 unknowns) keeps every check in the seconds range; the paper-scale
@@ -153,7 +151,7 @@ def check_direct_equality(scene, mesh, alpha: float = formulations.ALPHA,
     apart = {f"{x}/{y}": 0.0 for x, y in DIRECT_PAIRS}
     norms = dict.fromkeys(DIRECT_KINDS, 0.0)
     for p in range(mesh.n_obstacles):
-        rows = {kind: formulations.preconditioned_rows(system, p)
+        rows = {kind: formulations.preconditioned_rows(system, p)  # cli._peak_bytes's 5 b n
                 for kind, system in systems.items()}
         for x, y in DIRECT_PAIRS:
             apart[f"{x}/{y}"] = max(apart[f"{x}/{y}"], linalg.inf_norm(rows[x] - rows[y]))
@@ -187,7 +185,7 @@ def check_bw_similarity(scene, mesh, eta_bw: complex | None = None, operators=No
     # both systems take their blocks from the mesh, so BW's block factors
     # apply to A_E's rows: row block p of D_BW^{-1} A_E is LU_p^{-1} A_E[lo:hi]
     p_bw_norm = 0.0
-    inner = np.empty((n, n), dtype=complex)
+    inner = np.empty((n, n), dtype=complex)  # an n x n buffer of cli._peak_bytes
     for p in range(mesh.n_obstacles):
         lo, hi = mesh.block_range(p)
         lu = bw.block_lu(p)  # one LU for both of BW's solves
@@ -195,13 +193,13 @@ def check_bw_similarity(scene, mesh, eta_bw: complex | None = None, operators=No
         inner[lo:hi] = linalg.lu_solve(lu, efie.rows(lo, hi))
     del lu  # not held while the product is formed
     # A_BW D_BW^{-1} A_E by row blocks, in Fortran order to be solved in place
-    conjugated = np.empty((n, n), dtype=complex, order="F")
+    conjugated = np.empty((n, n), dtype=complex, order="F")  # an n x n buffer of cli._peak_bytes
     for p in range(mesh.n_obstacles):
         lo, hi = mesh.block_range(p)
-        conjugated[lo:hi] = bw.rows(lo, hi) @ inner
+        conjugated[lo:hi] = bw.rows(lo, hi) @ inner  # 2 b n row entries of cli._peak_bytes
     del inner
     try:
-        efie_lu = linalg.lu_factor(efie.rows(0, n))
+        efie_lu = linalg.lu_factor(efie.rows(0, n))  # takes inner's place in cli._peak_bytes
     except linalg.SingularMatrixError as exc:
         raise linalg.SingularMatrixError(
             f"the single-layer system matrix is singular, so the similarity "
@@ -237,7 +235,7 @@ def _coupling_factors(system, p: int) -> tuple[np.ndarray, np.ndarray]:
     """
     n = system.n
     lo, hi = system.mesh.block_range(p)
-    # C_p^H in Fortran order, filled once and factored in place
+    # C_p^H in Fortran order, factored in place; with Q, R and LU_p, cli._peak_bytes's 3 b n
     coupling_h = np.empty((n - (hi - lo), hi - lo), dtype=complex, order="F")
     np.conjugate(system.rows(lo, hi, 0, lo).T, out=coupling_h[:lo])
     np.conjugate(system.rows(lo, hi, hi, n).T, out=coupling_h[lo:])
@@ -245,7 +243,7 @@ def _coupling_factors(system, p: int) -> tuple[np.ndarray, np.ndarray]:
                                 pivoting=True, check_finite=False)
     diagonal = np.abs(np.diagonal(r))  # empty with one obstacle: rank 0
     rank = int(np.count_nonzero(diagonal > COUPLING_RANK_TOL * diagonal[:1]))
-    basis = np.zeros((n, rank), dtype=complex)
+    basis = np.zeros((n, rank), dtype=complex)  # cli._peak_bytes's bases, n r <= n^2 entries
     basis[:lo] = q[:lo, :rank]
     basis[hi:] = q[lo:, :rank]
     projected = np.empty((hi - lo, rank), dtype=complex)
@@ -261,13 +259,12 @@ def _preconditioned_spectrum(system) -> np.ndarray:
     obstacle's basis side by side (``_coupling_factors``).  By Sylvester's
     determinant identity K_X's nonzero eigenvalues are those of the r x r
     matrix S = W^H U, so the spectrum is 1 + eig(S) followed by n - r
-    entries of exactly 1.
+    entries of exactly 1; S's columns of obstacle q are W[rows of q]^H U_q.
     """
     offsets = system.mesh.block_offsets
     bases, solved = zip(*(_coupling_factors(system, p)
                           for p in range(system.mesh.n_obstacles)))
-    basis = np.hstack(bases)
-    reduced = np.hstack([basis[lo:hi].conj().T @ u
+    reduced = np.hstack([np.hstack([basis[lo:hi] for basis in bases]).conj().T @ u
                          for lo, hi, u in zip(offsets, offsets[1:], solved)])
     return np.concatenate([1.0 + linalg.eigenvalues(reduced),
                            np.ones(system.n - reduced.shape[0], dtype=complex)])
@@ -280,14 +277,12 @@ def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
 
     Each spectrum comes from the low-rank coupling of its system
     (``_preconditioned_spectrum``): one r x r eigensolve, with r the
-    coupling's numerical rank, in place of an n x n one.  MFIE/CFIE/BW
-    spectra are matched against the EFIE spectrum; the report carries the
-    worst matched relative mismatch, its verdict against
-    ``DESK_SPECTRUM_THRESHOLD``, and every spectrum in the canonical row
-    order (``SpectrumReport``).  Meshes above ``linalg.EIG_DIM_LIMIT``
-    unknowns are refused before any assembly.
+    coupling's numerical rank (``linalg.EIG_DIM_LIMIT`` at most; n has no
+    limit), in place of an n x n one.  MFIE/CFIE/BW spectra are matched
+    against the EFIE spectrum; the report carries the worst matched
+    relative mismatch, its verdict against ``DESK_SPECTRUM_THRESHOLD``,
+    and every spectrum in the canonical row order (``SpectrumReport``).
     """
-    linalg.check_eig_size(mesh.n_nodes)
     eigenvalues = {kind: _preconditioned_spectrum(system)
                    for kind, system in formulations.systems(
                        formulations.FORMULATION_KINDS, scene, mesh, alpha, eta, eta_bw,

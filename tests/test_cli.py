@@ -37,6 +37,10 @@ FLOAT_FLAGS = {
 NON_FINITE = ("nan", "inf", "-inf")
 
 
+# the nodes of each desk obstacle at the default ppw 15
+DESK_COUNTS = geometry.obstacle_node_counts(verify.desk_scene(), cli.RunConfig.ppw)
+
+
 def refuse_large_allocations(monkeypatch):
     """Make np.empty and np.zeros fail as an exhausted memory would, above
     1e8 entries, so that a missing size guard cannot exhaust it for real."""
@@ -487,18 +491,11 @@ class TestExitCodes:
 
     # desk at ppw 1e7 has about 1.5e8 unknowns, whose nodes alone would take
     # about 13 GB, and the unit disk 5e7
-    @pytest.mark.parametrize("command,message", [
-        ("verify", "GiB of physical memory"),
-        ("spectrum", f"limited to {linalg.EIG_DIM_LIMIT} unknowns"),
-        ("solve", "GiB of physical memory"),
-        ("validate-disk", "GiB of physical memory"),
-    ])
-    def test_absurd_size_refused_before_meshing(
-        self, command, message, tmp_path, monkeypatch, capsys
-    ):
+    @pytest.mark.parametrize("command", ["verify", "spectrum", "solve", "validate-disk"])
+    def test_absurd_size_refused_before_meshing(self, command, tmp_path, monkeypatch, capsys):
         fail_on_large_arrays(monkeypatch)
         assert run(command, "--ppw", "1e7", "--out", str(tmp_path)) == 2
-        assert message in capsys.readouterr().err
+        assert "GiB of physical memory" in capsys.readouterr().err
 
     def test_singular_system_maps_to_numeric_failure(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):
@@ -556,23 +553,34 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_memory_error_past_the_estimate_maps_to_input_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """With the estimate let through, the Krylov basis's MemoryError itself exits 2."""
+        monkeypatch.setattr(linalg, "_available_memory", lambda: 2**62)
+        refuse_large_allocations(monkeypatch)
+        code = run("solve", "--preset", "desk", "--ppw", "10", "--restart", "1000000000",
+                   "--maxiter", "1000000000", "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: refused an array of shape ")
+
     def test_absurd_wavenumber_is_an_input_error(self, tmp_path, capsys):
         # the disk series needs Y_4(1e-100), which overflows a float
         assert run("validate-disk", "--k", "1e-100", "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error: Y_n overflows at order 4")
 
-    # desk at the default ppw 15 has 223 unknowns, the unit disk 75
-    @pytest.mark.parametrize("argv,command,unknowns", [
-        (["verify", "--preset", "desk"], "verify", 223),
-        (["spectrum", "--preset", "desk"], "spectrum", 223),
-        (["solve", "--preset", "desk"], "solve CFIE", 223),
-        (["solve", "--preset", "desk", "--formulation", "EFIE"], "solve EFIE", 223),
-        (["validate-disk"], "validate-disk", 75),
+    # desk at the default ppw 15 has 223 unknowns on three obstacles, the unit disk 75
+    @pytest.mark.parametrize("argv,command,counts", [
+        (["verify", "--preset", "desk"], "verify", DESK_COUNTS),
+        (["spectrum", "--preset", "desk"], "spectrum", DESK_COUNTS),
+        (["solve", "--preset", "desk"], "solve CFIE", DESK_COUNTS),
+        (["solve", "--preset", "desk", "--formulation", "EFIE"], "solve EFIE", DESK_COUNTS),
+        (["validate-disk"], "validate-disk", (75,)),
     ], ids=["verify", "spectrum", "solve", "solve-EFIE", "validate-disk"])
     def test_command_beyond_available_memory_refused_before_assembly(
-        self, argv, command, unknowns, tmp_path, monkeypatch, capsys
+        self, argv, command, counts, tmp_path, monkeypatch, capsys
     ):
-        needed = cli._BYTES_PER_ENTRY[command] * unknowns ** 2
+        needed = cli._peak_bytes(command, cli.RunConfig(), counts)
 
         def no_assembly(*args, **kwargs):
             raise AssertionError("operators were assembled")
@@ -581,7 +589,8 @@ class TestExitCodes:
         monkeypatch.setattr(linalg, "_available_memory", lambda: needed - 1)
         assert run(*argv, "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {command} on {unknowns} unknowns needs about 0.0 GiB, ")
+        assert err.startswith(f"error: {command} on {sum(counts)} unknowns needs about "
+                              f"{needed / 2**30:.1f} GiB, ")
         assert "GiB of physical memory available" in err
         # with the estimate available the command goes on to assembly
         monkeypatch.setattr(linalg, "_available_memory", lambda: needed)
@@ -592,23 +601,17 @@ class TestExitCodes:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         assert 0 < linalg._available_memory() <= physical
 
-    def test_spectrum_beyond_eigenvalue_limit_refused_before_assembly(
+    def test_spectrum_eigenvalue_limit_bounds_the_coupling_rank_not_n(
         self, tmp_path, monkeypatch, capsys
     ):
-        def no_assembly(*args, **kwargs):
-            raise AssertionError("operators were assembled")
-
-        monkeypatch.setattr(bem, "assemble_operators", no_assembly)
-        assert run("spectrum", "--preset", "desk", "--ppw", "250", "--out", str(tmp_path)) == 2
-        err = capsys.readouterr().err
-        assert f"limited to {linalg.EIG_DIM_LIMIT} unknowns" in err
-
-    def test_spectrum_eigenvalue_limit_reported_whatever_memory_is_free(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(linalg, "_available_memory", lambda: 0)
-        assert run("spectrum", "--preset", "desk", "--ppw", "250", "--out", str(tmp_path)) == 2
-        assert f"limited to {linalg.EIG_DIM_LIMIT} unknowns" in capsys.readouterr().err
+        """Desk's 223 unknowns couple with rank about 80: a limit between the
+        two lets the spectrum run, and one below the rank refuses it."""
+        monkeypatch.setattr(linalg, "EIG_DIM_LIMIT", 150)
+        assert run("spectrum", "--preset", "desk", "--out", str(tmp_path / "runs")) == 0
+        monkeypatch.setattr(linalg, "EIG_DIM_LIMIT", 40)
+        assert run("spectrum", "--preset", "desk", "--out", str(tmp_path / "refused")) == 2
+        assert "error: eigenvalues are limited to dimension 40, got " in capsys.readouterr().err
+        assert not (tmp_path / "refused" / "spectrum.json").exists()
 
     def test_scene_and_preset_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as info:
@@ -772,3 +775,34 @@ def test_import_leaves_scipy_submodules_unloaded():
                             env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# one obstacle makes every row block n x n, the worst case of cli._peak_bytes
+ELLIPSE = geometry.Scene(k=5.0, beta=(0.0, 1.0), box=(-6.0, -6.0, 6.0, 6.0),
+                         obstacles=(geometry.Shape(kind="ellipse", a=4.0, b=3.0),))
+
+
+@pytest.mark.parametrize("argv,command", [
+    (["verify"], "verify"),
+    (["spectrum"], "spectrum"),
+    (["solve", "--formulation", "EFIE"], "solve EFIE"),
+], ids=["verify", "spectrum", "solve-EFIE"])
+def test_peak_rss_growth_is_within_the_memory_estimate(argv, command, tmp_path):
+    """Run in a fresh interpreter on one obstacle at 528 unknowns, a command's
+    peak RSS grows over ``cli.main`` by no more than ``cli._peak_bytes``."""
+    scene_file = tmp_path / "ellipse.json"
+    cli.write_scene(ELLIPSE, scene_file)
+    argv = [*argv, "--scene", str(scene_file), "--ppw", "30", "--out", str(tmp_path)]
+    estimate = cli._peak_bytes(command, cli._config_from_args(cli.build_parser().parse_args(argv)),
+                               geometry.obstacle_node_counts(ELLIPSE, 30.0))
+    src = pathlib.Path(multiscat.__file__).resolve().parent.parent
+    code = ("import resource, sys; from multiscat import cli; "
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "code = cli.main(sys.argv[1:]); "
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    exit_code, growth_kib = map(int, result.stdout.split()[-2:])
+    assert exit_code == 0
+    assert growth_kib * 1024 <= estimate
