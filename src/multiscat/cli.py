@@ -192,14 +192,17 @@ def _resolve_scene(cfg: RunConfig) -> geometry.Scene:
 def _peak_bytes(command: str, cfg: RunConfig, counts) -> int:
     """``_FIXED_BYTES`` plus the dense complex buffers ``command`` ("solve KIND"
     for a solve) holds at its peak, each marked where it is allocated, on
-    obstacles of ``counts`` nodes: n in all, b on the largest."""
+    obstacles of ``counts`` nodes: n in all, b on the largest.  The coupling
+    rank r of the checks is at most the sum of min(b_p, n - b_p)."""
     n, b = sum(counts), max(counts)
+    r = sum(min(c, n - c) for c in counts)
     kinds = command.split()[1:] or formulations.FORMULATION_KINDS
     entries = len(formulations.operator_kinds(kinds)) * n * n
-    if command == "verify":  # the direct check's row blocks, or the similarity's buffers
-        entries += max(5 * b * n, 2 * n * n + 2 * b * n)
-    elif command == "spectrum":  # the coupling bases (r <= n), one obstacle's QR and LU
-        entries += n * n + 3 * b * n
+    if command == "verify":  # the direct check's row blocks, or the similarity's factors
+        entries += max(5 * b * n,
+                       2 * n * r + r * r + sum(c * c for c in counts) + 3 * b * r + 3 * b * n)
+    elif command == "spectrum":  # the shared bases, S and its eigensolve's copy, the pieces
+        entries += n * r + 2 * min(r, linalg.EIG_DIM_LIMIT) ** 2 + 3 * b * r + 3 * b * n
     else:  # every block LU beside the rows of the one being factored
         entries += sum(c * c for c in counts) + b * b
         if command != "validate-disk":  # a solve's GMRES basis; validate-disk solves by LU

@@ -82,7 +82,9 @@ def _require_square(a: np.ndarray, who: str) -> np.ndarray:
     return a
 
 
-def lu_factor(a) -> LuFactors:
+def lu_factor(a, overwrite: bool = False) -> LuFactors:
+    """LU factors of a square matrix; in place if ``overwrite`` and ``a`` is
+    complex, F-ordered."""
     a = _require_square(a, "lu_factor")
     if not np.all(np.isfinite(a)):
         raise ValueError("lu_factor requires finite entries")
@@ -90,7 +92,7 @@ def lu_factor(a) -> LuFactors:
         # an exactly singular input becomes SingularMatrixError below; the
         # LAPACK wrapper's warning about it is redundant
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=overwrite, check_finite=False)
     pivots = np.abs(np.diag(lu))
     if np.any(pivots < _PIVOT_FLOOR):
         where = int(np.argmin(pivots))
@@ -98,14 +100,16 @@ def lu_factor(a) -> LuFactors:
     return LuFactors(lu=lu, piv=piv, n=a.shape[0])
 
 
-def lu_solve(factors: LuFactors, b, overwrite: bool = False):
-    """x with A x = b; in place if ``overwrite`` and ``b`` is complex, F-ordered."""
+def lu_solve(factors: LuFactors, b, overwrite: bool = False, adjoint: bool = False):
+    """x with A x = b, or A^H x = b if ``adjoint``; in place if ``overwrite``
+    and ``b`` is complex, F-ordered."""
     b = np.asarray(b)
     if b.shape[0] != factors.n:
         raise ValueError(
             f"right-hand side has leading dimension {b.shape[0]}, expected {factors.n}"
         )
-    return scipy.linalg.lu_solve((factors.lu, factors.piv), b, overwrite_b=overwrite)
+    return scipy.linalg.lu_solve((factors.lu, factors.piv), b, trans=2 if adjoint else 0,
+                                  overwrite_b=overwrite)
 
 
 def _givens(a: complex, b: complex):
@@ -218,11 +222,17 @@ def gmres(apply, b, restart: int = GMRES_RESTART, tol: float = GMRES_TOL,
     return x, GmresReport(total, np.array(history), converged)
 
 
+def check_eig_dim(m: int) -> None:
+    """Raise ValueError when m exceeds ``EIG_DIM_LIMIT``, the largest
+    dimension ``eigenvalues`` takes."""
+    if m > EIG_DIM_LIMIT:
+        raise ValueError(f"eigenvalues are limited to dimension {EIG_DIM_LIMIT}, got {m}")
+
+
 def eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a square matrix of dimension at most ``EIG_DIM_LIMIT``."""
     a = _require_square(a, "eigenvalues")
-    if a.shape[0] > EIG_DIM_LIMIT:
-        raise ValueError(f"eigenvalues are limited to dimension {EIG_DIM_LIMIT}, got {a.shape[0]}")
+    check_eig_dim(a.shape[0])
     if not np.all(np.isfinite(a)):
         raise ValueError("eigenvalues requires finite entries")
     try:
@@ -240,21 +250,53 @@ def inf_norm(a) -> float:
 
 
 def match_eigenvalues(a, b) -> np.ndarray:
-    """Greedy nearest-neighbor pairing of two spectra.
+    """Greedy nearest-neighbor pairing of two finite spectra.
 
     Returns a permutation ``perm`` with ``b[perm[i]]`` matched to ``a[i]``,
-    assigning the largest-magnitude eigenvalues of ``a`` first.  Greedy is
-    adequate here because the spectra being compared are nearly identical.
+    assigning the largest-magnitude eigenvalues of ``a`` first, each to the
+    nearest of ``b``'s unmatched values, the lowest index among equals.
+    Greedy is adequate here because the spectra being compared are nearly
+    identical.
+
+    ``b``'s entries of exactly 1 are all equally near any value, so the
+    greedy rule always takes the lowest unmatched one; while some remain,
+    an exact 1 of ``a`` takes it.  The n - r exact ones of a preconditioned
+    spectrum are therefore matched in one step per run of them in the
+    visiting order, and each other value looks at ``b``'s other values and
+    the lowest unmatched 1 only.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("match_eigenvalues requires two equal-length sequences")
-    available = np.ones(b.size, dtype=bool)
+    order = np.argsort(-np.abs(a))
+    ones, others = np.flatnonzero(b == 1.0), np.flatnonzero(b != 1.0)
+    rest = b[others]
+    available = np.ones(others.size, dtype=bool)
+    # the positions in the visiting order where a run of a's exact ones ends
+    run_ends = np.append(np.flatnonzero(a[order] != 1.0), a.size)
     perm = np.empty(a.size, dtype=int)
-    for i in np.argsort(-np.abs(a)):
-        row = np.where(available, np.abs(a[i] - b), np.inf)
-        j = int(np.argmin(row))
-        perm[i] = j
-        available[j] = False
+    taken = start = 0  # b's ones matched so far; the next position in the order
+    while start < a.size:
+        i = order[start]
+        if a[i] == 1.0 and taken < ones.size:
+            stop = min(run_ends[np.searchsorted(run_ends, start)],
+                       start + ones.size - taken)
+            perm[order[start:stop]] = ones[taken:taken + stop - start]
+            taken += stop - start
+            start = stop
+            continue
+        row = np.where(available, np.abs(a[i] - rest), np.inf)
+        k = int(np.argmin(row)) if rest.size else 0
+        nearest = row[k] if rest.size else np.inf
+        if taken < ones.size:
+            one = np.abs(a[i] - b[ones[taken]])
+            if one < nearest or (one == nearest and ones[taken] < others[k]):
+                perm[i] = ones[taken]
+                taken += 1
+                start += 1
+                continue
+        perm[i] = others[k]
+        available[k] = False
+        start += 1
     return perm

@@ -233,6 +233,41 @@ def test_match_eigenvalues_holds_no_distance_matrix():
     assert np.array_equal(perm, expected)
 
 
+def greedy_matching(a, b):
+    """The greedy loop ``match_eigenvalues`` replaced, kept as its reference."""
+    available = np.ones(b.size, dtype=bool)
+    perm = np.empty(a.size, dtype=int)
+    for i in np.argsort(-np.abs(a)):
+        row = np.where(available, np.abs(a[i] - b), np.inf)
+        j = int(np.argmin(row))
+        perm[i] = j
+        available[j] = False
+    return perm
+
+
+def test_match_eigenvalues_is_the_greedy_loop():
+    """On random spectra with exact-1 tails of unequal lengths, placed
+    anywhere, and with ties (repeated values, values of modulus exactly 1,
+    equal distances to 1), the matching is the greedy loop's, index for
+    index."""
+    rng = np.random.default_rng(53)
+    pool = np.array([-1.0, 1j, -1j, 2.0, 0.0, 0.5, 1.5, 1.0 + 1.0j, 1.0 - 1.0j, 1.0 + 1e-12])
+    for _ in range(2000):
+        n = int(rng.integers(1, 30))
+
+        def spectrum():
+            r = int(rng.integers(0, n + 1))
+            values = (pool[rng.integers(0, pool.size, r)] if rng.random() < 0.5
+                      else 1.0 + random_complex(rng, r))
+            values = np.concatenate([values, np.ones(n - r, dtype=complex)])
+            return values[rng.permutation(n)] if rng.random() < 0.5 else values
+
+        a, b = spectrum(), spectrum()
+        if rng.random() < 0.2:
+            b = a[rng.permutation(n)]
+        assert np.array_equal(linalg.match_eigenvalues(a, b), greedy_matching(a, b))
+
+
 def test_inf_norm_values():
     assert linalg.inf_norm(np.eye(7)) == 1.0
     assert linalg.inf_norm(np.array([[1.0, -2.0], [3.0j, 0.0]])) == 3.0

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from multiscat import bem, formulations, geometry, linalg, verify
 
@@ -124,11 +125,32 @@ def explicit_similarity_difference(scene, mesh, ops):
     return inf_norm(block_preconditioned(a_efie) - conjugated) / inf_norm(p_bw)
 
 
+@pytest.fixture(scope="module")
+def close_pair():
+    """Two ellipses 0.05 apart: the couplings' ranks add up to over two
+    thirds of the unknowns."""
+    scene = geometry.Scene(
+        k=5.0, beta=(0.0, 1.0),
+        obstacles=(geometry.Shape(kind="ellipse", a=1.0, b=0.6, center=(0.0, 0.0)),
+                   geometry.Shape(kind="ellipse", a=1.0, b=0.6, center=(2.05, 0.0))),
+        box=(-4.0, -4.0, 8.0, 4.0), min_center_distance=2.0)
+    mesh = geometry.mesh_scene(scene, ppw=10)
+    ops = bem.assemble_operators(mesh, scene.k)
+    ops["mass"] = bem.assemble_mass(mesh)
+    return scene, mesh, ops
+
+
 class TestBwSimilarityReference:
     def test_matches_the_explicit_conjugation(self, desk, desk10):
         mesh, ops = desk10
         report = verify.check_bw_similarity(desk, mesh, operators=ops)
         reference = explicit_similarity_difference(desk, mesh, ops)
+        assert abs(report.similarity_difference - reference) <= 1e-10 * reference
+
+    def test_matches_the_explicit_conjugation_far_from_low_rank(self, close_pair):
+        scene, mesh, ops = close_pair
+        report = verify.check_bw_similarity(scene, mesh, operators=ops)
+        reference = explicit_similarity_difference(scene, mesh, ops)
         assert abs(report.similarity_difference - reference) <= 1e-10 * reference
 
 
@@ -153,18 +175,25 @@ def dense_systems(scene, ops) -> dict:
     }
 
 
+def coupling_rank(scene, mesh, ops) -> int:
+    """r, the sum of EFIE's coupling ranks over the obstacles."""
+    efie = formulations.systems(("EFIE",), scene, mesh, operators=ops)["EFIE"]
+    return sum(verify._coupling_bases(efie, p)[0].shape[1] for p in range(mesh.n_obstacles))
+
+
 @pytest.mark.parametrize("given", [True, False], ids=["operators", "no-operators"])
 @pytest.mark.parametrize("check", sorted(CHECK_KINDS))
 def test_each_check_builds_and_factors_each_system_once(desk, desk10, monkeypatch,
                                                         check, given):
     """Each formulation's diagonal block is factored once per obstacle, the
-    operators are assembled only when none are given, the similarity check
-    factors exactly one full-size matrix, every check reads its systems from
-    ``formulations.systems`` and the GMRES histories build one per formulation.  A
-    factored block is told apart by its entries, from the formulations'
-    dense matrices."""
+    operators are assembled only when none are given, no check factors an
+    n x n matrix and only the similarity factors anything else, its r x r
+    capacitance, once; every check reads its systems from
+    ``formulations.systems`` and the GMRES histories build one per
+    formulation.  A factored block is told apart by its entries, from the
+    formulations' dense matrices."""
     mesh, ops = desk10
-    calls = {"blocks": [], "assemble": 0, "full_lu": 0, "build": []}
+    calls = {"factored": [], "assemble": 0, "build": []}
     assemble = bem.assemble_operators
     lu_factor = linalg.lu_factor
     systems = formulations.systems
@@ -173,12 +202,9 @@ def test_each_check_builds_and_factors_each_system_once(desk, desk10, monkeypatc
         calls["assemble"] += 1
         return assemble(*args, **kwargs)
 
-    def counting_lu_factor(a):
-        if np.shape(a)[0] == mesh.n_nodes:
-            calls["full_lu"] += 1
-        else:
-            calls["blocks"].append(np.array(a))
-        return lu_factor(a)
+    def counting_lu_factor(a, overwrite=False):
+        calls["factored"].append(np.array(a))
+        return lu_factor(a, overwrite)
 
     def counting_systems(*args, **kwargs):
         built = systems(*args, **kwargs)
@@ -191,19 +217,104 @@ def test_each_check_builds_and_factors_each_system_once(desk, desk10, monkeypatc
     getattr(verify, check)(desk, mesh, operators=ops if given else None)
     monkeypatch.undo()
     dense = dense_systems(desk, ops)
-    factored = {}
-    for kind in CHECK_KINDS[check]:
-        for p in range(mesh.n_obstacles):
-            lo, hi = mesh.block_range(p)
-            factored[kind, p] = sum(np.array_equal(block, dense[kind][lo:hi, lo:hi])
-                                    for block in calls["blocks"])
-    assert set(factored.values()) == {1}
-    assert len(calls["blocks"]) == len(factored)
+    blocks = [dense[kind][lo:hi, lo:hi] for kind in CHECK_KINDS[check]
+              for lo, hi in zip(mesh.block_offsets, mesh.block_offsets[1:])]
+    factored = [sum(np.array_equal(a, block) for a in calls["factored"]) for block in blocks]
+    others = [a for a in calls["factored"]
+              if not any(np.array_equal(a, block) for block in blocks)]
+    assert factored == [1] * len(blocks)
+    assert len(calls["factored"]) == len(blocks) + len(others)
+    assert all(a.shape[0] < mesh.n_nodes for a in calls["factored"])
+    if check == "check_bw_similarity":
+        rank = coupling_rank(desk, mesh, ops)
+        assert [a.shape for a in others] == [(rank, rank)]
+    else:
+        assert others == []
     assert calls["assemble"] == (0 if given else 1)
-    assert calls["full_lu"] == (1 if check == "check_bw_similarity" else 0)
     assert set(calls["build"]) == set(CHECK_KINDS[check])
     if check == "convergence_histories":
         assert calls["build"] == list(CHECK_KINDS[check])
+
+
+def test_a_singular_capacitance_reports_the_single_layer_system(desk, desk10, monkeypatch):
+    """A_E is singular exactly when the r x r capacitance I + S_E is, so the
+    similarity reports that factorization's failure as A_E's."""
+    mesh, ops = desk10
+    rank = coupling_rank(desk, mesh, ops)
+    lu_factor = linalg.lu_factor
+
+    def singular_capacitance(a, overwrite=False):
+        if np.shape(a)[0] == rank:
+            raise linalg.SingularMatrixError("singular matrix: zero pivot at index 0")
+        return lu_factor(a, overwrite)
+
+    monkeypatch.setattr(linalg, "lu_factor", singular_capacitance)
+    with pytest.raises(linalg.SingularMatrixError,
+                       match="single-layer system matrix is singular.*irregular frequency"):
+        verify.check_bw_similarity(desk, mesh, operators=ops)
+
+
+def counted_qrs(monkeypatch) -> list:
+    """The ``pivoting`` flag of every ``scipy.linalg.qr`` call from here on."""
+    calls = []
+    qr = scipy.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        calls.append(kwargs.get("pivoting", False))
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+    return calls
+
+
+@pytest.mark.parametrize("check", ["check_bw_similarity", "check_spectra"])
+def test_each_check_takes_one_pivoted_qr_per_obstacle(desk, desk10, monkeypatch, check):
+    """Both checks factor EFIE's coupling rows once per obstacle and take
+    every formulation's coupling from those factors (on desk no coupling
+    falls back to its own QR)."""
+    mesh, ops = desk10
+    calls = counted_qrs(monkeypatch)
+    getattr(verify, check)(desk, mesh, operators=ops)
+    assert calls == [True] * mesh.n_obstacles
+
+
+def add_n_to_bw(monkeypatch) -> None:
+    """Make BW's system matrix -eta_bw L + N^T + N + Mh/2 wherever it is read."""
+    combination = formulations._combination
+
+    def with_defect(form, single, adjoint, adjoint_t, add_mass):
+        out = combination(form, single, adjoint, adjoint_t, add_mass)
+        return out + adjoint() if form.kind == "BW" else out
+
+    monkeypatch.setattr(formulations, "_combination", with_defect)
+
+
+class TestCouplingOutsideTheSharedBases:
+    """A BW coupling made of both the fields an obstacle radiates and those
+    arriving at it (N^T + N) is held by neither of EFIE's bases, so BW
+    falls back to its own pivoted QR, and both checks still meet their
+    dense references."""
+
+    def test_spectra_fall_back_and_match_dense(self, desk, desk10, monkeypatch):
+        mesh, ops = desk10
+        add_n_to_bw(monkeypatch)
+        calls = counted_qrs(monkeypatch)
+        report = verify.check_spectra(desk, mesh, operators=ops)
+        assert calls == [True] * (2 * mesh.n_obstacles)
+        a = dense_systems(desk, ops)["BW"] + ops["adjoint_double_layer"].matrix
+        dense = np.linalg.eigvals(TestDenseReference.dense_preconditioned_of(mesh, a))
+        perm = linalg.match_eigenvalues(report.eigenvalues["BW"], dense)
+        assert np.abs(dense[perm] - report.eigenvalues["BW"]).max() <= 1e-10
+
+    def test_similarity_falls_back_and_matches_the_explicit_conjugation(
+            self, desk, desk10, monkeypatch):
+        mesh, ops = desk10
+        add_n_to_bw(monkeypatch)
+        calls = counted_qrs(monkeypatch)
+        report = verify.check_bw_similarity(desk, mesh, operators=ops)
+        assert calls == [True] * (2 * mesh.n_obstacles)
+        reference = explicit_similarity_difference(desk, mesh, ops)
+        assert abs(report.similarity_difference - reference) <= 1e-10 * reference
 
 
 def traced_peak(run) -> int:
@@ -218,16 +329,16 @@ def traced_peak(run) -> int:
 
 # Bounds on each check's working set beside pre-assembled operators, in
 # complex n x n matrices, as tracemalloc counts it (LAPACK's own workspace
-# is not counted).  Each check holds at most a few obstacle row blocks
-# besides the full-size buffers it needs: none for the direct check, the
-# product and the LU of A_E for the similarity; the GMRES histories hold
-# one system's block LUs and Krylov basis.  The spectra hold no full-size
-# buffer: one obstacle's coupling rows and their QR and LU, and every
-# obstacle's n x r_p basis, which peaked at 1.43 on desk at ppw 15 (CFIE,
-# the largest obstacle last).
+# is not counted).  No check holds a full-size buffer: the direct check
+# holds a few obstacle row blocks, the GMRES histories one system's block
+# LUs and Krylov basis.  The spectra and the similarity hold every
+# obstacle's n x r_p basis W_p beside one obstacle's coupling rows and
+# their pieces; the spectra peaked at 1.49 on desk at ppw 15.  The
+# similarity also holds the r x n product H, the r x r M and BW's block
+# LUs while it forms BW's coupling rows anew: 2.18 on desk at ppw 15.
 CHECK_MEMORY_BOUNDS = {
     "check_direct_equality": 2.0,
-    "check_bw_similarity": 3.5,
+    "check_bw_similarity": 2.4,
     "check_spectra": 1.6,
     "convergence_histories": 1.0,
 }
@@ -284,9 +395,12 @@ def test_a_system_keeps_no_block_factor(desk, desk15):
 class TestDenseReference:
     """The row-block checks against the whole preconditioned matrices."""
 
+    @classmethod
+    def dense_preconditioned(cls, desk, mesh, ops, kind):
+        return cls.dense_preconditioned_of(mesh, dense_systems(desk, ops)[kind])
+
     @staticmethod
-    def dense_preconditioned(desk, mesh, ops, kind):
-        a = dense_systems(desk, ops)[kind]
+    def dense_preconditioned_of(mesh, a):
         out = np.empty_like(a)
         for p in range(mesh.n_obstacles):
             lo, hi = mesh.block_range(p)
@@ -320,18 +434,10 @@ class TestDenseReference:
         mesh, ops = desk10
         self.assert_spectra_match_dense(desk, mesh, ops)
 
-    def test_eigenvalues_of_a_coupling_far_from_low_rank(self):
-        """Two ellipses 0.05 apart: the couplings' ranks add up to over two
-        thirds of the unknowns, so most of the spectrum comes from the
-        reduced matrix."""
-        scene = geometry.Scene(
-            k=5.0, beta=(0.0, 1.0),
-            obstacles=(geometry.Shape(kind="ellipse", a=1.0, b=0.6, center=(0.0, 0.0)),
-                       geometry.Shape(kind="ellipse", a=1.0, b=0.6, center=(2.05, 0.0))),
-            box=(-4.0, -4.0, 8.0, 4.0), min_center_distance=2.0)
-        mesh = geometry.mesh_scene(scene, ppw=10)
-        ops = bem.assemble_operators(mesh, scene.k)
-        ops["mass"] = bem.assemble_mass(mesh)
+    def test_eigenvalues_of_a_coupling_far_from_low_rank(self, close_pair):
+        """The couplings of ``close_pair``, so most of the spectrum comes
+        from the reduced matrix."""
+        scene, mesh, ops = close_pair
         report = self.assert_spectra_match_dense(scene, mesh, ops)
         for eig in report.eigenvalues.values():
             assert np.count_nonzero(eig == 1.0) < mesh.n_nodes / 3
