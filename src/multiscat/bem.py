@@ -31,8 +31,11 @@ the pair's separation, its midpoint distance over the longer panel's
 length h, and by k h (see ``_SEPARATED_ORDERS``); pairs sharing a node take
 order 16.  Both keys are symmetric in the pair, so M = -N^T stays exact.
 A group's kernels come in pieces of ``_PIECE_PAIR_POINTS`` point pairs at
-most and its blocks are scattered once, in pair order: an entry sums up to
-four pairs' blocks, so any other grouping or order would change its rounding.
+most, on a thread per CPU the process may use, each piece writing only its
+own pairs' blocks.  Once every piece is done, the calling thread scatters the
+group's blocks once, in pair order: an entry sums up to four pairs' blocks,
+so any other grouping or order would change its rounding, and L and N do not
+depend on the piece size or the number of threads.
 On node-sharing pairs neither kernel is smooth: L has a ln r singularity at
 the shared vertex and N's kernel is homogeneous of degree -1 there, so the
 tensor rule converges only algebraically on them.  ``evaluate_potentials``
@@ -83,9 +86,10 @@ _SEPARATED_ORDERS = (
     (0.0, math.inf, 8),
 )
 _CHUNK_PAIR_POINTS = 4_000_000
-# Quadrature-point pairs per kernel piece.  Desk assembly at ppw 15 and 30
-# took 0.13-0.14 and 0.33-0.35 s (medians of 7) with pieces of 16k or 64k
-# points, and its peak RSS grew 15 MiB at ppw 15 with 16k, 23 MiB with 64k.
+# Quadrature-point pairs per kernel piece.  Desk assembly on two CPUs at ppw
+# 15 and 30 took 0.08-0.09 and 0.22-0.26 s (medians of 7) with pieces of 16k
+# points, about as long with 64k, and 0.11 and 0.30 s with 4k; its peak RSS
+# grew 12 MiB at ppw 15 with 16k, 20 MiB with 64k.
 _PIECE_PAIR_POINTS = 16_384
 # Receiver-Gauss-point pairs per piece of field evaluation; a piece holds
 # receivers of one order.  Each thread's allocator arena keeps about its
@@ -260,6 +264,15 @@ def _separation(x, y, normals=()):
     return r, along
 
 
+def _workers() -> int:
+    """Threads for assembly and field evaluation: the CPUs the process may
+    use (``os.sched_getaffinity``, missing on macOS), else ``os.cpu_count()``,
+    which may be None; at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _kernels(k: float, r: np.ndarray, single: bool, double: bool):
     """(G, F) at distances r > 0 from one Bessel evaluation: G = (i/4)
     H0^(1)(k r) if ``single``, and F = G'(r) / r if ``double``, else None.
@@ -293,14 +306,15 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
                         f"assembling {len(kinds)} dense {n} x {n} operator matrices")
     mats = {kind: np.zeros((n, n), dtype=complex) for kind in kinds}  # cli._peak_bytes's operators
 
-    for order, ti, si in _separated_pairs(mesh, k):
-        _add_panel_pairs(mats, mesh, k, gauss_rule(order), ti, si)
     # Each panel i with panel next_node[i], lower index first.  The node they
     # share is never a Gauss point, so the kernels stay finite there.
     panels = np.arange(n)
     first = np.minimum(panels, mesh.next_node)
     second = np.maximum(panels, mesh.next_node)
-    _add_panel_pairs(mats, mesh, k, gauss_rule(_NEAR_ORDER), first, second)
+    with concurrent.futures.ThreadPoolExecutor(_workers()) as pool:
+        for order, ti, si in _separated_pairs(mesh, k):
+            _add_panel_pairs(pool, mats, mesh, k, gauss_rule(order), ti, si)
+        _add_panel_pairs(pool, mats, mesh, k, gauss_rule(_NEAR_ORDER), first, second)
     if "single_layer" in mats:
         _scatter(mats["single_layer"], mesh, panels, panels, _same_panel_single_layer(mesh, k))
 
@@ -349,19 +363,22 @@ def _band_order(ratio, kh):
     )
 
 
-def _add_panel_pairs(mats, mesh, k: float, rule: QuadratureRule, ti, si):
+def _add_panel_pairs(pool, mats, mesh, k: float, rule: QuadratureRule, ti, si):
     """Add the tensor-rule Galerkin blocks of the distinct panel pairs
     {ti[p], si[p]}, in both orders, to every matrix in ``mats``.  One
     distance and one Bessel evaluation serve the block tested on ti[p] and
     the one tested on si[p]: L's second block is the transpose of its
-    first, and N's takes the other panel's normal and -(x - y)."""
+    first, and N's takes the other panel's normal and -(x - y).  The blocks
+    are computed in pieces on the executor ``pool``, each writing its own
+    slice of them, and scattered on the calling thread once all are done."""
     xs = _quad_points(mesh, rule)
     single, double = "single_layer" in mats, "adjoint_double_layer" in mats
     wphi = _basis_weights(rule)
     # L's blocks tested on ti, then N's tested on ti and on si
     blocks = np.empty((single + 2 * double, len(ti), 2, 2), dtype=complex)
     step = max(1, _PIECE_PAIR_POINTS // rule.points.size ** 2)
-    for lo in range(0, len(ti), step):
+
+    def add_piece(lo):
         a, b = ti[lo:lo + step], si[lo:lo + step]
         normals = (mesh.normals[a, None, None], -mesh.normals[b, None, None]) if double else ()
         r, along = _separation(xs[a, :, None], xs[b, None, :], normals)
@@ -376,6 +393,8 @@ def _add_panel_pairs(mats, mesh, k: float, rule: QuadratureRule, ti, si):
         del g
         for part, side in zip(parts[single:], along):
             part[...] = _contract(f * side, wphi, scale)
+
+    list(pool.map(add_piece, range(0, len(ti), step)))  # re-raises a piece's exception
     for kind, first, second in (("single_layer", 0, 0), ("adjoint_double_layer", -2, -1)):
         if kind in mats:
             _scatter(mats[kind], mesh, ti, si, blocks[first])
@@ -482,8 +501,7 @@ def evaluate_potentials(
     columns = (rho if rho.ndim == 2 else rho[:, None]).T
     values = np.empty((m, len(columns)), dtype=complex)
     near = np.empty(m, dtype=bool)
-    # os.sched_getaffinity, the CPUs the process may use, is missing on macOS
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = _workers()
     # each piece holds at most _FIELD_PIECE_POINTS points, and the pieces in
     # flight together at most _CHUNK_PAIR_POINTS
     budget = min(_FIELD_PIECE_POINTS, _CHUNK_PAIR_POINTS // workers)

@@ -389,20 +389,87 @@ def test_one_bessel_evaluation_per_unordered_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("case,piece", [("desk-ppw15", bem._NEAR_ORDER ** 2), ("two-circles", 1)])
-def test_operators_do_not_depend_on_the_piece_size(case, piece, desk, desk15, monkeypatch):
+def test_operators_do_not_depend_on_the_piece_size_or_the_cpus(case, piece, desk, monkeypatch):
     """L and N are the same bit for bit whatever the number of quadrature
-    point pairs per kernel piece: here one node-sharing pair's points (so
-    every such pair is a piece of its own) or a single point (every pair
-    is), against the default."""
+    point pairs per kernel piece: the default, one node-sharing pair's
+    points (so every such pair is a piece of its own) or a single point
+    (every pair is).  The pieces run on a thread per CPU, but each group is
+    scattered in pair order on the calling thread, so 2, 3 and 8 CPUs give
+    the matrices of one."""
     if case == "desk-ppw15":
-        (mesh, default), k = desk15, desk.k
+        mesh, k = geometry.mesh_scene(desk, ppw=15), desk.k
     else:
         mesh, k = two_circle_scene_mesh(), WAVENUMBER
-        default = bem.assemble_operators(mesh, k)
-    monkeypatch.setattr(bem, "_PIECE_PAIR_POINTS", piece)
-    pieces = bem.assemble_operators(mesh, k)
-    for kind, op in pieces.items():
-        assert np.array_equal(op.matrix, default[kind].matrix)
+    reference = None
+    for size, cpus in itertools.product((bem._PIECE_PAIR_POINTS, piece), (1, 2, 3, 8)):
+        monkeypatch.setattr(bem, "_PIECE_PAIR_POINTS", size)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        assert bem._workers() == cpus
+        assembled = bem.assemble_operators(mesh, k)
+        reference = reference or assembled
+        for kind, op in assembled.items():
+            assert np.array_equal(op.matrix, reference[kind].matrix)
+
+
+def test_no_cpu_affinity_and_no_cpu_count_run_on_one_worker(monkeypatch):
+    """Where os.sched_getaffinity is missing and os.cpu_count() returns
+    None, assembly and field evaluation run on one worker, to the values of
+    one CPU."""
+    mesh, points = two_polygons_and_banded_receivers()
+    rho = np.linspace(1.0, 2.0, mesh.n_nodes) * (1.0 - 0.5j)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    operators = bem.assemble_operators(mesh, 0.3)
+    fields = [bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer)
+              for layer in ("single", "double")]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert bem._workers() == 1
+    for kind, op in bem.assemble_operators(mesh, 0.3).items():
+        assert np.array_equal(op.matrix, operators[kind].matrix)
+    for layer, field in zip(("single", "double"), fields):
+        after = bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer)
+        assert np.array_equal(after.values, field.values)
+        assert np.array_equal(after.near_boundary, field.near_boundary)
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else os.cpu_count() < 2,
+    reason="the process may use one CPU",
+)
+def test_assembly_runs_on_several_threads(desk, monkeypatch):
+    mesh = geometry.mesh_scene(desk, ppw=15)
+    threads = set()
+    kernels = bem._kernels
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return kernels(*args)
+
+    monkeypatch.setattr(bem, "_kernels", recording)
+    bem.assemble_operators(mesh, desk.k)
+    assert len(threads) >= 2
+
+
+def test_an_error_in_an_assembly_piece_reaches_the_caller(desk, monkeypatch):
+    mesh = geometry.mesh_scene(desk, ppw=15)
+
+    def failing(*args):
+        raise ValueError("kernel evaluation failed")
+
+    monkeypatch.setattr(bem, "_kernels", failing)
+    raised = []
+
+    def assemble():
+        try:
+            bem.assemble_operators(mesh, desk.k)
+        except ValueError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=assemble, daemon=True)
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["kernel evaluation failed"]
 
 
 def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):

@@ -766,15 +766,18 @@ class TestDefaults:
 
 
 def test_import_leaves_scipy_submodules_unloaded():
-    """scipy.linalg and scipy.special load on first use, not with the package."""
+    """scipy.linalg and scipy.special load on first use, not with the
+    package, and the import starts no thread: assembly and field evaluation
+    make their pools per call."""
     src = pathlib.Path(multiscat.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = ("import sys, multiscat; "
-            "print([name for name in ('scipy.linalg', 'scipy.special') if name in sys.modules])")
+    code = ("import sys, threading, multiscat; "
+            "print([name for name in ('scipy.linalg', 'scipy.special') if name in sys.modules], "
+            "threading.active_count())")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[] 1\n"
 
 
 # one obstacle makes every row block n x n, the worst case of cli._peak_bytes
