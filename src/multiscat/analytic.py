@@ -10,7 +10,8 @@ over all integer n.  On r = a the sum collapses to minus the Jacobi-Anger
 expansion of the incident wave, which is exactly the sound-soft boundary
 condition; that cancellation doubles as the primary correctness test.  The
 n and -n terms are equal, so the sum runs over n >= 0 with the n > 0 terms
-doubled, and one vectorised Hankel call serves every order and point.
+doubled, and one vectorised Hankel call serves every order and distinct
+radius.
 """
 
 from __future__ import annotations
@@ -73,5 +74,7 @@ def mie_scattered(cfg: MieConfig, points) -> np.ndarray:
     bx, by = cfg.beta
     theta = np.arctan2(bx * d[:, 1] - by * d[:, 0], d[:, 0] * bx + d[:, 1] * by)
     cos_n = np.cos(orders[:, None] * theta[None, :])
-    h_r = scipy.special.hankel1(orders[:, None], cfg.k * r[None, :])
+    # one Hankel evaluation per distinct radius: a circle of receivers shares one
+    radii, at = np.unique(r, return_inverse=True)
+    h_r = scipy.special.hankel1(orders[:, None], cfg.k * radii[None, :])[:, at]
     return -np.einsum("n,nm,nm->m", coeff, h_r, cos_n)

@@ -32,21 +32,25 @@ length h, and by k h (see ``_SEPARATED_ORDERS``); pairs sharing a node take
 order 16.  Both keys are symmetric in the pair, so M = -N^T stays exact.
 A group's kernels come in pieces of ``_PIECE_PAIR_POINTS`` point pairs at
 most, on a thread per CPU the process may use, each piece writing only its
-own pairs' blocks.  Once every piece is done, the calling thread scatters the
-group's blocks once, in pair order: an entry sums up to four pairs' blocks,
-so any other grouping or order would change its rounding, and L and N do not
+own pairs' blocks.  Every group of a block of rows goes to the threads at
+once, and the calling thread scatters the groups in turn, each once its own
+pieces are done, in pair order: an entry sums up to four pairs' blocks, so
+any other grouping or order would change its rounding, and L and N do not
 depend on the piece size or the number of threads.
 On node-sharing pairs neither kernel is smooth: L has a ln r singularity at
 the shared vertex and N's kernel is homogeneous of degree -1 there, so the
 tensor rule converges only algebraically on them.  ``evaluate_potentials``
 uses the same kernels and bands: a receiver x takes, on every panel, the
-largest band order over the panels p keyed on |x - mid_p| / h_p and k h_p.
+largest band order over the panels p keyed on |x - mid_p| / h_p and k h_p,
+found from the nearest panel of each k h class (``_receiver_orders``).
 The receivers of each order are evaluated in cache-sized pieces of at most
-``_FIELD_PIECE_POINTS`` receiver-Gauss points, on a thread per CPU the
-process may use; a receiver's value depends on that receiver alone, so the
-values do not depend on the split.  A stack of d densities, shape (n, d),
-shares each piece's kernel and has values of shape (m, d), each column
-contracted exactly as its density alone.  On a panel paired with itself
+``_FIELD_PIECE_POINTS`` receiver-Gauss points per kernel, on a thread per
+CPU the process may use; a receiver's value depends on that receiver alone,
+so the values do not depend on the split.  A stack of d densities, shape
+(n, d), shares each piece's distances and Bessel values and has values of
+shape (m, d); each column takes the single or the double layer, one for
+all columns or one each, and is contracted exactly as its density alone
+in that layer.  On a panel paired with itself
 the N kernel vanishes identically because (x - y) is parallel to a flat
 panel.  L's kernel there depends on u = |s - t| alone, so its block is a
 1-D integral in u against the autocorrelation of the hats; splitting off
@@ -91,22 +95,23 @@ _CHUNK_PAIR_POINTS = 4_000_000
 # points, about as long with 64k, and 0.11 and 0.30 s with 4k; its peak RSS
 # grew 12 MiB at ppw 15 with 16k, 20 MiB with 64k.
 _PIECE_PAIR_POINTS = 16_384
-# Receiver-Gauss-point pairs per piece of field evaluation; a piece holds
-# receivers of one order.  Each thread's allocator arena keeps about its
-# largest piece after freeing it, so small pieces hold peak RSS down, and
-# pieces of 32k points keep each array within about 1 MiB.  One single- and
-# one double-layer pass on two CPUs, medians of 41 (time) and tracemalloc
-# peaks of one call per layer, on the disk-field grid (75 panels, 2148
-# receivers) and on desk at ppw 30 (444 panels, 2304 receivers on a grid):
-#     points     disk grid               desk ppw 30
-#     16,384     0.092 s  2.1/2.4 MiB    0.515 s  2.4/2.7 MiB
-#     32,768     0.079 s  2.9/3.4 MiB    0.413 s  2.9/3.5 MiB
-#     65,536     0.078 s  5.3/6.3 MiB    0.392 s  4.8/6.4 MiB
-#     131,072    0.083 s  9.2/11.3 MiB   0.381 s  10.4/12.4 MiB
-#     250,000    0.102 s  17.4/21.2 MiB  0.520 s  19.4/21.2 MiB
-# In 61 interleaved pairs, 32k was faster than 64k in 37 (disk grid) and 48
-# (desk).  Pieces that mixed orders, each budgeted as if at order 8, took
-# 0.114 and 0.494 s at 250k in a separate run.
+# Receiver-Gauss-point pairs per kernel in a piece of field evaluation: a piece
+# holds receivers of one order, and one of both layers holds two kernels in half
+# the points.  Each thread's allocator arena keeps about its largest piece after
+# freeing it, so small pieces hold peak RSS down, and pieces of 32k points keep
+# each array within about 1 MiB.  Passes of one kernel (single layer) / two (both
+# layers) on two CPUs, medians of 25 interleaved calls (time) and tracemalloc
+# peaks of one call, on the disk-field grid (75 panels, 2148 receivers) and on
+# desk at ppw 30 (444 panels, 2304 receivers on a grid):
+#     points     disk grid                      desk ppw 30
+#     16,384     0.048/0.088 s  1.4/1.3 MiB    0.165/0.333 s  1.7/1.8 MiB
+#     32,768     0.040/0.073 s  2.6/2.4 MiB    0.199/0.395 s  2.7/2.7 MiB
+#     65,536     0.042/0.076 s  5.1/4.6 MiB    0.178/0.370 s  5.2/4.7 MiB
+#     131,072    0.051/0.085 s  10.1/9.1 MiB   0.210/0.353 s  10.1/9.2 MiB
+#     250,000    0.049/0.088 s  19.2/17.3 MiB  0.188/0.347 s  19.2/16.3 MiB
+# The desk times move by 20% between runs of this table on a 2-core x86-64 box.
+# In an earlier run, pieces that mixed orders, each budgeted as if at order 8,
+# took 0.114 and 0.494 s for a pass per layer at 250k.
 _FIELD_PIECE_POINTS = 32_768
 _OPERATOR_KINDS = ("single_layer", "adjoint_double_layer")
 
@@ -277,12 +282,23 @@ def _kernels(k: float, r: np.ndarray, single: bool, double: bool):
     """(G, F) at distances r > 0 from one Bessel evaluation: G = (i/4)
     H0^(1)(k r) if ``single``, and F = G'(r) / r if ``double``, else None.
     F (x - y).n is d/dn(x) G when n belongs to x, and -d/dn(y) G when it
-    belongs to y."""
+    belongs to y.  Both are built from their real and imaginary parts with
+    the roundings of numpy's complex arithmetic: G = 0.25i (J0 + i Y0) has
+    parts -Y0/4 and J0/4, and F = -0.25i k (J1 + i Y1) / r, whose division
+    multiplies by 1/r, has parts (k Y1/4)(1/r) and (-k J1/4)(1/r)."""
     orders = tuple(n for n, wanted in ((0, single), (1, double)) if wanted)
     j0, j1, y0, y1 = specfun.bessel_j0j1y0y1(k * r, orders)
-    g = 0.25j * (j0 + 1j * y0) if single else None
+    g = f = None
+    if single:
+        g = np.empty(r.shape, dtype=complex)
+        np.multiply(y0, -0.25, out=g.real)
+        np.multiply(j0, 0.25, out=g.imag)
     del j0, y0
-    f = (-0.25j * k) * (j1 + 1j * y1) / r if double else None
+    if double:
+        f = np.empty(r.shape, dtype=complex)
+        inverse = np.divide(1.0, r)
+        np.multiply(np.multiply(y1, 0.25 * k, out=y1), inverse, out=f.real)
+        np.multiply(np.multiply(j1, -0.25 * k, out=j1), inverse, out=f.imag)
     return g, f
 
 
@@ -312,9 +328,9 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
     first = np.minimum(panels, mesh.next_node)
     second = np.maximum(panels, mesh.next_node)
     with concurrent.futures.ThreadPoolExecutor(_workers()) as pool:
-        for order, ti, si in _separated_pairs(mesh, k):
-            _add_panel_pairs(pool, mats, mesh, k, gauss_rule(order), ti, si)
-        _add_panel_pairs(pool, mats, mesh, k, gauss_rule(_NEAR_ORDER), first, second)
+        for groups in _separated_pairs(mesh, k):
+            _add_panel_pairs(pool, mats, mesh, k, groups)
+        _add_panel_pairs(pool, mats, mesh, k, [(_NEAR_ORDER, first, second)])
     if "single_layer" in mats:
         _scatter(mats["single_layer"], mesh, panels, panels, _same_panel_single_layer(mesh, k))
 
@@ -328,10 +344,10 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
 
 
 def _separated_pairs(mesh, k: float):
-    """Yield groups (order, ti, si) that hold every pair of panels sharing
-    no node exactly once, with ti < si, each at its ``_SEPARATED_ORDERS``
-    order.  They come a block of rows at a time, so that no group holds more
-    than ``_CHUNK_PAIR_POINTS`` pairs of quadrature points."""
+    """Yield lists of groups (order, ti, si) that hold every pair of panels
+    sharing no node exactly once, with ti < si, each at its
+    ``_SEPARATED_ORDERS`` order.  Each list is a block of rows, so that no
+    list holds more than ``_CHUNK_PAIR_POINTS`` pairs of quadrature points."""
     n, nxt = mesh.n_nodes, mesh.next_node
     # panel i shares a node with panels next_node[i] and prev[i] only
     prev = np.empty_like(nxt)
@@ -349,9 +365,7 @@ def _separated_pairs(mesh, k: float):
         ti += lo
         h = np.maximum(mesh.lengths[ti], mesh.lengths[si])
         order = _band_order(np.hypot(*(mid[ti] - mid[si]).T) / h, k * h)
-        for o in np.unique(order):
-            sel = order == o
-            yield int(o), ti[sel], si[sel]
+        yield [(int(o), ti[order == o], si[order == o]) for o in np.unique(order)]
         lo = hi
 
 
@@ -363,23 +377,18 @@ def _band_order(ratio, kh):
     )
 
 
-def _add_panel_pairs(pool, mats, mesh, k: float, rule: QuadratureRule, ti, si):
+def _add_panel_pairs(pool, mats, mesh, k: float, groups):
     """Add the tensor-rule Galerkin blocks of the distinct panel pairs
-    {ti[p], si[p]}, in both orders, to every matrix in ``mats``.  One
-    distance and one Bessel evaluation serve the block tested on ti[p] and
-    the one tested on si[p]: L's second block is the transpose of its
-    first, and N's takes the other panel's normal and -(x - y).  The blocks
-    are computed in pieces on the executor ``pool``, each writing its own
-    slice of them, and scattered on the calling thread once all are done."""
-    xs = _quad_points(mesh, rule)
+    {ti[p], si[p]} of every group (order, ti, si), in both orders, to every
+    matrix in ``mats``.  One distance and one Bessel evaluation serve the
+    block tested on ti[p] and the one tested on si[p]: L's second block is
+    the transpose of its first, and N's takes the other panel's normal and
+    -(x - y).  Every group's blocks are computed at once in pieces on the
+    executor ``pool``, each writing its own slice of them, and the calling
+    thread scatters the groups in turn, each as soon as its pieces are done."""
     single, double = "single_layer" in mats, "adjoint_double_layer" in mats
-    wphi = _basis_weights(rule)
-    # L's blocks tested on ti, then N's tested on ti and on si
-    blocks = np.empty((single + 2 * double, len(ti), 2, 2), dtype=complex)
-    step = max(1, _PIECE_PAIR_POINTS // rule.points.size ** 2)
 
-    def add_piece(lo):
-        a, b = ti[lo:lo + step], si[lo:lo + step]
+    def add_piece(parts, xs, wphi, a, b):
         normals = (mesh.normals[a, None, None], -mesh.normals[b, None, None]) if double else ()
         r, along = _separation(xs[a, :, None], xs[b, None, :], normals)
         if not np.all(r > 0.0):
@@ -387,18 +396,30 @@ def _add_panel_pairs(pool, mats, mesh, k: float, rule: QuadratureRule, ti, si):
         g, f = _kernels(k, r, single, double)
         del r
         scale = mesh.lengths[a] * mesh.lengths[b]
-        parts = blocks[:, lo:lo + step]
         if single:
             parts[0] = _contract(g, wphi, scale)
         del g
         for part, side in zip(parts[single:], along):
             part[...] = _contract(f * side, wphi, scale)
 
-    list(pool.map(add_piece, range(0, len(ti), step)))  # re-raises a piece's exception
-    for kind, first, second in (("single_layer", 0, 0), ("adjoint_double_layer", -2, -1)):
-        if kind in mats:
-            _scatter(mats[kind], mesh, ti, si, blocks[first])
-            _scatter(mats[kind], mesh, si, ti, blocks[second].transpose(0, 2, 1))
+    submitted = []
+    for order, ti, si in groups:
+        rule = gauss_rule(order)
+        xs, wphi = _quad_points(mesh, rule), _basis_weights(rule)
+        # L's blocks tested on ti, then N's tested on ti and on si
+        blocks = np.empty((single + 2 * double, len(ti), 2, 2), dtype=complex)
+        step = max(1, _PIECE_PAIR_POINTS // rule.points.size ** 2)
+        pieces = [pool.submit(add_piece, blocks[:, lo:lo + step], xs, wphi,
+                              ti[lo:lo + step], si[lo:lo + step])
+                  for lo in range(0, len(ti), step)]
+        submitted.append((ti, si, blocks, pieces))
+    for ti, si, blocks, pieces in submitted:
+        for piece in pieces:
+            piece.result()  # re-raises a piece's exception
+        for kind, first, second in (("single_layer", 0, 0), ("adjoint_double_layer", -2, -1)):
+            if kind in mats:
+                _scatter(mats[kind], mesh, ti, si, blocks[first])
+                _scatter(mats[kind], mesh, si, ti, blocks[second].transpose(0, 2, 1))
 
 
 def _contract(kernel, wphi, scale):
@@ -460,57 +481,84 @@ def assemble_mass(mesh) -> BandedMass:
     return BandedMass(diagonal=diagonal, off=off, next_node=mesh.next_node)
 
 
+def _receiver_orders(mesh, k: float, least: int):
+    """The function that gives receivers, shape (m, 2), their Gauss orders:
+    each takes the largest ``_band_order`` over the panels p, keyed on
+    |x - mid_p| / h_p and k h_p, or ``least`` if that is larger.
+
+    A panel's k h class is the first ``_SEPARATED_ORDERS`` row whose bound
+    on k h it meets, and only that row and the later ones apply to it.  The
+    rows' bounds on k h and their orders increase and their separations
+    decrease, so within a class the order falls as the separation grows:
+    the largest order over a class's panels is its order at the panel of
+    least separation.  The receivers take one hypot pass, over the panels
+    sorted by class, and one minimum per class."""
+    bounds = np.array([band_kh for _, band_kh, _ in _SEPARATED_ORDERS])
+    classes = np.searchsorted(bounds, k * mesh.lengths)
+    panels = np.argsort(classes, kind="stable")
+    present, starts = np.unique(classes[panels], return_index=True)
+    mid = 0.5 * (mesh.nodes + mesh.nodes[mesh.next_node])[panels]
+    length = mesh.lengths[panels]
+
+    def orders(points):
+        ratio = np.hypot(*(points[:, None] - mid[None]).transpose(2, 0, 1)) / length
+        nearest = np.minimum.reduceat(ratio, starts, axis=1)
+        return np.maximum(least, _band_order(nearest, bounds[present]).max(axis=1))
+
+    return orders
+
+
 def evaluate_potentials(
     mesh,
     density,
     k: float,
     points,
-    layer: str = "single",
+    layer="single",
     order: int = 1,
 ) -> PotentialField:
     """Evaluate a layer potential of a nodal P1 density off the boundary.
 
     layer "single" integrates G(x, y) rho(y); layer "double" integrates the
-    double-layer kernel -d/dn(y) G(x, y).  Points closer to a panel than its
-    own length are flagged near_boundary and their values are unreliable.
-    Each point takes one Gauss order on every panel, its band order (see the
-    module docstring) or ``order`` if that is larger: ``order`` is the least
-    order any point takes, so ``order=32`` is an order-32 rule everywhere.
-    The points of each order are split into pieces of at most
-    ``_FIELD_PIECE_POINTS`` receiver-Gauss points, evaluated on a thread per
-    CPU the process may use; the values are the same bit for bit for any
-    split.  ``density`` is one density of shape (n,), with values of shape
-    (m,), or a stack of d densities of shape (n, d), with values of shape
-    (m, d): the stack shares one kernel pass, and column j equals bit for
-    bit the values of ``density[:, j]`` alone.
+    double-layer kernel -d/dn(y) G(x, y); a sequence of the two, one per
+    density column, gives each column its own layer.  Points closer to a
+    panel than its own length are flagged near_boundary and their values
+    are unreliable.  Each point takes one Gauss order on every panel, its
+    band order (see the module docstring) or ``order`` if that is larger:
+    ``order`` is the least order any point takes, so ``order=32`` is an
+    order-32 rule everywhere.  The points of each order are split into
+    pieces of at most ``_FIELD_PIECE_POINTS`` receiver-Gauss points per
+    kernel, evaluated on a thread per CPU the process may use; the values
+    are the same bit for bit for any split.  ``density`` is one density of
+    shape (n,), with values of shape (m,), or a stack of d densities of
+    shape (n, d), with values of shape (m, d): the stack shares one pass, a
+    piece's Bessel values serving both layers' kernels, and column j equals
+    bit for bit the values of ``density[:, j]`` alone in its layer.
     """
     geometry.check_positive(k, "wavenumber")
-    if layer not in ("single", "double"):
-        raise ValueError("layer must be 'single' or 'double'")
     _check_mesh(mesh)
     n, length = mesh.n_nodes, mesh.lengths
     rho = np.asarray(density)
     if rho.ndim not in (1, 2) or rho.shape[0] != n:
         raise ValueError(f"density must have shape ({n},) or ({n}, d), got {rho.shape}")
+    columns = (rho if rho.ndim == 2 else rho[:, None]).T
+    layers = (layer,) * len(columns) if isinstance(layer, str) else tuple(layer)
+    if len(layers) != len(columns) or not set(layers) <= {"single", "double"}:
+        raise ValueError("layer must be 'single', 'double' or one of them per density column")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
 
-    mid = 0.5 * (mesh.nodes + mesh.nodes[mesh.next_node])
     m = pts.shape[0]
-    columns = (rho if rho.ndim == 2 else rho[:, None]).T
     values = np.empty((m, len(columns)), dtype=complex)
     near = np.empty(m, dtype=bool)
+    single, double = "single" in layers, "double" in layers
     workers = _workers()
-    # each piece holds at most _FIELD_PIECE_POINTS points, and the pieces in
-    # flight together at most _CHUNK_PAIR_POINTS
+    # each piece holds at most _FIELD_PIECE_POINTS points per kernel, and the
+    # pieces in flight together at most _CHUNK_PAIR_POINTS
     budget = min(_FIELD_PIECE_POINTS, _CHUNK_PAIR_POINTS // workers)
-    normals = (mesh.normals[None, :, None],) if layer == "double" else ()
+    normals = (mesh.normals[None, :, None],) if double else ()
     rows = max(1, budget // n)  # receivers per piece of the pass that orders them
-
-    def receiver_orders(lo):
-        ratio = np.hypot(*(pts[lo:lo + rows, None] - mid[None]).transpose(2, 0, 1)) / length
-        return np.maximum(order, _band_order(ratio, k * length).max(axis=1))
+    receiver_orders = _receiver_orders(mesh, k, order)
 
     def evaluate_piece(piece):
         o, sel = piece
@@ -519,22 +567,25 @@ def evaluate_potentials(
         w = rule.weights * length[:, None]
         r, along = _separation(pts[sel, None, None], _quad_points(mesh, rule)[None], normals)
         near[sel] = np.any(r < length[None, :, None], axis=(1, 2))
-        g, f = _kernels(k, np.maximum(r, 1e-12, out=r), layer == "single", layer == "double")
+        g, f = _kernels(k, np.maximum(r, 1e-12, out=r), single, double)
         del r
-        kernel = g if f is None else f * along[0]
-        del along, g, f
-        # one kernel for every density, each contracted as if alone
-        for j, col in enumerate(columns):
+        if double:
+            f *= along[0]
+        del along
+        kernels = {"single": g, "double": f}
+        # one kernel per layer for every density, each contracted as if alone
+        for j, (col, kind) in enumerate(zip(columns, layers)):
             coeff = (col[:, None] * (1.0 - u) + col[mesh.next_node, None] * u) * w
-            values[sel, j] = np.einsum("cpr,pr->c", kernel, coeff)
+            values[sel, j] = np.einsum("cpr,pr->c", kernels[kind], coeff)
 
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        orders = np.concatenate([np.empty(0, int), *pool.map(receiver_orders, range(0, m, rows))])
+        orders = np.concatenate([np.empty(0, int), *pool.map(
+            lambda lo: receiver_orders(pts[lo:lo + rows]), range(0, m, rows))])
         pieces = []
         for o in np.unique(orders):
             sel = np.flatnonzero(orders == o)
-            # at most ``budget`` points a piece, and a piece for every worker
-            step = max(1, min(-(-sel.size // workers), budget // (n * o)))
+            # at most ``budget`` points a piece per kernel, and a piece for every worker
+            step = max(1, min(-(-sel.size // workers), budget // (n * o * (single + double))))
             pieces += [(int(o), sel[lo:lo + step]) for lo in range(0, sel.size, step)]
         list(pool.map(evaluate_piece, pieces))  # re-raises a piece's exception
     return PotentialField(values=values.reshape((m,) + rho.shape[1:]), near_boundary=near)

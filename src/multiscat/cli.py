@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import analytic, formulations, geometry, linalg, verify
+from . import analytic, bem, formulations, geometry, linalg, verify
 
 logger = logging.getLogger(__name__)
 
@@ -54,11 +54,15 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 # Peak-RSS growth over ``main`` beyond ``_peak_bytes``'s buffers (scipy's modules, BLAS,
-# the allocator, assembly's pieces): at most 75.7 MiB, by verify at paper scale, and 50
-# on 704-1872 unknowns (2-core x86-64, one BLAS thread), with assembly on one thread;
-# its pieces on two threads added 2.5-5.5 MiB on 704 and 887 unknowns (the threads'
-# allocator arenas); 81.2 MiB plus 20%, rounded up.
-_FIXED_BYTES = 98 * 2**20
+# the allocator, assembly's pieces), with no worker thread: at most 75.7 MiB, by verify
+# at paper scale, and 50 on 704-1872 unknowns (2-core x86-64, one BLAS thread); plus
+# 20%, rounded up.
+_FIXED_BYTES = 91 * 2**20
+# Each worker thread of assembly and field evaluation (``bem._workers()``) keeps its
+# own allocator arena: verify on desk at ppw 60 grew 1.7-2.2 MiB per worker from 1 to
+# 8 and 16 patched CPUs, and two workers added up to 5.5 MiB on 704 and 887 unknowns;
+# 2.75 MiB plus 20%, rounded up.
+_WORKER_BYTES = 3 * 2**20
 
 # the keys of a scene file and of each of its obstacles, as scene_to_dict writes them
 _SCENE_KEYS = ("schema_version", "k", "beta", "box", "min_center_distance", "seed", "obstacles")
@@ -192,10 +196,11 @@ def _resolve_scene(cfg: RunConfig) -> geometry.Scene:
 
 
 def _peak_bytes(command: str, cfg: RunConfig, counts) -> int:
-    """``_FIXED_BYTES`` plus the dense complex buffers ``command`` ("solve KIND"
-    for a solve) holds at its peak, each marked where it is allocated, on
-    obstacles of ``counts`` nodes: n in all, b on the largest.  The coupling
-    rank r of the checks is at most the sum of min(b_p, n - b_p)."""
+    """``_FIXED_BYTES``, ``_WORKER_BYTES`` per worker thread, and the dense
+    complex buffers ``command`` ("solve KIND" for a solve) holds at its
+    peak, each marked where it is allocated, on obstacles of ``counts``
+    nodes: n in all, b on the largest.  The coupling rank r of the checks
+    is at most the sum of min(b_p, n - b_p)."""
     n, b = sum(counts), max(counts)
     r = sum(min(c, n - c) for c in counts)
     kinds = command.split()[1:] or formulations.FORMULATION_KINDS
@@ -209,7 +214,7 @@ def _peak_bytes(command: str, cfg: RunConfig, counts) -> int:
         entries += sum(c * c for c in counts) + b * b
         if command != "validate-disk":  # a solve's GMRES basis; validate-disk solves by LU
             entries += n * (min(cfg.restart, cfg.maxiter) + 1)
-    return _FIXED_BYTES + 16 * entries
+    return _FIXED_BYTES + bem._workers() * _WORKER_BYTES + 16 * entries
 
 
 def _meshed(command: str, cfg: RunConfig, scene: geometry.Scene | None = None):
@@ -381,10 +386,10 @@ def disk_field_errors(cfg: RunConfig) -> dict[str, float]:
     wavenumber ``cfg.disk_k``.
 
     Each system is solved directly (LU); then all four scattered fields
-    come from one ``formulations.scattered_fields`` call, one single-layer
-    pass over the four densities and one double-layer pass over BW's, and
-    each is compared against the separation-of-variables series on a circle
-    of radius 3 about the disk center.
+    come from one ``formulations.scattered_fields`` call, one pass for the
+    four densities' single layers and BW's double layer, and each is
+    compared against the separation-of-variables series on a circle of
+    radius 3 about the disk center.
     """
     scene, mesh = _meshed("validate-disk", cfg, geometry.Scene(
         k=cfg.disk_k,

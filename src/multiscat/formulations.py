@@ -268,8 +268,8 @@ def solve(system: BlockSystem, pre=None,
 
 def scattered_fields(systems, densities, points) -> list[bem.PotentialField]:
     """Scattered fields of solved densities at exterior points, one per
-    system, from one single-layer pass over all the densities and one
-    double-layer pass over BW's.
+    system, from one potential pass: the single layer of every density and
+    the double layer of BW's, from the same Bessel values.
 
     Direct formulations represent the field by the single-layer potential of
     the density; BW combines single and double layers with its coupling.
@@ -288,19 +288,19 @@ def scattered_fields(systems, densities, points) -> list[bem.PotentialField]:
             raise ValueError("the systems must share one mesh and one k")
         if density.shape != (system.n,):
             raise ValueError(f"density has shape {density.shape}, expected ({system.n},)")
-    single = bem.evaluate_potentials(mesh, np.stack(densities, axis=1), k, points)
     bw = [i for i, system in enumerate(systems) if system.formulation.kind == "BW"]
-    if bw:
-        double = bem.evaluate_potentials(mesh, np.stack([densities[i] for i in bw], axis=1),
-                                         k, points, layer="double")
+    # column i is density i's single layer, column len(systems) + j BW density j's double layer
+    potentials = bem.evaluate_potentials(
+        mesh, np.stack(densities + [densities[i] for i in bw], axis=1), k, points,
+        layer=("single",) * len(systems) + ("double",) * len(bw))
     fields = []
     for i, system in enumerate(systems):
-        values = single.values[:, i]
-        near = single.near_boundary
+        values = potentials.values[:, i]
         if i in bw:
-            values = -system.formulation.eta_bw * values - double.values[:, bw.index(i)]
-            near = near | double.near_boundary
-        fields.append(bem.PotentialField(values=np.ascontiguousarray(values), near_boundary=near))
+            values = (-system.formulation.eta_bw * values
+                      - potentials.values[:, len(systems) + bw.index(i)])
+        fields.append(bem.PotentialField(values=np.ascontiguousarray(values),
+                                         near_boundary=potentials.near_boundary))
     return fields
 
 

@@ -5,6 +5,13 @@ LU factorization and the eigenvalue solve delegate to LAPACK through scipy
 and numpy (Hessenberg reduction plus shifted QR); GMRES is written out here
 because the solver needs per-iteration preconditioned residual histories
 and callback operators, which canned wrappers do not expose cleanly.
+
+No ``scipy.linalg`` call may run on a worker thread: every LU, solve, QR
+and eigenvalue call here and in the checks runs on the thread that called
+into the package.  With scipy 1.17.1, two threads calling
+``scipy.linalg.lu_solve`` on the same factors aborted the process
+(``free(): invalid next size``), and so did per-obstacle solves on a pool.
+Assembly and field evaluation, which run on a thread per CPU, call none.
 """
 
 from __future__ import annotations

@@ -395,15 +395,26 @@ def test_operators_do_not_depend_on_the_piece_size_or_the_cpus(case, piece, desk
     points (so every such pair is a piece of its own) or a single point
     (every pair is).  The pieces run on a thread per CPU, but each group is
     scattered in pair order on the calling thread, so 2, 3 and 8 CPUs give
-    the matrices of one."""
+    the matrices of one.  A block of rows' groups go to the threads
+    together and are scattered in turn, to the matrices of one group at a
+    time."""
     if case == "desk-ppw15":
         mesh, k = geometry.mesh_scene(desk, ppw=15), desk.k
     else:
         mesh, k = two_circle_scene_mesh(), WAVENUMBER
+    separated = bem._separated_pairs
+
+    def one_group_at_a_time(mesh, k):
+        for groups in separated(mesh, k):
+            yield from ([group] for group in groups)
+
     reference = None
-    for size, cpus in itertools.product((bem._PIECE_PAIR_POINTS, piece), (1, 2, 3, 8)):
+    for size, cpus, pairs in itertools.chain(
+            itertools.product((bem._PIECE_PAIR_POINTS, piece), (1, 2, 3, 8), [separated]),
+            [(bem._PIECE_PAIR_POINTS, 2, one_group_at_a_time)]):
         monkeypatch.setattr(bem, "_PIECE_PAIR_POINTS", size)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        monkeypatch.setattr(bem, "_separated_pairs", pairs)
         assert bem._workers() == cpus
         assembled = bem.assemble_operators(mesh, k)
         reference = reference or assembled
@@ -475,11 +486,11 @@ def test_an_error_in_an_assembly_piece_reaches_the_caller(desk, monkeypatch):
 def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
     """The single layer needs J0 and Y0 and the double layer J1 and Y1, so
     a potential or an assembly of one kind asks for its order only, BW's
-    combined field for each order once, and an assembly of both kinds for
-    both orders in every call over distinct panels and for order 0 in its
-    one call over the panels paired with themselves, where N vanishes.  The
-    fields of all four systems at once ask for the Bessel points of one
-    single-layer pass and one double-layer pass."""
+    combined field for both orders in one call, and an assembly of both
+    kinds for both orders in every call over distinct panels and for order
+    0 in its one call over the panels paired with themselves, where N
+    vanishes.  The fields of all four systems at once ask for the Bessel
+    points of one single-layer pass, each call for both orders."""
     scene = geometry.Scene(
         k=WAVENUMBER, beta=(0.0, 1.0), obstacles=(geometry.Shape(kind="ellipse"),),
         box=(-3.0, -3.0, 3.0, 3.0),
@@ -510,14 +521,13 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
     assert orders_asked(
         lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, point, layer="double")
     ) == [(1,)]
-    assert orders_asked(lambda: formulations.scattered_field(bw, rho, point)) == [(0,), (1,)]
+    assert orders_asked(lambda: formulations.scattered_field(bw, rho, point)) == [(0, 1)]
     ring = 3.0 * np.stack([np.cos(np.arange(40) / 6.0), np.sin(np.arange(40) / 6.0)], axis=1)
-    one_pass_each = sorted(
-        bessel_calls(lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, ring))
-        + bessel_calls(lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, ring, layer="double")))
+    single_pass = bessel_calls(lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, ring))
     every = formulations.systems(formulations.FORMULATION_KINDS, scene, mesh, operators=bw.operators)
-    assert bessel_calls(
-        lambda: formulations.scattered_fields(every.values(), [rho] * 4, ring)) == one_pass_each
+    one_pass = bessel_calls(lambda: formulations.scattered_fields(every.values(), [rho] * 4, ring))
+    assert {asked for asked, _ in one_pass} == {(0, 1)}
+    assert sum(size for _, size in one_pass) == sum(size for _, size in single_pass)
     for kinds, wanted, same in (
         (("single_layer",), (0,), [(0,)]),
         (("adjoint_double_layer",), (1,), []),
@@ -527,6 +537,45 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
         pairs = calls[:len(calls) - len(same)]
         assert pairs and set(pairs) == {wanted}
         assert calls[len(pairs):] == same
+
+
+def test_separated_orders_rise_with_k_h_bounds_and_fall_with_separations():
+    """The receiver orders take each k h class's order at its panel of least
+    separation, which holds because the rows' bounds on k h and their orders
+    increase and their separations decrease."""
+    separations, bounds, orders = np.array(bem._SEPARATED_ORDERS).T
+    assert np.all(np.diff(bounds) > 0.0)
+    assert np.all(np.diff(separations) < 0.0)
+    assert np.all(np.diff(orders) > 0)
+    assert separations[-1] == 0.0 and bounds[-1] == math.inf
+
+
+@pytest.mark.parametrize("least", [1, 6])
+@pytest.mark.parametrize("largest_kh,classes", [(0.2, 1), (0.7, 2), (1.5, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_receiver_orders_are_the_largest_band_order_over_every_panel(seed, largest_kh, classes,
+                                                                     least):
+    """On star polygons whose panel lengths span a factor of ten or more,
+    so that they fall in one to three k h classes, and at receivers from on
+    the boundary to far away, each receiver's order is the largest
+    ``_band_order`` over every panel, or ``least`` if that is larger."""
+    rng = np.random.default_rng(seed)
+    theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, 40))
+    radius = rng.uniform(0.5, 3.0, theta.size)
+    loop = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+    mesh = geometry.polygon_mesh([loop, 0.3 * loop[::4] + np.array([9.0, 0.0])])
+    k = largest_kh / mesh.lengths.max()
+    assert len(np.unique(np.searchsorted([0.25, 0.8, 1.6, math.inf], k * mesh.lengths))) == classes
+    distance = np.exp(rng.uniform(np.log(0.01), np.log(80.0), 500))
+    angle = rng.uniform(0.0, 2.0 * np.pi, distance.size)
+    points = np.concatenate([mesh.nodes, distance[:, None] * np.stack([np.cos(angle),
+                                                                      np.sin(angle)], axis=1)])
+    mid = 0.5 * (mesh.nodes + mesh.nodes[mesh.next_node])
+    ratio = np.hypot(*(points[:, None] - mid[None]).transpose(2, 0, 1)) / mesh.lengths
+    every = bem._band_order(ratio, k * mesh.lengths).max(axis=1)
+    assert len(np.unique(every)) >= 2
+    got = bem._receiver_orders(mesh, k, least)(points)
+    assert np.array_equal(got, np.maximum(least, every))
 
 
 @pytest.mark.parametrize("k", [0.3, 2.0, 3.5])
@@ -761,27 +810,33 @@ def test_double_layer_constant_density_decays_and_matches_direct_integral():
     assert abs(res.values[0] - direct) / abs(direct) <= 1e-2
 
 
-def test_potentials_do_not_depend_on_the_split_into_pieces(monkeypatch):
+@pytest.mark.parametrize("layer", ["single", "double", ("double", "single", "double")],
+                         ids=["single", "double", "mixed"])
+def test_potentials_do_not_depend_on_the_split_into_pieces(layer, monkeypatch):
     """Each receiver's value depends on that receiver alone: evaluating the
     whole set (in pieces of the default size or of one receiver each, on
     any number of workers) gives exactly the values of evaluating slices of
     it, single receivers included.  A stack of densities gives, column by
-    column, exactly the values of each density alone."""
+    column, exactly the values of each density alone in its layer, also
+    when the columns mix layers and one pass serves both kernels."""
     mesh, points = two_polygons_and_banded_receivers()
     rng = np.random.default_rng(8)
     stack = rng.standard_normal((mesh.n_nodes, 3)) + 1j * rng.standard_normal((mesh.n_nodes, 3))
+    layers = (layer,) * 3 if isinstance(layer, str) else layer
     splits = [[(i, i + 1) for i in range(len(points))], [(0, 5), (5, 6), (6, 13)]]
-    for piece, layer in itertools.product((bem._FIELD_PIECE_POINTS, 50), ("single", "double")):
+    for piece in (bem._FIELD_PIECE_POINTS, 50):
         monkeypatch.setattr(bem, "_FIELD_PIECE_POINTS", piece)
-        alone = [bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer) for rho in stack.T]
+        alone = [bem.evaluate_potentials(mesh, rho, 0.3, points, layer=each)
+                 for rho, each in zip(stack.T, layers)]
         whole = bem.evaluate_potentials(mesh, stack, 0.3, points, layer=layer)
         assert whole.values.shape == (len(points), 3)
         for j, field in enumerate(alone):
             assert np.array_equal(whole.values[:, j], field.values)
             assert np.array_equal(whole.near_boundary, field.near_boundary)
+        cases = ((stack[:, 0], layers[0], alone[0]), (stack, layer, whole))
         for bounds in splits:
-            for rho, field in ((stack[:, 0], alone[0]), (stack, whole)):
-                parts = [bem.evaluate_potentials(mesh, rho, 0.3, points[lo:hi], layer=layer)
+            for rho, each, field in cases:
+                parts = [bem.evaluate_potentials(mesh, rho, 0.3, points[lo:hi], layer=each)
                          for lo, hi in bounds]
                 assert np.array_equal(np.concatenate([p.values for p in parts]), field.values)
                 assert np.array_equal(
@@ -789,8 +844,8 @@ def test_potentials_do_not_depend_on_the_split_into_pieces(monkeypatch):
                 )
         for cpus in (1, 3, 8):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-            for rho, field in ((stack[:, 0], alone[0]), (stack, whole)):
-                again = bem.evaluate_potentials(mesh, rho, 0.3, points, layer=layer)
+            for rho, each, field in cases:
+                again = bem.evaluate_potentials(mesh, rho, 0.3, points, layer=each)
                 assert np.array_equal(again.values, field.values)
 
 
@@ -850,14 +905,16 @@ def test_an_error_in_a_piece_reaches_the_caller(monkeypatch):
     assert [str(exc) for exc in raised] == ["Bessel evaluation failed"]
 
 
-@pytest.mark.parametrize("layer", ["single", "double"])
+@pytest.mark.parametrize("layer", ["single", "double", ("single", "double")],
+                         ids=["single", "double", "both"])
 def test_one_field_call_holds_cache_sized_pieces(layer, monkeypatch):
     """On two CPUs, one call on the disk-field grid allocates at most 5 MiB
     at its peak (tracemalloc sees NumPy's buffers): the two pieces in
-    flight, the receivers' orders and the values."""
+    flight, the receivers' orders and the values.  A pass of both layers
+    holds two kernels in pieces of half the points."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     mesh, points = disk_field_grid()
-    rho = np.ones(mesh.n_nodes, dtype=complex)
+    rho = np.ones(mesh.n_nodes if isinstance(layer, str) else (mesh.n_nodes, 2), dtype=complex)
     bem.evaluate_potentials(mesh, rho, 5.0, points, layer=layer)  # fills the rule caches
     tracemalloc.start()
     try:
@@ -871,8 +928,9 @@ def test_one_field_call_holds_cache_sized_pieces(layer, monkeypatch):
 def test_potential_input_validation():
     mesh = circle_mesh()
     rho = np.ones(mesh.n_nodes, dtype=complex)
-    with pytest.raises(ValueError):
-        bem.evaluate_potentials(mesh, rho, WAVENUMBER, [[1.0, 2.0]], layer="triple")
+    for layer in ("triple", ("single", "double"), ("triple",)):
+        with pytest.raises(ValueError, match="layer must be"):
+            bem.evaluate_potentials(mesh, rho, WAVENUMBER, [[1.0, 2.0]], layer=layer)
     with pytest.raises(ValueError):
         bem.evaluate_potentials(mesh, rho[:-1], WAVENUMBER, [[1.0, 2.0]])
     for shape in ((mesh.n_nodes + 1,), (mesh.n_nodes, 2, 1)):

@@ -382,8 +382,8 @@ class TestValidateDisk:
         for kind in formulations.FORMULATION_KINDS:
             assert fine["errors"][kind] < coarse["errors"][kind]
 
-    def test_fields_take_one_pass_per_layer(self, disk_run, tmp_path, monkeypatch):
-        # one single-layer pass over the four densities, one double-layer pass over BW's
+    def test_fields_take_one_pass(self, disk_run, tmp_path, monkeypatch):
+        # one pass: the single layer of the four densities and the double layer of BW's
         passes = []
         evaluate = bem.evaluate_potentials
 
@@ -393,7 +393,7 @@ class TestValidateDisk:
 
         monkeypatch.setattr(bem, "evaluate_potentials", recording)
         assert run("validate-disk", "--out", str(tmp_path)) == 0
-        assert passes == [("single", (4,)), ("double", (1,))]
+        assert passes == [(("single",) * 4 + ("double",), (5,))]
         assert json.loads((tmp_path / "validate_disk.json").read_text()) == disk_run[1]
 
     def test_report_is_unchanged_without_cpu_affinity(self, disk_run, tmp_path, monkeypatch):
@@ -785,21 +785,29 @@ ELLIPSE = geometry.Scene(k=5.0, beta=(0.0, 1.0), box=(-6.0, -6.0, 6.0, 6.0),
                          obstacles=(geometry.Shape(kind="ellipse", a=4.0, b=3.0),))
 
 
-@pytest.mark.parametrize("argv,command", [
-    (["verify"], "verify"),
-    (["spectrum"], "spectrum"),
-    (["solve", "--formulation", "EFIE"], "solve EFIE"),
-], ids=["verify", "spectrum", "solve-EFIE"])
-def test_peak_rss_growth_is_within_the_memory_estimate(argv, command, tmp_path):
+@pytest.mark.parametrize("argv,command,cpus", [
+    (["verify"], "verify", None),
+    (["verify"], "verify", 8),
+    (["spectrum"], "spectrum", None),
+    (["solve", "--formulation", "EFIE"], "solve EFIE", None),
+], ids=["verify", "verify-8-cpus", "spectrum", "solve-EFIE"])
+def test_peak_rss_growth_is_within_the_memory_estimate(argv, command, cpus, tmp_path,
+                                                       monkeypatch):
     """Run in a fresh interpreter on one obstacle at 528 unknowns, a command's
-    peak RSS grows over ``cli.main`` by no more than ``cli._peak_bytes``."""
+    peak RSS grows over ``cli.main`` by no more than ``cli._peak_bytes``, on
+    the process's CPUs and with os.sched_getaffinity patched to 8, a worker
+    thread and its allocator arena for each."""
     scene_file = tmp_path / "ellipse.json"
     cli.write_scene(ELLIPSE, scene_file)
     argv = [*argv, "--scene", str(scene_file), "--ppw", "30", "--out", str(tmp_path)]
+    patch = ""
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        patch = f"import os; os.sched_getaffinity = lambda pid: set(range({cpus})); "
     estimate = cli._peak_bytes(command, cli._config_from_args(cli.build_parser().parse_args(argv)),
                                geometry.obstacle_node_counts(ELLIPSE, 30.0))
     src = pathlib.Path(multiscat.__file__).resolve().parent.parent
-    code = ("import resource, sys; from multiscat import cli; "
+    code = (patch + "import resource, sys; from multiscat import cli; "
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
             "code = cli.main(sys.argv[1:]); "
             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
@@ -809,3 +817,15 @@ def test_peak_rss_growth_is_within_the_memory_estimate(argv, command, tmp_path):
     exit_code, growth_kib = map(int, result.stdout.split()[-2:])
     assert exit_code == 0
     assert growth_kib * 1024 <= estimate
+
+
+def test_memory_estimate_counts_each_worker_thread(monkeypatch):
+    """Each CPU the process may use adds a worker thread, and its allocator
+    arena, to assembly and field evaluation, and ``_WORKER_BYTES`` to the
+    estimate of every command."""
+    for command in ("verify", "spectrum", "solve CFIE", "validate-disk"):
+        estimates = []
+        for cpus in (1, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            estimates.append(cli._peak_bytes(command, cli.RunConfig(), DESK_COUNTS))
+        assert estimates[1] - estimates[0] == 7 * cli._WORKER_BYTES

@@ -1,12 +1,14 @@
 """LU, GMRES, eigenvalues and norms."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from multiscat import linalg
+from multiscat import bem, cli, formulations, geometry, linalg
 
 
 def random_complex(rng, *shape):
@@ -280,3 +282,26 @@ def test_inf_norm_bits_do_not_depend_on_memory_order():
     # norm of the same rows in C order to the last bit
     a = random_complex(np.random.default_rng(3), 40, 300)
     assert linalg.inf_norm(np.asfortranarray(a)) == linalg.inf_norm(a)
+
+
+def test_no_scipy_linalg_call_runs_on_a_worker_thread(desk, tmp_path, monkeypatch):
+    """Assembly and field evaluation run on a pool of threads, but every LU,
+    solve, eigenvalue and QR call stays on the calling thread (see the
+    module docstring): through assembly, the fields of all four systems and
+    a whole validate-disk."""
+    threads = []
+    for module, name in ((linalg, "lu_factor"), (linalg, "lu_solve"), (linalg, "eigenvalues"),
+                         (scipy.linalg, "qr")):
+        def recording(*args, _call=getattr(module, name), _name=name, **kwargs):
+            threads.append((_name, threading.get_ident()))
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    mesh = geometry.mesh_scene(desk, ppw=6)
+    systems = formulations.systems(formulations.FORMULATION_KINDS, desk, mesh)
+    points = np.array([[7.0, 7.0], [-7.0, 3.0], [0.0, -8.0]])
+    formulations.scattered_fields(systems.values(), [np.ones(mesh.n_nodes)] * 4, points)
+    bem.assemble_operators(mesh, desk.k)
+    assert cli.main(["validate-disk", "--out", str(tmp_path)]) == 0
+    assert {name for name, _ in threads} == {"lu_factor", "lu_solve"}
+    assert {thread for _, thread in threads} == {threading.get_ident()}
