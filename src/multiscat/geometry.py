@@ -250,10 +250,6 @@ def obstacle_node_counts(scene: Scene, ppw: float) -> tuple[int, ...]:
     return tuple(_arclength_table(s, scene.k, ppw)[2] for s in scene.obstacles)
 
 
-def scene_node_count(scene: Scene, ppw: float) -> int:
-    return sum(obstacle_node_counts(scene, ppw))
-
-
 def mesh_scene(scene: Scene, ppw: float) -> SceneMesh:
     """Mesh every obstacle of a scene at panel length <= lambda/ppw,
     lambda = 2 pi / k.

@@ -257,53 +257,35 @@ def inf_norm(a) -> float:
 
 
 def match_eigenvalues(a, b) -> np.ndarray:
-    """Greedy nearest-neighbor pairing of two finite spectra.
+    """Closest-pair-first pairing of two finite spectra.
 
-    Returns a permutation ``perm`` with ``b[perm[i]]`` matched to ``a[i]``,
-    assigning the largest-magnitude eigenvalues of ``a`` first, each to the
-    nearest of ``b``'s unmatched values, the lowest index among equals.
-    Greedy is adequate here because the spectra being compared are nearly
-    identical.
+    Returns a permutation ``perm`` with ``b[perm[i]]`` matched to ``a[i]``:
+    the unmatched pair (a[i], b[j]) of least distance is matched first,
+    the lowest (i, j) among equal distances, so no visiting order enters.
 
-    ``b``'s entries of exactly 1 are all equally near any value, so the
-    greedy rule always takes the lowest unmatched one; while some remain,
-    an exact 1 of ``a`` takes it.  The n - r exact ones of a preconditioned
-    spectrum are therefore matched in one step per run of them in the
-    visiting order, and each other value looks at ``b``'s other values and
-    the lowest unmatched 1 only.
+    Exact ones, the n - r of a preconditioned spectrum, enter no distance.
+    With m the larger count of other values, the shorter side is padded to
+    m with its lowest-index exact ones, and the ones left pair up in index
+    order.  The m x m pairs are matched in rounds of mutual nearest
+    neighbours, which with lowest-index ties is the closest-pair-first
+    matching: a mutual pair precedes every other pair of its row and column.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("match_eigenvalues requires two equal-length sequences")
-    order = np.argsort(-np.abs(a))
-    ones, others = np.flatnonzero(b == 1.0), np.flatnonzero(b != 1.0)
-    rest = b[others]
-    available = np.ones(others.size, dtype=bool)
-    # the positions in the visiting order where a run of a's exact ones ends
-    run_ends = np.append(np.flatnonzero(a[order] != 1.0), a.size)
+    m = max(np.count_nonzero(a != 1.0), np.count_nonzero(b != 1.0))
+    # each side's values other than 1, then its ones, each in index order
+    rows, cols = np.argsort(a == 1.0, kind="stable"), np.argsort(b == 1.0, kind="stable")
     perm = np.empty(a.size, dtype=int)
-    taken = start = 0  # b's ones matched so far; the next position in the order
-    while start < a.size:
-        i = order[start]
-        if a[i] == 1.0 and taken < ones.size:
-            stop = min(run_ends[np.searchsorted(run_ends, start)],
-                       start + ones.size - taken)
-            perm[order[start:stop]] = ones[taken:taken + stop - start]
-            taken += stop - start
-            start = stop
-            continue
-        row = np.where(available, np.abs(a[i] - rest), np.inf)
-        k = int(np.argmin(row)) if rest.size else 0
-        nearest = row[k] if rest.size else np.inf
-        if taken < ones.size:
-            one = np.abs(a[i] - b[ones[taken]])
-            if one < nearest or (one == nearest and ones[taken] < others[k]):
-                perm[i] = ones[taken]
-                taken += 1
-                start += 1
-                continue
-        perm[i] = others[k]
-        available[k] = False
-        start += 1
+    perm[rows[m:]] = cols[m:]
+    rows, cols = np.sort(rows[:m]), np.sort(cols[:m])
+    while rows.size:
+        # the matching's distance matrix, within cli._peak_bytes' 2 min(r, 3000)^2 entries
+        dist = np.abs(a[rows, None] - b[None, cols])
+        nearest = np.argmin(dist, axis=1)
+        mutual = np.argmin(dist, axis=0)[nearest] == np.arange(rows.size)
+        del dist  # not held while the next round's is formed
+        perm[rows[mutual]] = cols[nearest[mutual]]
+        rows, cols = rows[~mutual], np.delete(cols, nearest[mutual])
     return perm

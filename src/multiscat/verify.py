@@ -118,8 +118,9 @@ class TheoremReport:
 class SpectrumReport:
     """Eigenvalues of the four preconditioned matrices in one canonical row
     order: EFIE's sorted by (real, imag), every other formulation's in its
-    matching to EFIE's, so LAPACK's output order never shows; the worst
-    matched relative error with its threshold and verdict."""
+    matching to that, closest pair first (``linalg.match_eigenvalues``), so
+    LAPACK's output order never shows; the worst matched relative error with
+    its threshold and verdict."""
 
     eigenvalues: dict[str, np.ndarray]
     matched_max_rel_error: float
@@ -413,7 +414,7 @@ def _preconditioned_spectrum(system, couplings) -> np.ndarray:
 def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
                   eta: complex | None = None, eta_bw: complex | None = None,
                   operators=None) -> SpectrumReport:
-    """Eigenvalues of the four preconditioned matrices, greedily matched.
+    """Eigenvalues of the four preconditioned matrices, matched closest pair first.
 
     Each spectrum comes from the low-rank coupling of its system
     (``_preconditioned_spectrum``): one r x r eigensolve, with r the
@@ -421,9 +422,10 @@ def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
     limit), in place of an n x n one.  EFIE's coupling rows are factored
     once per obstacle (``_coupling_bases``) and the other formulations'
     couplings taken in those bases where they fit (``_coupling_in_bases``);
-    one formulation's factors are held at a time.  MFIE/CFIE/BW spectra
-    are matched against the EFIE spectrum; the report carries the worst
-    matched relative mismatch, its verdict against
+    one formulation's factors are held at a time.  EFIE's spectrum is
+    sorted by (real, imag) and MFIE/CFIE/BW's each matched against it,
+    closest pair first (``linalg.match_eigenvalues``); the report carries
+    the worst matched relative mismatch, its verdict against
     ``DESK_SPECTRUM_THRESHOLD``, and every spectrum in the canonical row
     order (``SpectrumReport``).
     """
@@ -438,18 +440,15 @@ def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
     for kind in ("MFIE", "CFIE", "BW"):
         eigenvalues[kind] = _preconditioned_spectrum(systems[kind], [
             _coupling_in_bases(systems[kind], p, *shared) for p, shared in enumerate(bases)])
-    reference = eigenvalues["EFIE"]
-    order = np.lexsort((reference.imag, reference.real))
-    eigenvalues["EFIE"] = reference[order]
+    efie = eigenvalues["EFIE"]
+    eigenvalues["EFIE"] = reference = efie[np.lexsort((efie.imag, efie.real))]
     worst = 0.0
     for kind in ("MFIE", "CFIE", "BW"):
-        # matched to EFIE's computed order, which sets the order the greedy
-        # matching visits equal magnitudes in, then put in the sorted order
         perm = linalg.match_eigenvalues(reference, eigenvalues[kind])
         if not np.array_equal(np.sort(perm), np.arange(perm.size)):
             raise RuntimeError("eigenvalue matching is not a permutation")
-        eigenvalues[kind] = eigenvalues[kind][perm[order]]
-        rel = np.abs(eigenvalues[kind] - eigenvalues["EFIE"]) / np.abs(eigenvalues["EFIE"])
+        eigenvalues[kind] = eigenvalues[kind][perm]
+        rel = np.abs(eigenvalues[kind] - reference) / np.abs(reference)
         worst = max(worst, float(rel.max()))
     return SpectrumReport(eigenvalues=eigenvalues, matched_max_rel_error=worst,
                           threshold=DESK_SPECTRUM_THRESHOLD,

@@ -242,7 +242,8 @@ def test_scene_mesh_states_one_numbering(desk):
 @pytest.mark.parametrize("ppw", [4.0, 10.0, 15.0, 22.5, 30.0])
 def test_node_count_is_the_meshed_count(preset, ppw):
     scene = verify.desk_scene(3) if preset == "desk" else verify.paper_scene(0)
-    assert geometry.scene_node_count(scene, ppw) == geometry.mesh_scene(scene, ppw).n_nodes
+    counted = sum(geometry.obstacle_node_counts(scene, ppw))
+    assert counted == geometry.mesh_scene(scene, ppw).n_nodes
 
 
 def config_for_generation(m_per_kind: int = 1) -> geometry.Scene:
