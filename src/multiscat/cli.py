@@ -209,7 +209,7 @@ def _peak_bytes(command: str, cfg: RunConfig, counts) -> int:
         entries += max(5 * b * n,
                        2 * n * r + r * r + sum(c * c for c in counts) + 3 * b * r + 3 * b * n)
     elif command == "spectrum":  # the shared bases, S and its eigensolve's copy (later the
-        # matching's distances), the pieces
+        # matching's float distances, sorted levels and one level's graph), the pieces
         entries += n * r + 2 * min(r, linalg.EIG_DIM_LIMIT) ** 2 + 3 * b * r + 3 * b * n
     else:  # every block LU beside the rows of the one being factored
         entries += sum(c * c for c in counts) + b * b

@@ -257,35 +257,45 @@ def inf_norm(a) -> float:
 
 
 def match_eigenvalues(a, b) -> np.ndarray:
-    """Closest-pair-first pairing of two finite spectra.
+    """The optimal matching of two finite spectra: the permutation ``perm``,
+    ``b[perm[i]]`` matched to ``a[i]``, of least worst relative distance
+    |b[perm[i]] - a[i]| / |a[i]| (0 from a zero to a zero).
 
-    Returns a permutation ``perm`` with ``b[perm[i]]`` matched to ``a[i]``:
-    the unmatched pair (a[i], b[j]) of least distance is matched first,
-    the lowest (i, j) among equal distances, so no visiting order enters.
-
-    Exact ones, the n - r of a preconditioned spectrum, enter no distance.
-    With m the larger count of other values, the shorter side is padded to
-    m with its lowest-index exact ones, and the ones left pair up in index
-    order.  The m x m pairs are matched in rounds of mutual nearest
-    neighbours, which with lowest-index ties is the closest-pair-first
-    matching: a mutual pair precedes every other pair of its row and column.
+    Exact ones, the n - r of a preconditioned spectrum, enter no distance:
+    with m the larger count of other values, each side is padded to m with
+    its lowest-index ones, and the ones left pair up in index order.  The
+    least level at which the m x m pairs hold a perfect matching is bisected
+    from the nearest-neighbour bound, tried first, by Hopcroft-Karp, whose
+    start gives each row, nearest first, its nearest free column.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("match_eigenvalues requires two equal-length sequences")
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.ndim != 1 or a.shape != b.shape or not np.isfinite(np.r_[a, b]).all():
+        raise ValueError("match_eigenvalues requires two equal-length sequences of finite values")
     m = max(np.count_nonzero(a != 1.0), np.count_nonzero(b != 1.0))
     # each side's values other than 1, then its ones, each in index order
     rows, cols = np.argsort(a == 1.0, kind="stable"), np.argsort(b == 1.0, kind="stable")
     perm = np.empty(a.size, dtype=int)
     perm[rows[m:]] = cols[m:]
     rows, cols = np.sort(rows[:m]), np.sort(cols[:m])
-    while rows.size:
-        # the matching's distance matrix, within cli._peak_bytes' 2 min(r, 3000)^2 entries
-        dist = np.abs(a[rows, None] - b[None, cols])
-        nearest = np.argmin(dist, axis=1)
-        mutual = np.argmin(dist, axis=0)[nearest] == np.arange(rows.size)
-        del dist  # not held while the next round's is formed
-        perm[rows[mutual]] = cols[nearest[mutual]]
-        rows, cols = rows[~mutual], np.delete(cols, nearest[mutual])
+    if m == 0:  # before scipy.sparse is loaded
+        return perm
+    # distances, columns, levels and a graph: within cli._peak_bytes' 2 min(r, 3000)^2 entries
+    dist = np.abs(a[rows, None] - b[None, cols])
+    with np.errstate(divide="ignore", over="ignore"):  # from a zero: 0 to a zero, else inf
+        np.divide(dist, np.abs(a[rows, None]), out=dist, where=dist > 0)
+    rank = np.argsort(dist.min(axis=1), kind="stable")
+    rows, dist, bound = rows[rank], dist[rank], dist.min(axis=0).max()  # rows nearest first
+    order = np.argsort(dist, axis=1, kind="stable").astype(np.int32)  # columns nearest first
+    dist = np.take_along_axis(dist, order, axis=1)
+    levels = np.sort(dist, axis=None)
+    mid = lo = np.searchsorted(levels, max(bound, dist[:, 0].max()))  # nearest-neighbour bound
+    hi, match = levels.size - 1, None
+    while match is None or lo < hi:  # the top level, holding every pair, is perfect
+        within = dist <= levels[mid]  # a prefix of each row
+        found = scipy.sparse.csgraph.maximum_bipartite_matching(scipy.sparse.csr_array((
+            np.ones(np.count_nonzero(within), dtype=bool), order[within],
+            np.cumsum(np.r_[0, np.count_nonzero(within, axis=1)], dtype=np.int32)), shape=(m, m)))
+        lo, hi, match = (lo, mid, found) if found.min() >= 0 else (mid + 1, hi, match)
+        mid = (lo + hi) // 2
+    perm[rows[match]] = cols
     return perm

@@ -118,9 +118,9 @@ class TheoremReport:
 class SpectrumReport:
     """Eigenvalues of the four preconditioned matrices in one canonical row
     order: EFIE's sorted by (real, imag), every other formulation's in its
-    matching to that, closest pair first (``linalg.match_eigenvalues``), so
-    LAPACK's output order never shows; the worst matched relative error with
-    its threshold and verdict."""
+    optimal matching to that (``linalg.match_eigenvalues``), so LAPACK's
+    output order never shows; the worst matched relative error, the largest
+    of the three optimal matching distances, with its threshold and verdict."""
 
     eigenvalues: dict[str, np.ndarray]
     matched_max_rel_error: float
@@ -414,7 +414,7 @@ def _preconditioned_spectrum(system, couplings) -> np.ndarray:
 def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
                   eta: complex | None = None, eta_bw: complex | None = None,
                   operators=None) -> SpectrumReport:
-    """Eigenvalues of the four preconditioned matrices, matched closest pair first.
+    """Eigenvalues of the four preconditioned matrices, optimally matched.
 
     Each spectrum comes from the low-rank coupling of its system
     (``_preconditioned_spectrum``): one r x r eigensolve, with r the
@@ -423,9 +423,10 @@ def check_spectra(scene, mesh, alpha: float = formulations.ALPHA,
     once per obstacle (``_coupling_bases``) and the other formulations'
     couplings taken in those bases where they fit (``_coupling_in_bases``);
     one formulation's factors are held at a time.  EFIE's spectrum is
-    sorted by (real, imag) and MFIE/CFIE/BW's each matched against it,
-    closest pair first (``linalg.match_eigenvalues``); the report carries
-    the worst matched relative mismatch, its verdict against
+    sorted by (real, imag) and MFIE/CFIE/BW's each matched against it in
+    the pairing of least worst relative distance, the optimal matching
+    distance of the two multisets (``linalg.match_eigenvalues``); the
+    report carries the largest of the three, its verdict against
     ``DESK_SPECTRUM_THRESHOLD``, and every spectrum in the canonical row
     order (``SpectrumReport``).
     """

@@ -766,18 +766,34 @@ class TestDefaults:
 
 
 def test_import_leaves_scipy_submodules_unloaded():
-    """scipy.linalg and scipy.special load on first use, not with the
-    package, and the import starts no thread: assembly and field evaluation
-    make their pools per call."""
+    """scipy.linalg, scipy.special and scipy.sparse load on first use, not
+    with the package, and the import starts no thread: assembly and field
+    evaluation make their pools per call."""
     src = pathlib.Path(multiscat.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys, threading, multiscat; "
-            "print([name for name in ('scipy.linalg', 'scipy.special') if name in sys.modules], "
-            "threading.active_count())")
+            "print([name for name in ('scipy.linalg', 'scipy.special', 'scipy.sparse') "
+            "if name in sys.modules], threading.active_count())")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[] 1\n"
+
+
+def test_one_obstacle_spectrum_leaves_scipy_sparse_unloaded():
+    """One obstacle has coupling rank 0, so each spectrum is exact ones and
+    its matching returns before loading scipy.sparse, the matching's graphs."""
+    src = pathlib.Path(multiscat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys; from multiscat import geometry, verify; "
+            "scene = geometry.Scene(k=5.0, beta=(0.0, 1.0), box=(-4.0, -4.0, 4.0, 4.0), "
+            "obstacles=(geometry.Shape(kind='kite', s=0.8),)); "
+            "report = verify.check_spectra(scene, geometry.mesh_scene(scene, ppw=8)); "
+            "print(report.matched_max_rel_error, 'scipy.sparse' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0.0 False\n"
 
 
 # one obstacle makes every row block n x n, the worst case of cli._peak_bytes

@@ -1,5 +1,6 @@
 """LU, GMRES, eigenvalues and norms."""
 
+import itertools
 import threading
 import tracemalloc
 
@@ -212,37 +213,39 @@ def test_match_eigenvalues_recovers_permutation():
         linalg.match_eigenvalues(a, a[:-1])
 
 
-def closest_pair_matching(a, b):
-    """Closest pair first, written out: a stable argsort over the distances
-    between the values other than exact ones, each side padded to the larger
-    count with its lowest-index ones, then the ones left in index order."""
+def optimal_worst_distance(a, b):
+    """The least worst relative distance over every pairing, written out: each
+    side padded to the larger count of values other than exact ones with its
+    lowest-index ones, and every permutation of the padded core tried."""
     m = max(np.count_nonzero(a != 1.0), np.count_nonzero(b != 1.0))
 
     def padded(x):
         ones = np.flatnonzero(x == 1.0)
         take = m - np.count_nonzero(x != 1.0)
-        return np.sort(np.concatenate([np.flatnonzero(x != 1.0), ones[:take]])), ones[take:]
+        return np.sort(np.concatenate([np.flatnonzero(x != 1.0), ones[:take]]))
 
-    (rows, a_ones), (cols, b_ones) = padded(a), padded(b)
-    perm = np.empty(a.size, dtype=int)
-    perm[a_ones] = b_ones
-    row_free, col_free = np.ones(m, dtype=bool), np.ones(m, dtype=bool)
-    order = np.argsort(np.abs(a[rows, None] - b[None, cols]), axis=None, kind="stable")
-    for i, j in zip(*np.divmod(order, m)):
-        if row_free[i] and col_free[j]:
-            perm[rows[i]] = cols[j]
-            row_free[i] = col_free[j] = False
-    return perm
+    rows, cols = padded(a), padded(b)
+    return min(worst_distance(a[rows], b[list(p)]) for p in itertools.permutations(cols))
+
+
+def worst_distance(a, b):
+    """max |b - a| / |a|, 0 from a zero to a zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(b - a) / np.abs(a)
+    return float(np.max(np.where(a == b, 0.0, rel), initial=0.0))
 
 
 def test_match_eigenvalues_holds_distances_between_other_values_only():
     """Matching two spectra of 2000 values, 200 of them other than 1, peaks,
     by tracemalloc, within two complex 200 x 200 matrices, the room
-    ``cli._peak_bytes`` gives it, and is the closest-pair-first matching."""
+    ``cli._peak_bytes`` gives it, and pairs each value with its perturbed
+    copy.  A first call loads scipy.sparse, which is no buffer."""
     n, m = 2000, 200
     rng = np.random.default_rng(47)
     a = np.concatenate([random_complex(rng, m), np.ones(n - m, dtype=complex)])
-    b = (a + 1e-3 * (a != 1.0) * random_complex(rng, n))[rng.permutation(n)]
+    shuffle = rng.permutation(n)
+    b = (a + 1e-3 * (a != 1.0) * random_complex(rng, n))[shuffle]
+    linalg.match_eigenvalues(a, b)
     tracemalloc.start()
     try:
         perm = linalg.match_eigenvalues(a, b)
@@ -250,18 +253,19 @@ def test_match_eigenvalues_holds_distances_between_other_values_only():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * m * m * np.dtype(complex).itemsize
-    assert np.array_equal(perm, closest_pair_matching(a, b))
+    assert np.array_equal(shuffle[perm[:m]], np.arange(m))
 
 
-def test_match_eigenvalues_is_closest_pair_first():
+def test_match_eigenvalues_is_optimal():
     """On random spectra with exact-1 tails of unequal lengths, placed
     anywhere, and with ties (repeated values, values of modulus exactly 1,
-    equal distances to 1), the matching is the closest-pair-first
-    reference's, index for index."""
+    zeros, equal distances to 1), the matching's worst relative distance is
+    the least over every pairing; a closest-pair-first rule misses it in
+    322 of these 2000 cases."""
     rng = np.random.default_rng(53)
     pool = np.array([-1.0, 1j, -1j, 2.0, 0.0, 0.5, 1.5, 1.0 + 1.0j, 1.0 - 1.0j, 1.0 + 1e-12])
     for _ in range(2000):
-        n = int(rng.integers(1, 30))
+        n = int(rng.integers(1, 8))
 
         def spectrum():
             r = int(rng.integers(0, n + 1))
@@ -273,16 +277,45 @@ def test_match_eigenvalues_is_closest_pair_first():
         a, b = spectrum(), spectrum()
         if rng.random() < 0.2:
             b = a[rng.permutation(n)]
-        assert np.array_equal(linalg.match_eigenvalues(a, b), closest_pair_matching(a, b))
+        perm = linalg.match_eigenvalues(a, b)
+        assert np.array_equal(np.sort(perm), np.arange(n))
+        assert worst_distance(a, b[perm]) == optimal_worst_distance(a, b)
+
+
+def test_match_eigenvalues_on_a_chain_of_nearest_values():
+    """On a chain x_0 < y_0 < x_1 < y_1 < ... of growing gaps, whose only
+    mutual nearest pair is at one end (m rounds of mutual nearest neighbours),
+    the worst distance is the optimum, the first gap over x_0, x_0's
+    nearest-neighbour bound."""
+    m = 1000
+    z = 2.0 + np.cumsum(1.0 + 1e-3 * np.arange(2 * m))
+    a, b = z[0::2].astype(complex), z[1::2][::-1].astype(complex)
+    perm = linalg.match_eigenvalues(a, b)
+    assert np.array_equal(np.sort(perm), np.arange(m))
+    assert worst_distance(a, b[perm]) == (z[1] - z[0]) / z[0]
 
 
 def test_match_eigenvalues_takes_the_closest_pair_not_the_largest_value_first():
     """Visiting 1.002 first would take 0.975 for it and leave 0.965 with
-    1.03, a relative error of 6.7e-2; closest pair first keeps it at 2.8e-2."""
+    1.03, a relative error of 6.7e-2; the optimal matching keeps it at 2.8e-2."""
     a, b = np.array([1.002, 0.965]), np.array([0.975, 1.03])
     perm = linalg.match_eigenvalues(a, b)
     assert np.array_equal(perm, [1, 0])
     assert np.max(np.abs(b[perm] - a) / np.abs(a)) < 3e-2
+
+
+def test_match_eigenvalues_rejects_non_finite_values_and_takes_zeros():
+    """A NaN or an infinity is refused, not paired; a zero is 0 from a zero
+    and infinitely far from anything else, with no warning."""
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            linalg.match_eigenvalues([1.5, 2.0, bad], [2.0, 1.5, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            linalg.match_eigenvalues([2.0, 1.5, 3.0], [1.5, 2.0, bad])
+    a, b = np.array([0.0, 2.0, 1.0, 3.0]), np.array([3.1, 1.0, 2.0, 0.0])
+    assert np.array_equal(linalg.match_eigenvalues(a, b), [3, 2, 1, 0])
+    for tiny in (0.0, 1e-310):  # 3 / 1e-310 overflows to inf
+        assert np.array_equal(linalg.match_eigenvalues([tiny, 2.0], [3.0, 2.0]), [0, 1])
 
 
 def test_inf_norm_values():
