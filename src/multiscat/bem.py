@@ -21,22 +21,28 @@ pair, so its matrix is exactly -N^T; the Brakhage-Werner system reads it
 from there.  The off-surface double-layer potential, which is not a
 Galerkin matrix, is still evaluated by ``evaluate_potentials``.
 
-Quadrature.  One routine integrates pairs of distinct panels: given a list
-of unordered pairs and a tensor Gauss rule, it evaluates the kernels once
-per pair of quadrature points and adds the pair's blocks in both orders to
-each requested matrix.  L's second block is the transpose of its first; N's
-comes from the same r and G'(r) with -(x - y) and the other panel's normal.
-Pairs sharing no node come a block of rows at a time, at an order chosen by
-the pair's separation, its midpoint distance over the longer panel's
-length h, and by k h (see ``_SEPARATED_ORDERS``); pairs sharing a node take
-order 16.  Both keys are symmetric in the pair, so M = -N^T stays exact.
-A group's kernels come in pieces of ``_PIECE_PAIR_POINTS`` point pairs at
-most, on a thread per CPU the process may use, each piece writing only its
-own pairs' blocks.  Every group of a block of rows goes to the threads at
-once, and the calling thread scatters the groups in turn, each once its own
-pieces are done, in pair order: an entry sums up to four pairs' blocks, so
-any other grouping or order would change its rounding, and L and N do not
-depend on the piece size or the number of threads.
+Quadrature.  Assembly integrates every pair of distinct panels by a tensor
+Gauss rule, evaluating the kernels once per pair of quadrature points for
+the blocks in both orders.  L's second block is the transpose of its first;
+N's comes from the same r and G'(r) with -(x - y) and the other panel's
+normal.  Pairs sharing no node take an order chosen by the pair's
+separation, its midpoint distance over the longer panel's length h, and by
+k h (see ``_SEPARATED_ORDERS``); pairs sharing a node take order 16.  Both
+keys are symmetric in the pair, so M = -N^T stays exact.  It runs over
+tiles, largest first: every obstacle is cut into bands of at most 250
+panels, and a tile is a band of obstacle p against a band of obstacle q >=
+p, a band of p against itself or a later band.  A tile's kernels come in
+pieces of ``_PIECE_PAIR_POINTS`` point pairs at most, on a thread per CPU
+the process may use, each piece assigning only its own slots of the tile's
+array of 2 x 2 blocks, one slot per ordered panel pair; the panels paired
+with themselves are one more piece of a diagonal tile.  Once the pieces are
+done the array is folded into the matrices by slice additions, which rely
+on ``geometry.SceneMesh``'s numbering (panel i of an obstacle ends at node
+i + 1, its last panel at its first node): within a tile an entry sums the
+blocks of up to four panel pairs, one per pair of hats, always in the same
+order, and the tiles, fixed by the mesh alone, are folded in one order, so
+L and N do not depend on the piece size or the number of threads.  One
+tile's array, at most about 12 MB, is alive at a time.
 On node-sharing pairs neither kernel is smooth: L has a ln r singularity at
 the shared vertex and N's kernel is homogeneous of degree -1 there, so the
 tensor rule converges only algebraically on them.  ``evaluate_potentials``
@@ -68,6 +74,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import functools
+import itertools
 import math
 import os
 
@@ -89,6 +96,8 @@ _SEPARATED_ORDERS = (
     (2.5, 1.6, 5),
     (0.0, math.inf, 8),
 )
+# Quadrature-point pairs at order 8 of one tile of assembly (``_tiles``), and
+# of the pieces of field evaluation in flight together.
 _CHUNK_PAIR_POINTS = 4_000_000
 # Quadrature-point pairs per kernel piece.  Desk assembly on two CPUs at ppw
 # 15 and 30 took 0.08-0.09 and 0.22-0.26 s (medians of 7) with pieces of 16k
@@ -322,17 +331,23 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
                         f"assembling {len(kinds)} dense {n} x {n} operator matrices")
     mats = {kind: np.zeros((n, n), dtype=complex) for kind in kinds}  # cli._peak_bytes's operators
 
-    # Each panel i with panel next_node[i], lower index first.  The node they
-    # share is never a Gauss point, so the kernels stay finite there.
-    panels = np.arange(n)
-    first = np.minimum(panels, mesh.next_node)
-    second = np.maximum(panels, mesh.next_node)
+    # largest first, so that the last to finish is small
+    tiles = sorted(_tiles(mesh), key=lambda tile: -len(tile[2]) * len(tile[3]))
+    rules = {order: (_quad_points(mesh, gauss_rule(order)), _basis_weights(gauss_rule(order)))
+             for order in [_NEAR_ORDER] + [order for *_, order in _SEPARATED_ORDERS]}
+    # panel i shares a node with panels next_node[i] and prev[i] only
+    prev = np.empty_like(mesh.next_node)
+    prev[mesh.next_node] = np.arange(n)
     with concurrent.futures.ThreadPoolExecutor(_workers()) as pool:
-        for groups in _separated_pairs(mesh, k):
-            _add_panel_pairs(pool, mats, mesh, k, groups)
-        _add_panel_pairs(pool, mats, mesh, k, [(_NEAR_ORDER, first, second)])
-    if "single_layer" in mats:
-        _scatter(mats["single_layer"], mesh, panels, panels, _same_panel_single_layer(mesh, k))
+        groups = pool.submit(_panel_pairs, mesh, k, prev, tiles[0])
+        for index, tile in enumerate(tiles):
+            blocks, pieces = _submit_tile(pool, mats, mesh, k, tile, groups.result(), rules)
+            if index + 1 < len(tiles):  # the next tile's groups, made behind these pieces
+                groups = pool.submit(_panel_pairs, mesh, k, prev, tiles[index + 1])
+            for piece in pieces:
+                piece.result()  # re-raises a piece's exception
+            _fold_tile(pool, mats, mesh, tile, blocks)
+            del blocks  # one tile's array alive at a time
 
     out = {}
     for kind, mat in mats.items():
@@ -343,32 +358,6 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
     return out
 
 
-def _separated_pairs(mesh, k: float):
-    """Yield lists of groups (order, ti, si) that hold every pair of panels
-    sharing no node exactly once, with ti < si, each at its
-    ``_SEPARATED_ORDERS`` order.  Each list is a block of rows, so that no
-    list holds more than ``_CHUNK_PAIR_POINTS`` pairs of quadrature points."""
-    n, nxt = mesh.n_nodes, mesh.next_node
-    # panel i shares a node with panels next_node[i] and prev[i] only
-    prev = np.empty_like(nxt)
-    prev[nxt] = np.arange(n)
-    mid = 0.5 * (mesh.nodes + mesh.nodes[nxt])
-    top = max(order for *_, order in _SEPARATED_ORDERS)
-    lo = 0
-    while lo < n:
-        hi = min(n, lo + max(1, _CHUNK_PAIR_POINTS // (top ** 2 * (n - lo))))
-        rows = np.arange(lo, hi)
-        apart = rows[:, None] < np.arange(n)[None, :]
-        for cols in (nxt[rows], prev[rows]):
-            apart[rows - lo, cols] = False
-        ti, si = np.nonzero(apart)
-        ti += lo
-        h = np.maximum(mesh.lengths[ti], mesh.lengths[si])
-        order = _band_order(np.hypot(*(mid[ti] - mid[si]).T) / h, k * h)
-        yield [(int(o), ti[order == o], si[order == o]) for o in np.unique(order)]
-        lo = hi
-
-
 def _band_order(ratio, kh):
     """The ``_SEPARATED_ORDERS`` order of each separation ``ratio`` and k h."""
     return np.select(
@@ -377,18 +366,79 @@ def _band_order(ratio, kh):
     )
 
 
-def _add_panel_pairs(pool, mats, mesh, k: float, groups):
-    """Add the tensor-rule Galerkin blocks of the distinct panel pairs
-    {ti[p], si[p]} of every group (order, ti, si), in both orders, to every
-    matrix in ``mats``.  One distance and one Bessel evaluation serve the
-    block tested on ti[p] and the one tested on si[p]: L's second block is
-    the transpose of its first, and N's takes the other panel's normal and
-    -(x - y).  Every group's blocks are computed at once in pieces on the
-    executor ``pool``, each writing its own slice of them, and the calling
-    thread scatters the groups in turn, each as soon as its pieces are done."""
-    single, double = "single_layer" in mats, "adjoint_double_layer" in mats
+def _tiles(mesh):
+    """The tiles (p, q, rows, cols), rows and cols ranges of panels: every
+    obstacle is cut into bands of at most w panels, as near equal as may be,
+    and each band of obstacle p is a tile with each band of obstacle q > p,
+    with itself and with each later band of p.  Every unordered pair of
+    distinct panels lies in one tile.  With w^2 order-8 panel pairs in
+    ``_CHUNK_PAIR_POINTS`` (w = 250), a tile's array (``_submit_tile``) is
+    at most about 12 MB, whatever the obstacles."""
+    top = max(order for *_, order in _SEPARATED_ORDERS)
+    width = math.isqrt(_CHUNK_PAIR_POINTS // top ** 2)
+    bands = []
+    for p in range(mesh.n_obstacles):
+        lo, hi = mesh.block_range(p)
+        count = -(-(hi - lo) // width)
+        cuts = [lo + (hi - lo) * i // count for i in range(count + 1)]
+        bands.append([range(a, b) for a, b in zip(cuts, cuts[1:])])
+    return [(p, q, rows, cols)
+            for p, q in itertools.combinations_with_replacement(range(mesh.n_obstacles), 2)
+            for i, rows in enumerate(bands[p]) for j, cols in enumerate(bands[q])
+            if p < q or i <= j]
 
-    def add_piece(parts, xs, wphi, a, b):
+
+def _panel_pairs(mesh, k: float, prev, tile):
+    """Groups (order, ti, si) that hold every pair of distinct panels of the
+    tile (``_tiles``), ti in its rows and si in its columns, exactly once,
+    with ti < si on a diagonal tile (rows = cols): order 16 for panels
+    sharing a node (panel i shares one with panels next_node[i] and prev[i]
+    only), else the pair's ``_SEPARATED_ORDERS`` order."""
+    _, _, rows, cols = tile
+    (r0, r1), (c0, c1) = (rows.start, rows.stop), (cols.start, cols.stop)
+    ends = mesh.nodes[mesh.next_node]
+    apart = (0.5 * (mesh.nodes[r0:r1, None] + ends[r0:r1, None])
+             - 0.5 * (mesh.nodes[None, c0:c1] + ends[None, c0:c1]))
+    h = np.maximum(mesh.lengths[r0:r1, None], mesh.lengths[None, c0:c1])
+    order = _band_order(np.hypot(apart[..., 0], apart[..., 1]) / h, k * h)
+    for shared in (mesh.next_node[r0:r1], prev[r0:r1]):
+        inside = (c0 <= shared) & (shared < c1)
+        order[np.flatnonzero(inside), shared[inside] - c0] = _NEAR_ORDER
+    if rows == cols:
+        order[np.tri(r1 - r0, dtype=bool)] = 0  # each unordered pair once, i < j
+    groups = []
+    for o in np.flatnonzero(np.bincount(order.ravel())[1:]) + 1:
+        ti, si = np.nonzero(order == o)
+        groups.append((int(o), ti + r0, si + c0))
+    return groups
+
+
+def _submit_tile(pool, mats, mesh, k: float, tile, groups, rules):
+    """The array of the Galerkin blocks of a tile (``_tiles``), every panel
+    of its rows against every panel of its columns, and the futures of the
+    pieces that fill it on the executor ``pool``: the panel pairs of
+    ``groups`` (``_panel_pairs``) in pieces of at most
+    ``_PIECE_PAIR_POINTS`` quadrature-point pairs, each with the points and
+    weighted hats ``rules`` holds for its order.
+    The array holds one side per matrix block, of shape (rows, cols, 2, 2):
+    entry [i, j, a, b] pairs hat a of row panel i with hat b of column panel
+    j.  The sides are L's and N's tested on the rows and, off the diagonal
+    (rows != cols), N's tested on the columns, kept transposed; on a
+    diagonal tile each panel pair fills both its slots, and L's side also
+    holds the panels paired with themselves (N's are zero).  Each piece
+    assigns its own slots, and every slot is assigned."""
+    single, double = "single_layer" in mats, "adjoint_double_layer" in mats
+    _, _, rows, cols = tile
+    r0, c0, width = rows.start, cols.start, len(cols)
+    diagonal = rows == cols
+    sides = single + double * (1 if diagonal else 2)
+    blocks = np.empty((sides, len(rows), width, 2, 2), dtype=complex)
+    slots = blocks.reshape(sides, -1, 4)
+    if diagonal:
+        panels = np.arange(width)
+        blocks[:, panels, panels] = 0.0
+
+    def add_piece(xs, wphi, a, b):
         normals = (mesh.normals[a, None, None], -mesh.normals[b, None, None]) if double else ()
         r, along = _separation(xs[a, :, None], xs[b, None, :], normals)
         if not np.all(r > 0.0):
@@ -396,30 +446,76 @@ def _add_panel_pairs(pool, mats, mesh, k: float, groups):
         g, f = _kernels(k, r, single, double)
         del r
         scale = mesh.lengths[a] * mesh.lengths[b]
-        if single:
-            parts[0] = _contract(g, wphi, scale)
+        # each matrix's blocks tested on a and on b, both with a's hats first
+        tested = [(_contract(g, wphi, scale),) * 2] if single else []
         del g
-        for part, side in zip(parts[single:], along):
-            part[...] = _contract(f * side, wphi, scale)
+        if double:
+            tested.append(tuple(_contract(f * side, wphi, scale) for side in along))
+        ij = (a - r0) * width + (b - c0)
+        if diagonal:  # both slots of the pair, each tested on its first panel
+            ji = (b - r0) * width + (a - c0)
+            for side, (on_a, on_b) in zip(slots, tested):
+                side[ij] = on_a.reshape(-1, 4)
+                side[ji] = on_b.transpose(0, 2, 1).reshape(-1, 4)
+        else:  # L's and N's blocks tested on a, then N's tested on b
+            for side, block in zip(slots, [on_a for on_a, _ in tested] + [tested[-1][1]] * double):
+                side[ij] = block.reshape(-1, 4)
 
-    submitted = []
+    def add_self():
+        blocks[0, panels, panels] = _same_panel_single_layer(mesh.lengths[r0:rows.stop], k)
+
+    pieces = []
     for order, ti, si in groups:
-        rule = gauss_rule(order)
-        xs, wphi = _quad_points(mesh, rule), _basis_weights(rule)
-        # L's blocks tested on ti, then N's tested on ti and on si
-        blocks = np.empty((single + 2 * double, len(ti), 2, 2), dtype=complex)
-        step = max(1, _PIECE_PAIR_POINTS // rule.points.size ** 2)
-        pieces = [pool.submit(add_piece, blocks[:, lo:lo + step], xs, wphi,
-                              ti[lo:lo + step], si[lo:lo + step])
-                  for lo in range(0, len(ti), step)]
-        submitted.append((ti, si, blocks, pieces))
-    for ti, si, blocks, pieces in submitted:
-        for piece in pieces:
-            piece.result()  # re-raises a piece's exception
-        for kind, first, second in (("single_layer", 0, 0), ("adjoint_double_layer", -2, -1)):
+        xs, wphi = rules[order]
+        step = max(1, _PIECE_PAIR_POINTS // order ** 2)
+        pieces += [pool.submit(add_piece, xs, wphi, ti[lo:lo + step], si[lo:lo + step])
+                   for lo in range(0, len(ti), step)]
+    if single and diagonal:
+        pieces.append(pool.submit(add_self))
+    return blocks, pieces
+
+
+def _fold_tile(pool, mats, mesh, tile, blocks) -> None:
+    """Add each side of the tile's array (``_submit_tile``) to the block
+    (p, q) of its matrix by ``_fold``: L's and N's tested on the rows, and
+    off the diagonal N's tested on the columns to the block (q, p),
+    transposed.  Off the diagonal L's side is folded into the block (q, p)
+    too, transposed, so for p != q that block is the transpose of the block
+    (p, q) bit for bit.  A matrix per task on the executor ``pool``, its
+    folds in this order: those of one matrix can meet in an entry."""
+    p, q, rows, cols = tile
+    (p0, p1), (q0, q1) = mesh.block_range(p), mesh.block_range(q)
+    kinds = [kind for kind in _OPERATOR_KINDS if kind in mats]
+    folds = {kind: [(mats[kind][p0:p1, q0:q1], side)] for kind, side in zip(kinds, blocks)}
+    if rows != cols:
+        for kind, side in (("single_layer", blocks[0]), ("adjoint_double_layer", blocks[-1])):
             if kind in mats:
-                _scatter(mats[kind], mesh, ti, si, blocks[first])
-                _scatter(mats[kind], mesh, si, ti, blocks[second].transpose(0, 2, 1))
+                folds[kind].append((mats[kind][q0:q1, p0:p1].T, side))
+    at = (rows.start - p0, cols.start - q0)
+    list(pool.map(lambda pairs: [_fold(out, side, *at) for out, side in pairs], folds.values()))
+
+
+def _fold(out, blocks, row: int, col: int) -> None:
+    """out[r, c] += blocks[i, j, a, b] over the panels i, j and the hats a, b
+    with r = row + i + a and c = col + j + b, each cyclic in out, the block
+    of an obstacle pair (``geometry.SceneMesh``'s numbering: panel i ends at
+    node i + 1 and the last panel at the first node), by slice additions:
+    every entry takes its terms in the order (a, b) = (0, 0), (0, 1), (1,
+    0), (1, 1), whatever computed them."""
+    for a, b in itertools.product((0, 1), (0, 1)):
+        for to_rows, from_rows in _cyclic(row + a, blocks.shape[0], out.shape[0]):
+            for to_cols, from_cols in _cyclic(col + b, blocks.shape[1], out.shape[1]):
+                out[to_rows, to_cols] += blocks[from_rows, from_cols, a, b]
+
+
+def _cyclic(start: int, count: int, size: int):
+    """(to, from) slice pairs that put items 0 .. count - 1 at start, start
+    + 1, ... modulo size, for start + count <= size + 1."""
+    cut = min(count, size - start)
+    pairs = [(slice(start, start + cut), slice(0, cut))]
+    if cut < count:
+        pairs.append((slice(0, count - cut), slice(cut, count)))
+    return pairs
 
 
 def _contract(kernel, wphi, scale):
@@ -431,35 +527,23 @@ def _contract(kernel, wphi, scale):
     return (wphi @ half).reshape(2, p, 2).transpose(1, 0, 2) * scale[:, None, None]
 
 
-def _scatter(matrix, mesh, ti, si, blocks):
-    """Add blocks[p], tested on panel ti[p] and trialed on panel si[p], at
-    those panels' end nodes: panel i's are i and next_node[i].  next_node is
-    a permutation, so for distinct pairs each fancy-index addition touches
-    distinct entries."""
-    rows = (ti, mesh.next_node[ti])
-    cols = (si, mesh.next_node[si])
-    for a in (0, 1):
-        for b in (0, 1):
-            matrix[rows[a], cols[b]] += blocks[:, a, b]
-
-
-def _same_panel_single_layer(mesh, k: float) -> np.ndarray:
-    """L's 2 x 2 block of each panel with itself.  On a panel of length l
-    the kernel depends on u = |s - t| alone, so the block is l^2 (i/4) times
-    the integral over [0, 1] of H0^(1)(k l u) against the autocorrelation of
-    the two hats, 2/3 - u + u^3/3 for equal hats and 1/3 - u^3/3 for
-    opposite ones.  With H0^(1)(k l u) = (2i/pi) ln(u) J0(k l u) + W(u), W
+def _same_panel_single_layer(lengths, k: float) -> np.ndarray:
+    """L's 2 x 2 block of each panel of ``lengths`` with itself.  On a panel
+    of length l the kernel depends on u = |s - t| alone, so the block is l^2
+    (i/4) times the integral over [0, 1] of H0^(1)(k l u) against the
+    autocorrelation of the two hats, 2/3 - u + u^3/3 for equal hats and 1/3 -
+    u^3/3 for opposite ones.  With H0^(1)(k l u) = (2i/pi) ln(u) J0(k l u) + W(u), W
     smooth, the order-16 Gauss rule integrates W and ``_log_weights`` the
     logarithm, on Bessel values at the rule's interior points."""
     rule = gauss_rule(_NEAR_ORDER)
     u, w = rule.points, rule.weights
-    j0, _, y0, _ = specfun.bessel_j0j1y0y1(k * mesh.lengths[:, None] * u, (0,))
+    j0, _, y0, _ = specfun.bessel_j0j1y0y1(k * lengths[:, None] * u, (0,))
     log_part = (2j / math.pi) * (_log_weights(_NEAR_ORDER) - w * np.log(u))
     integrand = w * (j0 + 1j * y0) + log_part * j0
     equal = integrand @ (2.0 / 3.0 - u + u ** 3 / 3.0)
     opposite = integrand @ (1.0 / 3.0 - u ** 3 / 3.0)
     blocks = np.stack([equal, opposite, opposite, equal], axis=1).reshape(-1, 2, 2)
-    return (0.25j * mesh.lengths ** 2)[:, None, None] * blocks
+    return (0.25j * lengths ** 2)[:, None, None] * blocks
 
 
 def assemble_mass(mesh) -> BandedMass:

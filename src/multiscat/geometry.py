@@ -14,7 +14,9 @@ in a box by seeded rejection sampling with a minimum center distance.
 Numbering.  Every mesh is a ``SceneMesh``, made from one node loop per
 obstacle by ``polygon_mesh``, the one place that forms panels from nodes.
 Panel i runs from node i to node ``next_node[i]``, the next node of its
-obstacle's loop, with normal ``normals[i]`` and length ``lengths[i]``.
+obstacle's loop, with normal ``normals[i]`` and length ``lengths[i]``: node
+i + 1, and for an obstacle's last panel its first node.  ``SceneMesh``
+refuses any other ``next_node``, and ``bem`` folds its blocks by this rule.
 Obstacle p owns the contiguous block ``block_range(p)``, the obstacles one
 block after another; every operator, load vector and field is indexed this
 way, and these blocks are the partition the single-scattering
@@ -207,6 +209,11 @@ class SceneMesh:
     next_node: np.ndarray  # (N,) end node of panel i
     block_offsets: tuple[int, ...]  # length M+1; obstacle p owns [off[p], off[p+1])
 
+    def __post_init__(self):
+        if not np.array_equal(self.next_node, _next_nodes(np.asarray(self.block_offsets))):
+            raise ValueError("next_node must run each obstacle's nodes in order, "
+                             "its last panel ending at its first node")
+
     @property
     def n_nodes(self) -> int:
         return self.block_offsets[-1]
@@ -228,8 +235,7 @@ def polygon_mesh(loops) -> SceneMesh:
         raise ValueError("a closed loop needs at least 3 nodes")
     offsets = np.cumsum([0] + [len(loop) for loop in loops])
     nodes = np.concatenate(loops)
-    next_node = np.arange(1, offsets[-1] + 1)
-    next_node[offsets[1:] - 1] = offsets[:-1]
+    next_node = _next_nodes(offsets)
     edges = nodes[next_node] - nodes
     lengths = np.linalg.norm(edges, axis=1)
     if np.any(lengths <= 0):
@@ -241,6 +247,13 @@ def polygon_mesh(loops) -> SceneMesh:
     normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
     return SceneMesh(nodes=nodes, normals=normals, lengths=lengths, next_node=next_node,
                      block_offsets=tuple(int(off) for off in offsets))
+
+
+def _next_nodes(offsets) -> np.ndarray:
+    """The end node of each panel in the numbering of the module docstring."""
+    next_node = np.arange(1, offsets[-1] + 1)
+    next_node[offsets[1:] - 1] = offsets[:-1]
+    return next_node
 
 
 def obstacle_node_counts(scene: Scene, ppw: float) -> tuple[int, ...]:

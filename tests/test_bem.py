@@ -332,41 +332,56 @@ def test_far_entries_match_direct_quadrature():
         assert abs(got - direct_entry(kind)) <= 1e-7 * abs(got)
 
 
-def test_every_panel_pair_integrated_once_with_its_rule():
-    """The whole N matrix of three 10-panel polygons rebuilt pair by pair
-    from scipy Hankel functions: order 16 on panels sharing a node, the
-    order of the pair's separation band elsewhere, nothing on a panel with
-    itself (the kernel vanishes there).  The polygons are placed so that
-    all four bands occur, and a pair skipped, added twice or given the
-    wrong rule moves entries far beyond the bound."""
+@pytest.mark.parametrize("width", [250, 3])
+def test_every_panel_pair_integrated_once_with_its_rule(width, monkeypatch):
+    """The whole L and N matrices of three 10-panel polygons rebuilt pair by
+    pair from scipy Hankel functions: order 16 on panels sharing a node, the
+    order of the pair's separation band elsewhere.  A panel with itself
+    adds its ``_same_panel_single_layer`` block to L and nothing to N (the
+    kernel vanishes there).  The polygons are placed so that all four bands
+    occur, and a pair skipped, added twice, given the wrong rule or, in L's
+    transposed and self blocks, put in the wrong place moves entries far
+    beyond the bound.  Assembly cuts obstacles into bands of at most
+    ``width`` panels: each polygon whole, or in bands of 2 and 3 panels, so
+    that node-sharing pairs and an obstacle's wrap from its last panel to
+    its first node cross tiles."""
+    monkeypatch.setattr(bem, "_CHUNK_PAIR_POINTS", 64 * width ** 2)
     k = 0.3
     theta = 2.0 * np.pi * np.arange(10) / 10
     radius = 1.0 + 0.3 * np.cos(3.0 * theta)
     loop = np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1)
     mesh = geometry.polygon_mesh(
         [loop + np.array(c) for c in ((0.0, 0.0), (6.0, 0.0), (0.0, 20.0))])
-    expected = np.zeros((30, 30), dtype=complex)
+    expected = {kind: np.zeros((30, 30), dtype=complex) for kind in bem._OPERATOR_KINDS}
+    same = bem._same_panel_single_layer(mesh.lengths, k)
     orders = set()
     for p in range(30):
         for q in range(30):
-            if p == q:
-                continue
             ends_p, ends_q = panel_nodes(mesh, p), panel_nodes(mesh, q)
+            if p == q:
+                expected["single_layer"][np.ix_(ends_p, ends_q)] += same[p]
+                continue
             order = 16 if set(ends_p) & set(ends_q) else separated_order(mesh, p, q, k)
             orders.add(order)
-            expected[np.ix_(ends_p, ends_q)] += pair_blocks(mesh, p, q, k, order)["adjoint_double_layer"]
+            for kind, block in pair_blocks(mesh, p, q, k, order).items():
+                expected[kind][np.ix_(ends_p, ends_q)] += block
     assert orders == {3, 4, 5, 8, 16}
-    got = bem.assemble_operators(mesh, k, kinds=("adjoint_double_layer",))
-    error = np.abs(got["adjoint_double_layer"].matrix - expected)
-    assert np.max(error) <= 1e-12 * np.max(np.abs(expected))
+    for kinds in (("adjoint_double_layer",), ("single_layer",), bem._OPERATOR_KINDS):
+        for kind, got in bem.assemble_operators(mesh, k, kinds=kinds).items():
+            error = np.abs(got.matrix - expected[kind])
+            assert np.max(error) <= 1e-12 * np.max(np.abs(expected[kind]))
 
 
-def test_one_bessel_evaluation_per_unordered_pair(monkeypatch):
+@pytest.mark.parametrize("width", [250, 7])
+def test_one_bessel_evaluation_per_unordered_pair(width, monkeypatch):
     """Every quadrature point pair of every unordered pair of distinct
     panels reaches the Bessel routine exactly once, in pieces of at most
     ``_PIECE_PAIR_POINTS``: order 16 squared for panels sharing a node and
     the separation band's order squared otherwise.  The panels paired with
-    themselves follow in one last call of 16 points per panel."""
+    themselves take one call per band of an obstacle, of 16 points per
+    panel, the only calls on a 2-D array of distances.  Obstacles are cut
+    into bands of at most ``width`` panels: whole, or in bands of 6 and 7."""
+    monkeypatch.setattr(bem, "_CHUNK_PAIR_POINTS", 64 * width ** 2)
     mesh = two_circle_scene_mesh(ppw=30)
     expected = 0
     for p in range(mesh.n_nodes):
@@ -377,49 +392,90 @@ def test_one_bessel_evaluation_per_unordered_pair(monkeypatch):
     bessel = specfun.bessel_j0j1y0y1
 
     def counting(x, orders=(0, 1)):
-        received.append(np.size(x))
+        received.append(np.shape(x))
         return bessel(x, orders)
 
     monkeypatch.setattr(specfun, "bessel_j0j1y0y1", counting)
     bem.assemble_operators(mesh, WAVENUMBER)
-    *pairs, same = received
+    pairs = [math.prod(shape) for shape in received if len(shape) == 3]
+    same = sorted(shape for shape in received if len(shape) == 2)
     assert sum(pairs) == expected
     assert max(pairs) <= bem._PIECE_PAIR_POINTS
-    assert same == mesh.n_nodes * bem._NEAR_ORDER
+    counts = np.diff(mesh.block_offsets)
+    bands = [-(-int(count) // width) for count in counts]
+    assert len(same) == sum(bands) and sum(rows for rows, _ in same) == mesh.n_nodes
+    assert {points for _, points in same} == {bem._NEAR_ORDER}
+    assert max(rows for rows, _ in same) <= width
+    assert len(pairs) + len(same) == len(received)
 
 
-@pytest.mark.parametrize("case,piece", [("desk-ppw15", bem._NEAR_ORDER ** 2), ("two-circles", 1)])
+@pytest.mark.parametrize("case,piece", [("desk-ppw15", bem._NEAR_ORDER ** 2), ("two-circles", 1),
+                                        ("unit-disk", 1), ("two-circles-in-bands", 1)])
 def test_operators_do_not_depend_on_the_piece_size_or_the_cpus(case, piece, desk, monkeypatch):
     """L and N are the same bit for bit whatever the number of quadrature
     point pairs per kernel piece: the default, one node-sharing pair's
     points (so every such pair is a piece of its own) or a single point
-    (every pair is).  The pieces run on a thread per CPU, but each group is
-    scattered in pair order on the calling thread, so 2, 3 and 8 CPUs give
-    the matrices of one.  A block of rows' groups go to the threads
-    together and are scattered in turn, to the matrices of one group at a
-    time."""
+    (every pair is).  The pieces run on a thread per CPU, each filling its
+    own slots of its tile's array, which is folded in one fixed order once
+    they are done, so 2, 3 and 8 CPUs give the matrices of one.  The unit
+    disk is a single tile, whose pieces alone spread over the CPUs; in
+    bands of at most 7 panels the two circles are 36 tiles."""
+    if case == "two-circles-in-bands":
+        monkeypatch.setattr(bem, "_CHUNK_PAIR_POINTS", 64 * 7 ** 2)
     if case == "desk-ppw15":
         mesh, k = geometry.mesh_scene(desk, ppw=15), desk.k
+    elif case == "two-circles":
+        mesh, k = two_circle_scene_mesh(), WAVENUMBER
+    elif case == "unit-disk":
+        mesh, k = circle_mesh(), WAVENUMBER
     else:
         mesh, k = two_circle_scene_mesh(), WAVENUMBER
-    separated = bem._separated_pairs
-
-    def one_group_at_a_time(mesh, k):
-        for groups in separated(mesh, k):
-            yield from ([group] for group in groups)
-
+        assert len(bem._tiles(mesh)) == 36
     reference = None
-    for size, cpus, pairs in itertools.chain(
-            itertools.product((bem._PIECE_PAIR_POINTS, piece), (1, 2, 3, 8), [separated]),
-            [(bem._PIECE_PAIR_POINTS, 2, one_group_at_a_time)]):
+    for size, cpus in itertools.product((bem._PIECE_PAIR_POINTS, piece), (1, 2, 3, 8)):
         monkeypatch.setattr(bem, "_PIECE_PAIR_POINTS", size)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-        monkeypatch.setattr(bem, "_separated_pairs", pairs)
         assert bem._workers() == cpus
         assembled = bem.assemble_operators(mesh, k)
         reference = reference or assembled
         for kind, op in assembled.items():
             assert np.array_equal(op.matrix, reference[kind].matrix)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", ["desk-ppw30", "disk-in-bands"])
+def test_assembly_holds_one_tile_at_a_time(case, cpus, desk, monkeypatch):
+    """Assembly's tracemalloc peak beyond L and N stays within one tile's
+    array (three sides of complex 2 x 2 blocks per pair of its panels, two
+    on a diagonal tile), the lists of its panel pairs and of the next
+    tile's, which a worker builds meanwhile (96 bytes per panel pair of the
+    largest tile), and one piece in flight per worker (128
+    bytes per quadrature-point pair).  On desk at ppw 30 (obstacles of 122,
+    143 and 179 panels, each a band) the largest tile is an obstacle pair:
+    9.6 MiB on one worker and 11.6 on two.  A disk of 300 panels, in bands
+    of at most 60, has tiles of at most 60 x 60 pairs: 3.0 and 5.0 MiB,
+    where the whole disk's array alone would take 11 MiB."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if case == "desk-ppw30":
+        mesh, k = geometry.mesh_scene(desk, ppw=30), desk.k
+        counts = np.diff(mesh.block_offsets)
+        tile = max((2 if p == q else 3) * int(counts[p] * counts[q])
+                   for p, q in itertools.combinations_with_replacement(range(len(counts)), 2))
+        pairs = int(np.max(np.multiply.outer(counts, counts)))
+    else:
+        monkeypatch.setattr(bem, "_CHUNK_PAIR_POINTS", 64 * 60 ** 2)
+        mesh, k = circle_mesh(ppw=150), WAVENUMBER
+        assert mesh.n_nodes == 300
+        tile, pairs = 3 * 60 ** 2, 60 ** 2
+    bound = 4 * 16 * tile + 96 * pairs + cpus * 128 * bem._PIECE_PAIR_POINTS
+    bem.assemble_operators(mesh, k)  # fills the rule caches
+    tracemalloc.start()
+    try:
+        bem.assemble_operators(mesh, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * 16 * mesh.n_nodes ** 2 <= bound
 
 
 def test_no_cpu_affinity_and_no_cpu_count_run_on_one_worker(monkeypatch):
@@ -488,9 +544,10 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
     a potential or an assembly of one kind asks for its order only, BW's
     combined field for both orders in one call, and an assembly of both
     kinds for both orders in every call over distinct panels and for order
-    0 in its one call over the panels paired with themselves, where N
-    vanishes.  The fields of all four systems at once ask for the Bessel
-    points of one single-layer pass, each call for both orders."""
+    0 in its one call over the panels paired with themselves (the only call
+    on a 2-D array), where N vanishes.  The fields of all four systems at
+    once ask for the Bessel points of one single-layer pass, each call for
+    both orders."""
     scene = geometry.Scene(
         k=WAVENUMBER, beta=(0.0, 1.0), obstacles=(geometry.Shape(kind="ellipse"),),
         box=(-3.0, -3.0, 3.0, 3.0),
@@ -503,7 +560,7 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
     bessel = specfun.bessel_j0j1y0y1
 
     def recording(x, orders=(0, 1)):
-        calls.append((tuple(orders), np.size(x)))
+        calls.append((tuple(orders), np.size(x), np.ndim(x)))
         return bessel(x, orders)
 
     monkeypatch.setattr(specfun, "bessel_j0j1y0y1", recording)
@@ -511,11 +568,11 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
     def orders_asked(call):
         calls.clear()
         call()
-        return [asked for asked, _ in calls]
+        return [asked for asked, *_ in calls]
 
     def bessel_calls(call):
         orders_asked(call)
-        return sorted(calls)
+        return sorted((asked, size) for asked, size, _ in calls)
 
     assert orders_asked(lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, point)) == [(0,)]
     assert orders_asked(
@@ -533,10 +590,11 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
         (("adjoint_double_layer",), (1,), []),
         (("single_layer", "adjoint_double_layer"), (0, 1), [(0,)]),
     ):
-        calls = orders_asked(lambda: bem.assemble_operators(mesh, WAVENUMBER, kinds=kinds))
-        pairs = calls[:len(calls) - len(same)]
+        orders_asked(lambda: bem.assemble_operators(mesh, WAVENUMBER, kinds=kinds))
+        pairs = [asked for asked, _, ndim in calls if ndim == 3]
         assert pairs and set(pairs) == {wanted}
-        assert calls[len(pairs):] == same
+        assert [asked for asked, _, ndim in calls if ndim == 2] == same
+        assert len(pairs) + len(same) == len(calls)
 
 
 def test_separated_orders_rise_with_k_h_bounds_and_fall_with_separations():
@@ -729,7 +787,7 @@ def test_same_panel_blocks_match_dblquad(ppw, desk):
     k = desk.k
     p = int(np.argmax(mesh.lengths))
     length = mesh.lengths[p]
-    block = bem._same_panel_single_layer(mesh, k)[p]
+    block = bem._same_panel_single_layer(mesh.lengths, k)[p]
     hats = (lambda s: 1.0 - s, lambda s: s)
     for b in (0, 1):
         value = 0.0j

@@ -229,6 +229,9 @@ class TestSpectrumCommand:
         doc = json.loads((out / "spectrum.json").read_text())
         assert doc["passed"] is True
         assert doc["matched_max_rel_error"] <= doc["threshold"]
+        # each formulation's own matching distance, whose maximum is the reported one
+        assert list(doc["matched_rel_errors"]) == ["MFIE", "CFIE", "BW"]
+        assert doc["matched_max_rel_error"] == max(doc["matched_rel_errors"].values())
 
     def test_eigenvalue_csv_format(self, spectrum_run):
         _, out = spectrum_run

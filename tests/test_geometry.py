@@ -155,6 +155,16 @@ def test_polygon_mesh_numbers_loops_one_after_another():
                     atol=1e-15)
 
 
+def test_scene_mesh_refuses_another_numbering():
+    """A panel must end at the next node of its obstacle, the last panel at
+    the first node, which bem's fold of the Galerkin blocks relies on."""
+    mesh = geometry.polygon_mesh([TRIANGLE, np.array(TRIANGLE) + 5.0])
+    for next_node in ([2, 0, 1, 4, 5, 3], [1, 2, 3, 4, 5, 0]):
+        with pytest.raises(ValueError, match="next_node"):
+            dataclasses.replace(mesh, next_node=np.array(next_node))
+    assert np.array_equal(dataclasses.replace(mesh).next_node, mesh.next_node)
+
+
 def test_scene_validation():
     scene = geometry.Scene(
         k=5.0,

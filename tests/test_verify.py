@@ -477,6 +477,20 @@ class TestSpectra:
                     for kind in ("MFIE", "CFIE", "BW"))
         assert worst == report.matched_max_rel_error
 
+    def test_each_formulation_carries_its_own_matching_distance(self, desk, desk15):
+        """MFIE's, CFIE's and BW's own optimal matching distances, each the
+        worst relative distance of its rows to EFIE's, and the reported
+        error is their maximum; on desk they differ, so the maximum alone
+        hides two of them."""
+        mesh, ops = desk15
+        report = verify.check_spectra(desk, mesh, operators=ops)
+        efie = report.eigenvalues["EFIE"]
+        assert list(report.matched_rel_errors) == ["MFIE", "CFIE", "BW"]
+        for kind, error in report.matched_rel_errors.items():
+            assert error == float(np.max(np.abs(report.eigenvalues[kind] - efie) / np.abs(efie)))
+        assert report.matched_max_rel_error == max(report.matched_rel_errors.values())
+        assert len(set(report.matched_rel_errors.values())) == 3
+
 
 @pytest.fixture(scope="module")
 def desk4(desk):
