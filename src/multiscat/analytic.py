@@ -22,7 +22,7 @@ import math
 import numpy as np
 import scipy
 
-from . import geometry, specfun
+from . import geometry
 
 
 def truncation_order(k: float, radius: float) -> int:
@@ -34,45 +34,48 @@ def truncation_order(k: float, radius: float) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class MieConfig:
-    """Disk scattering setup: wavenumber, disk, and incident direction."""
+    """Disk scattering setup: wavenumber, radius of the disk centred at the
+    origin, and incident direction."""
 
     k: float
     radius: float
-    center: tuple[float, float] = (0.0, 0.0)
     beta: tuple[float, float] = (0.0, 1.0)
-    nmax: int | None = None
 
     def validate(self) -> "MieConfig":
         geometry.check_positive(self.k, "wavenumber")
         geometry.check_positive(self.radius, "radius")
         geometry.check_unit_direction(self.beta)
-        if self.nmax is not None and self.nmax < self.k * self.radius:
-            raise ValueError("MieConfig requires nmax >= k * radius")
         return self
-
-    def order(self) -> int:
-        return self.nmax if self.nmax is not None else truncation_order(self.k, self.radius)
 
 
 def mie_scattered(cfg: MieConfig, points) -> np.ndarray:
-    """Scattered field of the disk at points on or outside its boundary."""
+    """Scattered field of the disk at points on or outside its boundary; an
+    OverflowError names the first order at which Y_n(k a) overflows."""
     cfg.validate()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (m, 2)")
-    d = pts - np.asarray(cfg.center)
-    r = np.hypot(d[:, 0], d[:, 1])
+    x, y = pts.T
+    r = np.hypot(x, y)
     if np.any(r < cfg.radius * (1.0 - 1e-12)):
         raise ValueError("mie_scattered is defined on and outside the disk only")
 
-    nmax = cfg.order()
-    orders = np.arange(nmax + 1)
-    j_a, y_a = specfun.bessel_arrays(nmax, cfg.k * cfg.radius)
+    orders = np.arange(truncation_order(cfg.k, cfg.radius) + 1)
+    ka = float(cfg.k * cfg.radius)
+    y_a = scipy.special.yv(orders, ka)
+    overflow = ~(np.abs(y_a) <= 1e305)
+    if np.any(overflow):
+        n = int(np.argmax(overflow))
+        raise OverflowError(
+            f"Y_n overflows at order {n} for x = {ka}; "
+            f"orders up to {n - 1} are representable"
+        )
+    j_a = scipy.special.jv(orders, ka)
     coeff = (1j ** orders) * j_a / (j_a + 1j * y_a)
     coeff[1:] *= 2.0
 
     bx, by = cfg.beta
-    theta = np.arctan2(bx * d[:, 1] - by * d[:, 0], d[:, 0] * bx + d[:, 1] * by)
+    theta = np.arctan2(bx * y - by * x, x * bx + y * by)
     cos_n = np.cos(orders[:, None] * theta[None, :])
     # one Hankel evaluation per distinct radius: a circle of receivers shares one
     radii, at = np.unique(r, return_inverse=True)

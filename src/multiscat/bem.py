@@ -29,20 +29,20 @@ normal.  Pairs sharing no node take an order chosen by the pair's
 separation, its midpoint distance over the longer panel's length h, and by
 k h (see ``_SEPARATED_ORDERS``); pairs sharing a node take order 16.  Both
 keys are symmetric in the pair, so M = -N^T stays exact.  It runs over
-tiles, largest first: every obstacle is cut into bands of at most 250
-panels, and a tile is a band of obstacle p against a band of obstacle q >=
-p, a band of p against itself or a later band.  A tile's kernels come in
-pieces of ``_PIECE_PAIR_POINTS`` point pairs at most, on a thread per CPU
-the process may use, each piece assigning only its own slots of the tile's
-array of 2 x 2 blocks, one slot per ordered panel pair; the panels paired
-with themselves are one more piece of a diagonal tile.  Once the pieces are
-done the array is folded into the matrices by slice additions, which rely
-on ``geometry.SceneMesh``'s numbering (panel i of an obstacle ends at node
-i + 1, its last panel at its first node): within a tile an entry sums the
-blocks of up to four panel pairs, one per pair of hats, always in the same
-order, and the tiles, fixed by the mesh alone, are folded in one order, so
-L and N do not depend on the piece size or the number of threads.  One
-tile's array, at most about 12 MB, is alive at a time.
+tiles, largest first: every obstacle is cut into bands of at most
+``_BAND_PANELS`` panels, and a tile is a band of obstacle p against a band
+of obstacle q > p, or a band of p against itself or a later band of p.  A
+tile's kernels come in pieces of ``_PIECE_PAIR_POINTS`` point pairs at most,
+on a thread per CPU the process may use, each piece assigning only its own
+slots of the tile's array of 2 x 2 blocks, one slot per ordered panel pair;
+the panels paired with themselves are one more piece of a diagonal tile.
+Once the pieces are done the array is folded into the matrices by slice
+additions, which rely on ``geometry.SceneMesh``'s numbering (panel i of an
+obstacle ends at node i + 1, its last panel at its first node): within a
+tile an entry sums the blocks of up to four panel pairs, one per pair of
+hats, always in the same order, and the tiles, fixed by the mesh alone, are
+folded in one order, so L and N do not depend on the piece size or the
+number of threads.  One tile's array is alive at a time.
 On node-sharing pairs neither kernel is smooth: L has a ln r singularity at
 the shared vertex and N's kernel is homogeneous of degree -1 there, so the
 tensor rule converges only algebraically on them.  ``evaluate_potentials``
@@ -77,6 +77,7 @@ import functools
 import itertools
 import math
 import os
+import typing
 
 import numpy as np
 
@@ -96,9 +97,9 @@ _SEPARATED_ORDERS = (
     (2.5, 1.6, 5),
     (0.0, math.inf, 8),
 )
-# Quadrature-point pairs at order 8 of one tile of assembly (``_tiles``), and
-# of the pieces of field evaluation in flight together.
-_CHUNK_PAIR_POINTS = 4_000_000
+# Panels per band of an obstacle (``_tiles``): a tile's array is then at most
+# about 12 MB, 3 sides x 250^2 panel pairs x 2 x 2 complex entries.
+_BAND_PANELS = 250
 # Quadrature-point pairs per kernel piece.  Desk assembly on two CPUs at ppw
 # 15 and 30 took 0.08-0.09 and 0.22-0.26 s (medians of 7) with pieces of 16k
 # points, about as long with 64k, and 0.11 and 0.30 s with 4k; its peak RSS
@@ -125,8 +126,7 @@ _FIELD_PIECE_POINTS = 32_768
 _OPERATOR_KINDS = ("single_layer", "adjoint_double_layer")
 
 
-@dataclasses.dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(typing.NamedTuple):
     """Gauss points and weights on the reference segment [0, 1].
 
     A rule of n points integrates polynomials through degree 2n - 1 exactly;
@@ -136,28 +136,17 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 1 or pts.shape != wts.shape:
-            raise ValueError("points and weights must be matching 1-D arrays")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
-            raise ValueError("quadrature points must lie in [0, 1]")
-        if np.any(wts <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(wts.sum() - 1.0) > 1e-12:
-            raise ValueError("quadrature weights must sum to 1")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
-
 
 @functools.lru_cache(maxsize=None)
 def gauss_rule(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule with ``order`` points mapped to [0, 1]."""
+    """Gauss-Legendre rule with ``order`` points mapped to [0, 1]; its arrays,
+    shared by every caller, are read-only."""
     if order < 1:
         raise ValueError("gauss_rule requires order >= 1")
     x, w = np.polynomial.legendre.leggauss(order)
-    return QuadratureRule(points=0.5 * (x + 1.0), weights=0.5 * w)
+    rule = QuadratureRule(points=0.5 * (x + 1.0), weights=0.5 * w)
+    rule.points.flags.writeable = rule.weights.flags.writeable = False
+    return rule
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,13 +166,8 @@ def _log_weights(order: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class AssembledOperator:
-    """A dense Galerkin matrix together with what it discretizes.
+    """A dense Galerkin matrix and its wavenumber; the matrix is read-only."""
 
-    ``kind`` is single_layer or adjoint_double_layer.  The matrix is
-    read-only.
-    """
-
-    kind: str
     matrix: np.ndarray
     k: float
 
@@ -331,7 +315,8 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
                         f"assembling {len(kinds)} dense {n} x {n} operator matrices")
     mats = {kind: np.zeros((n, n), dtype=complex) for kind in kinds}  # cli._peak_bytes's operators
 
-    # largest first, so that the last to finish is small
+    # largest first: this fixes the fold order from the mesh alone, and the
+    # next tile's groups, built on a worker meanwhile, are of a tile no larger
     tiles = sorted(_tiles(mesh), key=lambda tile: -len(tile[2]) * len(tile[3]))
     rules = {order: (_quad_points(mesh, gauss_rule(order)), _basis_weights(gauss_rule(order)))
              for order in [_NEAR_ORDER] + [order for *_, order in _SEPARATED_ORDERS]}
@@ -354,7 +339,7 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
         if not np.all(np.isfinite(mat)):
             raise RuntimeError(f"non-finite entries in {kind} assembly")
         mat.flags.writeable = False
-        out[kind] = AssembledOperator(kind=kind, matrix=mat, k=k)
+        out[kind] = AssembledOperator(matrix=mat, k=k)
     return out
 
 
@@ -368,18 +353,15 @@ def _band_order(ratio, kh):
 
 def _tiles(mesh):
     """The tiles (p, q, rows, cols), rows and cols ranges of panels: every
-    obstacle is cut into bands of at most w panels, as near equal as may be,
-    and each band of obstacle p is a tile with each band of obstacle q > p,
-    with itself and with each later band of p.  Every unordered pair of
-    distinct panels lies in one tile.  With w^2 order-8 panel pairs in
-    ``_CHUNK_PAIR_POINTS`` (w = 250), a tile's array (``_submit_tile``) is
-    at most about 12 MB, whatever the obstacles."""
-    top = max(order for *_, order in _SEPARATED_ORDERS)
-    width = math.isqrt(_CHUNK_PAIR_POINTS // top ** 2)
+    obstacle is cut into bands of at most ``_BAND_PANELS`` panels, as near
+    equal as may be, and each band of obstacle p is a tile with each band of
+    obstacle q > p, with itself and with each later band of p.  Every
+    unordered pair of distinct panels lies in one tile, and a tile's array
+    (``_submit_tile``) is at most about 12 MB, whatever the obstacles."""
     bands = []
     for p in range(mesh.n_obstacles):
         lo, hi = mesh.block_range(p)
-        count = -(-(hi - lo) // width)
+        count = -(-(hi - lo) // _BAND_PANELS)
         cuts = [lo + (hi - lo) * i // count for i in range(count + 1)]
         bands.append([range(a, b) for a, b in zip(cuts, cuts[1:])])
     return [(p, q, rows, cols)
@@ -637,11 +619,8 @@ def evaluate_potentials(
     near = np.empty(m, dtype=bool)
     single, double = "single" in layers, "double" in layers
     workers = _workers()
-    # each piece holds at most _FIELD_PIECE_POINTS points per kernel, and the
-    # pieces in flight together at most _CHUNK_PAIR_POINTS
-    budget = min(_FIELD_PIECE_POINTS, _CHUNK_PAIR_POINTS // workers)
     normals = (mesh.normals[None, :, None],) if double else ()
-    rows = max(1, budget // n)  # receivers per piece of the pass that orders them
+    rows = max(1, _FIELD_PIECE_POINTS // n)  # receivers per piece of the pass that orders them
     receiver_orders = _receiver_orders(mesh, k, order)
 
     def evaluate_piece(piece):
@@ -668,8 +647,9 @@ def evaluate_potentials(
         pieces = []
         for o in np.unique(orders):
             sel = np.flatnonzero(orders == o)
-            # at most ``budget`` points a piece per kernel, and a piece for every worker
-            step = max(1, min(-(-sel.size // workers), budget // (n * o * (single + double))))
+            # at most _FIELD_PIECE_POINTS points a piece per kernel, and a piece for every worker
+            step = max(1, min(-(-sel.size // workers),
+                              _FIELD_PIECE_POINTS // (n * o * (single + double))))
             pieces += [(int(o), sel[lo:lo + step]) for lo in range(0, sel.size, step)]
         list(pool.map(evaluate_piece, pieces))  # re-raises a piece's exception
     return PotentialField(values=values.reshape((m,) + rho.shape[1:]), near_boundary=near)

@@ -1,9 +1,8 @@
 """Cylinder functions for the 2D Helmholtz kernel.
 
 Every Bessel value comes from ``scipy.special``; this module adds the
-argument checks the assembly relies on, a choice of orders so that a layer
-pays only for the functions it needs, and the order-by-order arrays of the
-disk series with an overflow check.
+argument checks that assembly and field evaluation rely on, and a choice of
+orders so that a layer pays only for the functions it needs.
 """
 
 from __future__ import annotations
@@ -38,27 +37,3 @@ def bessel_j0j1y0y1(x, orders=(0, 1)):
     sp = scipy.special
     functions = ((sp.j0, 0), (sp.j1, 1), (sp.y0, 0), (sp.y1, 1))
     return tuple(fn(x_arr) if n in orders else None for fn, n in functions)
-
-
-def bessel_arrays(nmax: int, x: float):
-    """J_0..J_nmax and Y_0..Y_nmax at a positive scalar argument.
-
-    Raises OverflowError naming the first order at which Y_n leaves the
-    representable range, and ValueError for nmax < 1 or x <= 0.
-    """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("bessel_arrays requires x > 0")
-
-    orders = np.arange(nmax + 1)
-    y = scipy.special.yv(orders, x)
-    overflow = ~(np.abs(y) <= 1e305)
-    if np.any(overflow):
-        n = int(np.argmax(overflow))
-        raise OverflowError(
-            f"Y_n overflows at order {n} for x = {x}; "
-            f"orders up to {n - 1} are representable"
-        )
-    return scipy.special.jv(orders, x), y

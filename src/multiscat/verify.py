@@ -163,8 +163,7 @@ class ConvergenceReport:
 
 
 def check_direct_equality(scene, mesh, alpha: float = formulations.ALPHA,
-                          eta: complex | None = None, operators=None,
-                          thresholds=None) -> TheoremReport:
+                          eta: complex | None = None, operators=None) -> TheoremReport:
     """Pairwise differences among the preconditioned EFIE/MFIE/CFIE matrices.
 
     Each difference is ||P_X - P_Y||_inf / ||P_Y||_inf with the denominator
@@ -172,8 +171,6 @@ def check_direct_equality(scene, mesh, alpha: float = formulations.ALPHA,
     largest over the obstacles of their row blocks' norms.
     """
     systems = formulations.systems(DIRECT_KINDS, scene, mesh, alpha, eta, None, operators)
-    if thresholds is None:
-        thresholds = {f"{x}/{y}": DESK_DIRECT_THRESHOLD for x, y in DIRECT_PAIRS}
     apart = {f"{x}/{y}": 0.0 for x, y in DIRECT_PAIRS}
     norms = dict.fromkeys(DIRECT_KINDS, 0.0)
     for p in range(mesh.n_obstacles):
@@ -190,13 +187,13 @@ def check_direct_equality(scene, mesh, alpha: float = formulations.ALPHA,
     return TheoremReport(
         differences=differences,
         similarity_difference=None,
-        thresholds=dict(thresholds),
-        passed={key: value <= thresholds[key] for key, value in differences.items()},
+        thresholds=dict.fromkeys(differences, DESK_DIRECT_THRESHOLD),
+        passed={key: value <= DESK_DIRECT_THRESHOLD for key, value in differences.items()},
     )
 
 
-def check_bw_similarity(scene, mesh, eta_bw: complex | None = None, operators=None,
-                        threshold: float = DESK_SIMILARITY_THRESHOLD) -> TheoremReport:
+def check_bw_similarity(scene, mesh, eta_bw: complex | None = None,
+                        operators=None) -> TheoremReport:
     """Conjugate the preconditioned BW matrix by T = A_E^{-1} A_BW and
     compare with the preconditioned EFIE matrix, from the coupling factors.
 
@@ -275,8 +272,8 @@ def check_bw_similarity(scene, mesh, eta_bw: complex | None = None, operators=No
     return TheoremReport(
         differences={},
         similarity_difference=difference,
-        thresholds={"EFIE/BW": threshold},
-        passed={"EFIE/BW": difference <= threshold},
+        thresholds={"EFIE/BW": DESK_SIMILARITY_THRESHOLD},
+        passed={"EFIE/BW": difference <= DESK_SIMILARITY_THRESHOLD},
     )
 
 

@@ -146,7 +146,8 @@ def test_bessel_values_and_wronskian_match_reference():
 
     wronskian_err = 0.0
     for point in (1.0, 5.0, 20.0):
-        j, y = specfun.bessel_arrays(60, point)
+        orders = np.arange(61)  # the disk series' own calls
+        j, y = sp.jv(orders, point), sp.yv(orders, point)
         wronskian = j[1:] * y[:-1] - j[:-1] * y[1:]
         wronskian_err = max(
             wronskian_err, float(np.max(np.abs(wronskian - 2.0 / (np.pi * point))))
@@ -224,17 +225,17 @@ def test_full_scale_differences_stay_within_frozen_bounds():
     mesh = geometry.mesh_scene(scene, ppw=15)
     ops = bem.assemble_operators(mesh, scene.k)
     ops["mass"] = bem.assemble_mass(mesh)
-    direct = verify.check_direct_equality(
-        scene, mesh, operators=ops,
-        thresholds={"EFIE/MFIE": 8e-2, "MFIE/CFIE": 8e-2, "EFIE/CFIE": 1.6e-2},
-    )
-    similar = verify.check_bw_similarity(scene, mesh, operators=ops, threshold=8e-4)
+    direct = verify.check_direct_equality(scene, mesh, operators=ops)
+    similar = verify.check_bw_similarity(scene, mesh, operators=ops)
     elapsed = time.perf_counter() - start
 
-    ok = all(direct.passed.values()) and all(similar.passed.values())
+    bounds = {"EFIE/MFIE": 8e-2, "MFIE/CFIE": 8e-2, "EFIE/CFIE": 1.6e-2}
+    direct_ok = all(direct.differences[key] <= bound for key, bound in bounds.items())
+    similar_ok = similar.similarity_difference <= 8e-4
+    ok = direct_ok and similar_ok
     report(ok, f"full-scale run ({mesh.n_nodes} unknowns): "
                f"diffs {direct.differences}, "
                f"similarity {similar.similarity_difference:.3e} "
                f"({elapsed / 60.0:.1f} min)")
-    assert all(direct.passed.values()), direct.differences
-    assert all(similar.passed.values()), similar.similarity_difference
+    assert direct_ok, direct.differences
+    assert similar_ok, similar.similarity_difference

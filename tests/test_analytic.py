@@ -19,9 +19,9 @@ def incident(k, beta, pts):
     return np.exp(1j * k * (pts @ np.asarray(beta)))
 
 
-def ring(radius, m=64, center=(0.0, 0.0)):
+def ring(radius, m=64):
     t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    return np.asarray(center) + radius * np.stack([np.cos(t), np.sin(t)], axis=1)
+    return radius * np.stack([np.cos(t), np.sin(t)], axis=1)
 
 
 def test_boundary_condition_cancels_incident_wave():
@@ -31,9 +31,19 @@ def test_boundary_condition_cancels_incident_wave():
     assert np.max(np.abs(total)) <= 1e-10
 
 
+@pytest.mark.parametrize("ka", [1.0, 20.0, 30.0, 50.0, 100.0])
+def test_boundary_condition_holds_across_k_a(ka):
+    """The series' own J_n(k a) and Y_n(k a), from 19 orders at k a = 1 to 148
+    at k a = 100, cancel the incident wave on the boundary."""
+    cfg = config(k=ka)
+    pts = ring(1.0, m=128)
+    total = analytic.mie_scattered(cfg, pts) + incident(cfg.k, cfg.beta, pts)
+    assert np.max(np.abs(total)) <= 1e-10
+
+
 def test_boundary_condition_holds_past_order_200():
     cfg = config(k=160.0)
-    assert cfg.order() > 200
+    assert analytic.truncation_order(cfg.k, cfg.radius) > 200
     pts = ring(1.0, m=256)
     total = analytic.mie_scattered(cfg, pts) + incident(cfg.k, cfg.beta, pts)
     assert np.max(np.abs(total)) <= 1e-10
@@ -57,19 +67,35 @@ def test_reflection_symmetry_across_beta():
     )
 
 
-def test_truncation_stability():
-    base = analytic.truncation_order(5.0, 1.0)
+def test_truncation_stability(monkeypatch):
     rng = np.random.default_rng(4)
     pts = rng.uniform(-10.0, 10.0, (60, 2))
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) >= 1.0]
-    v1 = analytic.mie_scattered(config(nmax=base), pts)
-    v2 = analytic.mie_scattered(config(nmax=base + 10), pts)
+    v1 = analytic.mie_scattered(config(), pts)
+    default = analytic.truncation_order
+    monkeypatch.setattr(analytic, "truncation_order", lambda k, radius: default(k, radius) + 10)
+    v2 = analytic.mie_scattered(config(), pts)
     assert np.max(np.abs(v1 - v2)) <= 1e-10
 
 
 def test_inside_disk_rejected():
     with pytest.raises(ValueError):
         analytic.mie_scattered(config(), np.array([[0.5, 0.0]]))
+
+
+def test_overflow_names_the_first_unrepresentable_order():
+    """At k a = 1e-30 the series' 11 orders do not all fit a double: Y_10
+    overflows, and the refusal names it and the last order that fits."""
+    with pytest.raises(OverflowError, match=r"^Y_n overflows at order 10 for x = 1e-30; "
+                                            r"orders up to 9 are representable$"):
+        analytic.mie_scattered(config(k=1e-30), ring(2.0, m=4))
+
+
+@pytest.mark.parametrize("k,order", [(1e-50, 7), (1e-100, 4)])
+def test_overflow_order_falls_as_k_a_shrinks(k, order):
+    with pytest.raises(OverflowError, match=rf"^Y_n overflows at order {order} for x = {k}; "
+                                            rf"orders up to {order - 1} are representable$"):
+        analytic.mie_scattered(config(k=k), ring(2.0, m=4))
 
 
 def test_config_validation():
@@ -79,8 +105,6 @@ def test_config_validation():
         analytic.MieConfig(k=1.0, radius=0.0).validate()
     with pytest.raises(ValueError):
         analytic.MieConfig(k=1.0, radius=1.0, beta=(1.0, 1.0)).validate()
-    with pytest.raises(ValueError):
-        analytic.MieConfig(k=5.0, radius=2.0, nmax=3).validate()
     for k, radius, message in ((np.nan, 1.0, "wavenumber must be finite"),
                                (np.inf, 1.0, "wavenumber must be finite"),
                                (0.0, 1.0, "wavenumber must be positive"),
@@ -140,9 +164,25 @@ def test_matches_independent_scipy_series():
     assert_allclose(mine, ref, rtol=1e-9)
 
 
-def test_translation_covariance():
-    shift = np.array([3.0, -7.0])
-    pts = ring(2.0, m=16)
+@pytest.mark.parametrize("angle", [0.3, 2.0, -2.9])
+def test_rotation_covariance(angle):
+    """Rotating the receivers and the incident direction together leaves the
+    field unchanged: the series sees only r and the angle from beta."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    rng = np.random.default_rng(8)
+    pts = ring(1.0, m=16) * rng.uniform(1.0, 6.0, (16, 1))
     base = analytic.mie_scattered(config(), pts)
-    moved = analytic.mie_scattered(config(center=tuple(shift)), pts + shift)
-    assert_allclose(moved, base, rtol=1e-13)
+    turned = analytic.mie_scattered(
+        analytic.MieConfig(k=5.0, radius=1.0, beta=tuple(rot @ np.asarray(BETA))), pts @ rot.T
+    )
+    assert_allclose(turned, base, rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
+def test_scale_covariance(scale):
+    """The field depends on k, a and the receivers only through k a and k x."""
+    pts = ring(1.0, m=16) * np.linspace(1.0, 6.0, 16)[:, None]
+    base = analytic.mie_scattered(config(), pts)
+    scaled = analytic.mie_scattered(config(k=5.0 / scale, radius=scale), pts * scale)
+    assert_allclose(scaled, base, rtol=1e-12)

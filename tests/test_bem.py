@@ -345,7 +345,7 @@ def test_every_panel_pair_integrated_once_with_its_rule(width, monkeypatch):
     ``width`` panels: each polygon whole, or in bands of 2 and 3 panels, so
     that node-sharing pairs and an obstacle's wrap from its last panel to
     its first node cross tiles."""
-    monkeypatch.setattr(bem, "_CHUNK_PAIR_POINTS", 64 * width ** 2)
+    monkeypatch.setattr(bem, "_BAND_PANELS", width)
     k = 0.3
     theta = 2.0 * np.pi * np.arange(10) / 10
     radius = 1.0 + 0.3 * np.cos(3.0 * theta)
@@ -381,7 +381,7 @@ def test_one_bessel_evaluation_per_unordered_pair(width, monkeypatch):
     themselves take one call per band of an obstacle, of 16 points per
     panel, the only calls on a 2-D array of distances.  Obstacles are cut
     into bands of at most ``width`` panels: whole, or in bands of 6 and 7."""
-    monkeypatch.setattr(bem, "_CHUNK_PAIR_POINTS", 64 * width ** 2)
+    monkeypatch.setattr(bem, "_BAND_PANELS", width)
     mesh = two_circle_scene_mesh(ppw=30)
     expected = 0
     for p in range(mesh.n_nodes):
@@ -419,9 +419,11 @@ def test_operators_do_not_depend_on_the_piece_size_or_the_cpus(case, piece, desk
     own slots of its tile's array, which is folded in one fixed order once
     they are done, so 2, 3 and 8 CPUs give the matrices of one.  The unit
     disk is a single tile, whose pieces alone spread over the CPUs; in
-    bands of at most 7 panels the two circles are 36 tiles."""
+    bands of at most 7 panels the two circles are 36 tiles, and there L
+    alone and N alone (a tile's array then holds no L side before N's) are
+    checked too."""
     if case == "two-circles-in-bands":
-        monkeypatch.setattr(bem, "_CHUNK_PAIR_POINTS", 64 * 7 ** 2)
+        monkeypatch.setattr(bem, "_BAND_PANELS", 7)
     if case == "desk-ppw15":
         mesh, k = geometry.mesh_scene(desk, ppw=15), desk.k
     elif case == "two-circles":
@@ -431,15 +433,18 @@ def test_operators_do_not_depend_on_the_piece_size_or_the_cpus(case, piece, desk
     else:
         mesh, k = two_circle_scene_mesh(), WAVENUMBER
         assert len(bem._tiles(mesh)) == 36
-    reference = None
-    for size, cpus in itertools.product((bem._PIECE_PAIR_POINTS, piece), (1, 2, 3, 8)):
-        monkeypatch.setattr(bem, "_PIECE_PAIR_POINTS", size)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-        assert bem._workers() == cpus
-        assembled = bem.assemble_operators(mesh, k)
-        reference = reference or assembled
-        for kind, op in assembled.items():
-            assert np.array_equal(op.matrix, reference[kind].matrix)
+    alone = [(kind,) for kind in bem._OPERATOR_KINDS] if case == "two-circles-in-bands" else []
+    for kinds in [bem._OPERATOR_KINDS] + alone:
+        reference = None
+        for size, cpus in itertools.product((bem._PIECE_PAIR_POINTS, piece), (1, 2, 3, 8)):
+            monkeypatch.setattr(bem, "_PIECE_PAIR_POINTS", size)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            assert bem._workers() == cpus
+            assembled = bem.assemble_operators(mesh, k, kinds)
+            assert list(assembled) == list(kinds)
+            reference = reference or assembled
+            for kind, op in assembled.items():
+                assert np.array_equal(op.matrix, reference[kind].matrix)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -463,7 +468,7 @@ def test_assembly_holds_one_tile_at_a_time(case, cpus, desk, monkeypatch):
                    for p, q in itertools.combinations_with_replacement(range(len(counts)), 2))
         pairs = int(np.max(np.multiply.outer(counts, counts)))
     else:
-        monkeypatch.setattr(bem, "_CHUNK_PAIR_POINTS", 64 * 60 ** 2)
+        monkeypatch.setattr(bem, "_BAND_PANELS", 60)
         mesh, k = circle_mesh(ppw=150), WAVENUMBER
         assert mesh.n_nodes == 300
         tile, pairs = 3 * 60 ** 2, 60 ** 2
@@ -700,7 +705,6 @@ def test_flat_panel_kills_double_layer_kernel():
 def test_operator_matrices_are_read_only():
     ops = bem.assemble_operators(circle_mesh(), WAVENUMBER, kinds=("single_layer",))
     op = ops["single_layer"]
-    assert op.kind == "single_layer"
     assert op.k == WAVENUMBER
     assert op.n == op.matrix.shape[0] == op.matrix.shape[1]
     with pytest.raises(ValueError):
@@ -763,8 +767,11 @@ def test_gauss_rule_properties():
     assert_allclose(rule.weights @ rule.points**15, 1.0 / 16.0, rtol=1e-13)
     with pytest.raises(ValueError):
         bem.gauss_rule(0)
-    with pytest.raises(ValueError):
-        bem.QuadratureRule(points=np.array([0.5]), weights=np.array([2.0]))
+    # every caller shares the cached arrays, so none may write to them
+    assert bem.gauss_rule(8) is rule
+    for array in (rule.points, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 8, 16])

@@ -299,9 +299,7 @@ class TestPreconditioner:
     def test_singular_diagonal_block_error_names_the_obstacle(self, coarse_pair):
         scene, mesh, ops = coarse_pair
         zero = bem.AssembledOperator(
-            kind="single_layer", matrix=np.zeros((mesh.n_nodes, mesh.n_nodes), dtype=complex),
-            k=scene.k,
-        )
+            matrix=np.zeros((mesh.n_nodes, mesh.n_nodes), dtype=complex), k=scene.k)
         sys_ = formulations.build_system(
             formulations.Formulation(kind="EFIE"), scene, mesh, operators={"single_layer": zero}
         )
