@@ -45,21 +45,10 @@ folded in one order, so L and N do not depend on the piece size or the
 number of threads.  One tile's array is alive at a time.
 On node-sharing pairs neither kernel is smooth: L has a ln r singularity at
 the shared vertex and N's kernel is homogeneous of degree -1 there, so the
-tensor rule converges only algebraically on them.  ``evaluate_potentials``
-uses the same kernels and bands: a receiver x takes, on every panel, the
-largest band order over the panels p keyed on |x - mid_p| / h_p and k h_p,
-found from the nearest panel of each k h class (``_receiver_orders``).
-The receivers of each order are evaluated in cache-sized pieces of at most
-``_FIELD_PIECE_POINTS`` receiver-Gauss points per kernel, on a thread per
-CPU the process may use; a receiver's value depends on that receiver alone,
-so the values do not depend on the split.  A stack of d densities, shape
-(n, d), shares each piece's distances and Bessel values and has values of
-shape (m, d); each column takes the single or the double layer, one for
-all columns or one each, and is contracted exactly as its density alone
-in that layer.  On a panel paired with itself
-the N kernel vanishes identically because (x - y) is parallel to a flat
-panel.  L's kernel there depends on u = |s - t| alone, so its block is a
-1-D integral in u against the autocorrelation of the hats; splitting off
+tensor rule converges only algebraically on them.  On a panel paired with
+itself the N kernel vanishes identically because (x - y) is parallel to a
+flat panel.  L's kernel there depends on u = |s - t| alone, so its block is
+a 1-D integral in u against the autocorrelation of the hats; splitting off
 the logarithm,
 
     H0^(1)(k l u) = (2i/pi) ln(u) J0(k l u) + W(u),
@@ -67,6 +56,31 @@ the logarithm,
 the order-16 Gauss rule integrates the smooth W and product-integration
 weights for ln u at the same points integrate the rest, so every Bessel
 value is taken at an interior point and comes from scipy.
+
+Fields.  ``evaluate_potentials`` sums each obstacle's part of a receiver's
+value, obstacle by obstacle.  A receiver at least max(2 R, R + the longest
+panel) from the centre c of the obstacle's bounding box, R the largest node
+distance from c, takes the obstacle's circular-wave expansion (Graf's
+addition theorem; the top level of Rokhlin's 2D Helmholtz multipole
+method, with no tree): the sum over |n| <= N of c_n H_n(k |x - c|)
+e^(i n theta), N = ``analytic.truncation_order(k, R)`` and at least 47,
+its c_n integrated once per call at 8 Gauss points per panel.  There its
+terms fall as 2^-n, and it costs one Bessel pair per receiver where the
+direct rule costs one per panel Gauss point.  Against an order-32 rule per
+panel it is within 1e-14 to 5e-14 on a circle of radius 3 about the unit
+disk from k = 1e-3 to 200.  Below k R = ``_FAR_MIN_KR``, and at every
+other receiver, the obstacle's panels take the direct rule, with the same
+kernels and bands as assembly: on every panel, the largest band order
+over those panels p keyed on |x - mid_p| / h_p and k h_p, found from the
+nearest panel of each k h class (``_receiver_orders``).  The receivers of
+each obstacle, rule and order are evaluated in cache-sized pieces of at
+most ``_FIELD_PIECE_POINTS`` receiver-Gauss points per kernel, or
+receiver-modes, on a thread per CPU the process may use; a receiver's
+value depends on that receiver alone, so the values do not depend on the
+split.  A stack of d densities, shape (n, d), shares each piece's
+distances and Bessel values and has values of shape (m, d); each column
+takes the single or the double layer, one for all columns or one each,
+and is contracted exactly as its density alone in that layer.
 """
 
 from __future__ import annotations
@@ -81,7 +95,7 @@ import typing
 
 import numpy as np
 
-from . import geometry, linalg, specfun
+from . import analytic, geometry, linalg, specfun
 
 _NEAR_ORDER = 16
 # Tensor Gauss order of a pair of panels sharing no node.  With h the longer
@@ -121,8 +135,24 @@ _PIECE_PAIR_POINTS = 16_384
 #     250,000    0.049/0.088 s  19.2/17.3 MiB  0.188/0.347 s  19.2/16.3 MiB
 # The desk times move by 20% between runs of this table on a 2-core x86-64 box.
 # In an earlier run, pieces that mixed orders, each budgeted as if at order 8,
-# took 0.114 and 0.494 s for a pass per layer at 250k.
+# took 0.114 and 0.494 s for a pass per layer at 250k.  A piece of receivers
+# that take an obstacle's expansion counts receivers x its 2N + 1 modes.
 _FIELD_PIECE_POINTS = 32_768
+# Least k R at which a receiver takes an obstacle's circular-wave expansion
+# (``_expansion``; R the obstacle's radius about its centre).  Below it the
+# direct rule runs: H_N(k r) grows as (k r)^-N, and at N = 47 it overflows
+# at r = 2 R once k R is below about 7e-6.  On the unit disk (30 panels, 7
+# receivers at radius 3) the expansion gave NaN at k = 3e-6 and below, and
+# was within 6e-16 to 2e-14 of an order-32 rule per panel from k = 1e-5 to
+# 1e-2 (the direct rule: 1e-13 to 4e-12); 1e-3 keeps two decades from the
+# overflow.
+_FAR_MIN_KR = 1e-3
+# Least mode count N of an expansion: at |x - c| >= 2 R its terms fall as
+# 2^-n, and 2^-47 < 1e-14.
+_EXPANSION_MIN_MODES = 47
+# Gauss points per panel of the expansion coefficients: the direct rule's
+# highest order, which it takes at any k h.
+_EXPANSION_ORDER = _SEPARATED_ORDERS[-1][2]
 _OPERATOR_KINDS = ("single_layer", "adjoint_double_layer")
 
 
@@ -242,9 +272,10 @@ def _basis_weights(rule: QuadratureRule) -> np.ndarray:
     return np.stack([1.0 - u, u]) * rule.weights[None, :]
 
 
-def _quad_points(mesh, rule: QuadratureRule) -> np.ndarray:
-    edge = mesh.nodes[mesh.next_node] - mesh.nodes
-    return mesh.nodes[:, None, :] + rule.points[None, :, None] * edge[:, None, :]
+def _quad_points(mesh, rule: QuadratureRule, panels=slice(None)) -> np.ndarray:
+    nodes = mesh.nodes[panels]
+    edge = mesh.nodes[mesh.next_node[panels]] - nodes
+    return nodes[:, None, :] + rule.points[None, :, None] * edge[:, None, :]
 
 
 def _separation(x, y, normals=()):
@@ -547,10 +578,11 @@ def assemble_mass(mesh) -> BandedMass:
     return BandedMass(diagonal=diagonal, off=off, next_node=mesh.next_node)
 
 
-def _receiver_orders(mesh, k: float, least: int):
-    """The function that gives receivers, shape (m, 2), their Gauss orders:
-    each takes the largest ``_band_order`` over the panels p, keyed on
-    |x - mid_p| / h_p and k h_p, or ``least`` if that is larger.
+def _receiver_orders(mesh, k: float, least: int, panels=slice(None)):
+    """The function that gives receivers, shape (m, 2), their Gauss orders
+    on the panels ``panels`` (all by default): each takes the largest
+    ``_band_order`` over those panels p, keyed on |x - mid_p| / h_p and
+    k h_p, or ``least`` if that is larger.
 
     A panel's k h class is the first ``_SEPARATED_ORDERS`` row whose bound
     on k h it meets, and only that row and the later ones apply to it.  The
@@ -560,11 +592,12 @@ def _receiver_orders(mesh, k: float, least: int):
     least separation.  The receivers take one hypot pass, over the panels
     sorted by class, and one minimum per class."""
     bounds = np.array([band_kh for _, band_kh, _ in _SEPARATED_ORDERS])
-    classes = np.searchsorted(bounds, k * mesh.lengths)
-    panels = np.argsort(classes, kind="stable")
-    present, starts = np.unique(classes[panels], return_index=True)
-    mid = 0.5 * (mesh.nodes + mesh.nodes[mesh.next_node])[panels]
-    length = mesh.lengths[panels]
+    lengths = mesh.lengths[panels]
+    classes = np.searchsorted(bounds, k * lengths)
+    order = np.argsort(classes, kind="stable")
+    present, starts = np.unique(classes[order], return_index=True)
+    mid = (0.5 * (mesh.nodes + mesh.nodes[mesh.next_node]))[panels][order]
+    length = lengths[order]
 
     def orders(points):
         ratio = np.hypot(*(points[:, None] - mid[None]).transpose(2, 0, 1)) / length
@@ -572,6 +605,91 @@ def _receiver_orders(mesh, k: float, least: int):
         return np.maximum(least, _band_order(nearest, bounds[present]).max(axis=1))
 
     return orders
+
+
+class _Expansion(typing.NamedTuple):
+    """An obstacle's circular-wave expansion: its centre c, the radius from
+    which a receiver takes it, and its mode count N."""
+
+    center: np.ndarray
+    far: float
+    modes: int
+
+
+def _expansion(mesh, k: float, panels: slice) -> _Expansion:
+    """The ``_Expansion`` of the obstacle whose panels are ``panels``.  Its
+    centre c is that of its nodes' bounding box, and R, the largest node
+    distance from c, bounds every point of its straight panels.  A receiver
+    takes it at |x - c| >= max(2 R, R + the longest panel), where the terms
+    fall as 2^-n and no panel is nearer than its length, and only if k R >=
+    ``_FAR_MIN_KR`` (the far radius is infinite otherwise).  N is
+    ``analytic.truncation_order(k, R)``, at least ``_EXPANSION_MIN_MODES``."""
+    nodes = mesh.nodes[panels]
+    center = 0.5 * (nodes.min(axis=0) + nodes.max(axis=0))
+    radius = float(np.hypot(*(nodes - center).T).max())
+    far = max(2.0 * radius, radius + float(mesh.lengths[panels].max()))
+    if k * radius < _FAR_MIN_KR:
+        far = math.inf
+    modes = max(analytic.truncation_order(k, radius), _EXPANSION_MIN_MODES)
+    return _Expansion(center, far, modes)
+
+
+def _expansion_coefficients(mesh, k: float, panels: slice, expansion: _Expansion,
+                            columns, layers) -> np.ndarray:
+    """The coefficients c_n, n = -N .. N, of every density column's layer
+    potential over the panels ``panels`` (some of one obstacle's) as
+    outgoing waves about the obstacle's centre c: the potential is the sum
+    of c_n H_n(k |x - c|) e^(i n theta_x) where |x - c| exceeds every |y -
+    c| on the panels.  By Graf's addition theorem, with Q_n(y) = J_n(k |y -
+    c|) e^(-i n theta_y), the single layer has c_n = (i/4) int Q_n rho, and
+    the double layer, of -d/dn(y) G, c_n = -(i k / 8) int (conj(nu) Q_(n-1)
+    - nu Q_(n+1)) rho, nu = n_x + i n_y, from the normal derivative of Q_n.
+    Both integrals take ``_EXPANSION_ORDER`` Gauss points per panel, J_n
+    comes from ``specfun.bessel_j_orders``, and Q_(-n) = (-1)^n conj(Q_n).  Shape (d, 2N + 1), each column's row
+    computed as if alone."""
+    modes, top = expansion.modes, expansion.modes + 1
+    rule = gauss_rule(_EXPANSION_ORDER)
+    u = rule.points
+    offset = _quad_points(mesh, rule, panels) - expansion.center
+    radius = np.hypot(offset[..., 0], offset[..., 1]).ravel()
+    conj_dir = (offset[..., 0] - 1j * offset[..., 1]).ravel()  # r e^(-i theta)
+    np.divide(conj_dir, radius, out=conj_dir, where=radius > 0.0)
+    waves = np.empty((2 * top + 1, radius.size), dtype=complex)  # n = -N - 1 .. N + 1
+    positive = waves[top:]
+    positive[:] = specfun.bessel_j_orders(top, k * radius)
+    positive[1:] *= np.cumprod(np.broadcast_to(conj_dir, (top, radius.size)), axis=0)
+    np.conjugate(positive[:0:-1], out=waves[:top])
+    waves[top - 1::-2] *= -1.0  # odd n
+    normal = mesh.normals[panels]
+    nu = np.repeat(normal[:, 0] + 1j * normal[:, 1], u.size)
+    ends = mesh.next_node[panels]
+    weights = rule.weights * mesh.lengths[panels, None]
+    coefficients = np.empty((len(columns), 2 * modes + 1), dtype=complex)
+    for j, (col, kind) in enumerate(zip(columns, layers)):
+        rho = ((col[panels, None] * (1.0 - u) + col[ends, None] * u) * weights).ravel()
+        if kind == "single":
+            coefficients[j] = 0.25j * np.einsum("nq,q->n", waves[1:-1], rho)
+        else:
+            coefficients[j] = (-0.125j * k) * (np.einsum("nq,q->n", waves[:-2], nu.conj() * rho)
+                                               - np.einsum("nq,q->n", waves[2:], nu * rho))
+    return coefficients
+
+
+def _outgoing_waves(k: float, offset, modes: int) -> np.ndarray:
+    """H_n(k r) e^(i n theta), n = -N .. N, at offsets (c, 2) from a centre
+    in polar form (r, theta), r > 0: shape (c, 2N + 1), from
+    ``specfun.hankel_orders`` and H_(-n) e^(-i n theta) = (-1)^n H_n
+    e^(-i n theta)."""
+    r = np.hypot(offset[:, 0], offset[:, 1])
+    direction = (offset[:, 0] + 1j * offset[:, 1]) / r
+    h = specfun.hankel_orders(modes, k * r)
+    turns = np.cumprod(np.broadcast_to(direction, (modes, r.size)), axis=0)  # e^(i n theta)
+    waves = np.empty((r.size, 2 * modes + 1), dtype=complex)
+    waves[:, modes] = h[0]
+    np.multiply(h[1:], turns, out=waves[:, modes + 1:].T)
+    np.multiply(h[1:], np.conjugate(turns, out=turns), out=waves[:, modes - 1::-1].T)
+    waves[:, modes - 1::-2] *= -1.0  # odd n
+    return waves
 
 
 def evaluate_potentials(
@@ -588,21 +706,30 @@ def evaluate_potentials(
     double-layer kernel -d/dn(y) G(x, y); a sequence of the two, one per
     density column, gives each column its own layer.  Points closer to a
     panel than its own length are flagged near_boundary and their values
-    are unreliable.  Each point takes one Gauss order on every panel, its
-    band order (see the module docstring) or ``order`` if that is larger:
-    ``order`` is the least order any point takes, so ``order=32`` is an
-    order-32 rule everywhere.  The points of each order are split into
-    pieces of at most ``_FIELD_PIECE_POINTS`` receiver-Gauss points per
-    kernel, evaluated on a thread per CPU the process may use; the values
-    are the same bit for bit for any split.  ``density`` is one density of
-    shape (n,), with values of shape (m,), or a stack of d densities of
-    shape (n, d), with values of shape (m, d): the stack shares one pass, a
-    piece's Bessel values serving both layers' kernels, and column j equals
-    bit for bit the values of ``density[:, j]`` alone in its layer.
+    are unreliable.
+
+    Each obstacle's part is summed, obstacle by obstacle in index order, in
+    one of two ways.  A receiver far from the obstacle (``_expansion``: at
+    least max(2 R, R + its longest panel) from the centre c of its bounding
+    box, R its largest node distance from c, and k R >= ``_FAR_MIN_KR``)
+    takes its circular-wave expansion (``_expansion_coefficients``), with
+    one Bessel pair per receiver and obstacle; such a receiver is never near
+    that obstacle's boundary.  Every other receiver takes one Gauss order on
+    all the obstacle's panels, its band order over them (see the module
+    docstring) or ``order`` if that is larger: ``order`` is the least order
+    of this direct rule.  The receivers of each obstacle, rule and order are
+    split into pieces of at most ``_FIELD_PIECE_POINTS`` receiver-Gauss
+    points per kernel, or receiver-modes, evaluated on a thread per CPU the
+    process may use; the values are the same bit for bit for any split.
+    ``density`` is one density of shape (n,), with values of shape (m,), or
+    a stack of d densities of shape (n, d), with values of shape (m, d): the
+    stack shares one pass, a piece's Bessel values serving both layers'
+    kernels, and column j equals bit for bit the values of ``density[:, j]``
+    alone in its layer.
     """
     geometry.check_positive(k, "wavenumber")
     _check_mesh(mesh)
-    n, length = mesh.n_nodes, mesh.lengths
+    n = mesh.n_nodes
     rho = np.asarray(density)
     if rho.ndim not in (1, 2) or rho.shape[0] != n:
         raise ValueError(f"density must have shape ({n},) or ({n}, d), got {rho.shape}")
@@ -615,41 +742,67 @@ def evaluate_potentials(
         raise ValueError("points must have shape (m, 2)")
 
     m = pts.shape[0]
-    values = np.empty((m, len(columns)), dtype=complex)
-    near = np.empty(m, dtype=bool)
+    values = np.zeros((m, len(columns)), dtype=complex)
+    part = np.empty_like(values)  # one obstacle's part of every receiver's values
+    near = np.zeros(m, dtype=bool)
     single, double = "single" in layers, "double" in layers
     workers = _workers()
-    normals = (mesh.normals[None, :, None],) if double else ()
-    rows = max(1, _FIELD_PIECE_POINTS // n)  # receivers per piece of the pass that orders them
-    receiver_orders = _receiver_orders(mesh, k, order)
 
-    def evaluate_piece(piece):
-        o, sel = piece
+    def direct_piece(panels, o, sel):
         rule = gauss_rule(o)
         u = rule.points
-        w = rule.weights * length[:, None]
-        r, along = _separation(pts[sel, None, None], _quad_points(mesh, rule)[None], normals)
-        near[sel] = np.any(r < length[None, :, None], axis=(1, 2))
+        length = mesh.lengths[panels]
+        normals = (mesh.normals[None, panels, None],) if double else ()
+        r, along = _separation(pts[sel, None, None], _quad_points(mesh, rule, panels)[None],
+                               normals)
+        near[sel] |= np.any(r < length[None, :, None], axis=(1, 2))
         g, f = _kernels(k, np.maximum(r, 1e-12, out=r), single, double)
         del r
         if double:
             f *= along[0]
         del along
         kernels = {"single": g, "double": f}
+        w = rule.weights * length[:, None]
+        ends = mesh.next_node[panels]
         # one kernel per layer for every density, each contracted as if alone
         for j, (col, kind) in enumerate(zip(columns, layers)):
-            coeff = (col[:, None] * (1.0 - u) + col[mesh.next_node, None] * u) * w
-            values[sel, j] = np.einsum("cpr,pr->c", kernels[kind], coeff)
+            coeff = (col[panels, None] * (1.0 - u) + col[ends, None] * u) * w
+            part[sel, j] = np.einsum("cpr,pr->c", kernels[kind], coeff)
+
+    def far_piece(expansion, coefficients, sel):
+        waves = _outgoing_waves(k, pts[sel] - expansion.center, expansion.modes)
+        for j, coefficient in enumerate(coefficients):
+            part[sel, j] = np.einsum("cn,n->c", waves, coefficient)
+
+    def split(sel, per_receiver):
+        """Pieces of ``sel``: at most _FIELD_PIECE_POINTS points each, and
+        one for every worker."""
+        step = max(1, min(-(-sel.size // workers), _FIELD_PIECE_POINTS // per_receiver))
+        return [sel[lo:lo + step] for lo in range(0, sel.size, step)]
 
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        orders = np.concatenate([np.empty(0, int), *pool.map(
-            lambda lo: receiver_orders(pts[lo:lo + rows]), range(0, m, rows))])
-        pieces = []
-        for o in np.unique(orders):
-            sel = np.flatnonzero(orders == o)
-            # at most _FIELD_PIECE_POINTS points a piece per kernel, and a piece for every worker
-            step = max(1, min(-(-sel.size // workers),
-                              _FIELD_PIECE_POINTS // (n * o * (single + double))))
-            pieces += [(int(o), sel[lo:lo + step]) for lo in range(0, sel.size, step)]
-        list(pool.map(evaluate_piece, pieces))  # re-raises a piece's exception
+        for p in range(mesh.n_obstacles):
+            panels = slice(*mesh.block_range(p))
+            n_p = panels.stop - panels.start
+            expansion = _expansion(mesh, k, panels)
+            far = np.hypot(*(pts - expansion.center).T) >= expansion.far
+            direct = np.flatnonzero(~far)
+            receiver_orders = _receiver_orders(mesh, k, order, panels)
+            orders = np.concatenate([np.empty(0, int), *pool.map(
+                lambda sel: receiver_orders(pts[sel]), split(direct, n_p))])
+            tasks = []
+            for o in np.unique(orders):
+                tasks += [functools.partial(direct_piece, panels, int(o), sel)
+                          for sel in split(direct[orders == o], n_p * o * (single + double))]
+            if far.any():
+                # in chunks of at most _FIELD_PIECE_POINTS Gauss-point modes, added in order
+                step = max(1, _FIELD_PIECE_POINTS // ((2 * expansion.modes + 3) * _EXPANSION_ORDER))
+                coefficients = sum(pool.map(
+                    lambda lo: _expansion_coefficients(
+                        mesh, k, slice(lo, min(lo + step, panels.stop)), expansion, columns, layers),
+                    range(panels.start, panels.stop, step)))
+                tasks += [functools.partial(far_piece, expansion, coefficients, sel)
+                          for sel in split(np.flatnonzero(far), 2 * expansion.modes + 1)]
+            list(pool.map(lambda task: task(), tasks))  # re-raises a piece's exception
+            values += part
     return PotentialField(values=values.reshape((m,) + rho.shape[1:]), near_boundary=near)

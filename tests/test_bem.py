@@ -100,14 +100,32 @@ def separated_order(mesh, p: int, q: int, k: float) -> int:
     return band_order(ratio, k * h)
 
 
-def receiver_order(mesh, x, k: float) -> int:
-    """The Gauss order a potential should take at receiver x on every panel:
-    the largest band, over the panels p, of the distance from x to p's
-    midpoint over p's length and of k times that length."""
+def receiver_order(mesh, x, k: float, panels=None) -> int:
+    """The Gauss order a potential's direct rule should take at receiver x
+    on every panel of ``panels`` (all by default): the largest band, over
+    those panels p, of the distance from x to p's midpoint over p's length
+    and of k times that length."""
     return max(
-        band_order(math.dist(x, panel_points(mesh, p, 0.5)) / h, k * h)
-        for p, h in enumerate(mesh.lengths)
+        band_order(math.dist(x, panel_points(mesh, p, 0.5)) / mesh.lengths[p], k * mesh.lengths[p])
+        for p in (range(mesh.n_nodes) if panels is None else panels)
     )
+
+
+def obstacle_panels(mesh) -> list[range]:
+    """The panels of each obstacle, in index order."""
+    return [range(*mesh.block_range(p)) for p in range(mesh.n_obstacles)]
+
+
+def takes_expansion(mesh, panels, x, k: float) -> bool:
+    """Whether receiver x takes the circular-wave expansion of the obstacle
+    whose panels are ``panels``: with c the center of its nodes' bounding
+    box and R their largest distance from c, x is at least max(2 R, R +
+    the longest panel) from c, and k R >= 1e-3."""
+    nodes = mesh.nodes[list(panels)]
+    center = 0.5 * (nodes.min(axis=0) + nodes.max(axis=0))
+    radius = max(math.dist(center, y) for y in nodes)
+    longest = max(mesh.lengths[list(panels)])
+    return k * radius >= 1e-3 and math.dist(x, center) >= max(2.0 * radius, radius + longest)
 
 
 def reference_potentials(mesh, rho, k: float, x) -> tuple[complex, complex]:
@@ -552,7 +570,8 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
     0 in its one call over the panels paired with themselves (the only call
     on a 2-D array), where N vanishes.  The fields of all four systems at
     once ask for the Bessel points of one single-layer pass, each call for
-    both orders."""
+    both orders.  A receiver that takes the obstacle's circular-wave
+    expansion asks once for both orders, H_0 and H_1, in either layer."""
     scene = geometry.Scene(
         k=WAVENUMBER, beta=(0.0, 1.0), obstacles=(geometry.Shape(kind="ellipse"),),
         box=(-3.0, -3.0, 3.0, 3.0),
@@ -560,7 +579,8 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
     mesh = geometry.mesh_scene(scene, ppw=6)
     bw = formulations.build_system(formulations.Formulation(kind="BW"), scene, mesh)
     rho = np.ones(mesh.n_nodes, dtype=complex)
-    point = np.array([[3.0, 1.0]])
+    point = np.array([[1.5, 0.5]])  # within 2 R of the center: the direct rule
+    far_point = np.array([[3.0, 1.0]])
     calls = []
     bessel = specfun.bessel_j0j1y0y1
 
@@ -584,7 +604,11 @@ def test_each_layer_asks_only_for_its_bessel_orders(monkeypatch):
         lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, point, layer="double")
     ) == [(1,)]
     assert orders_asked(lambda: formulations.scattered_field(bw, rho, point)) == [(0, 1)]
-    ring = 3.0 * np.stack([np.cos(np.arange(40) / 6.0), np.sin(np.arange(40) / 6.0)], axis=1)
+    for layer in ("single", "double"):
+        assert orders_asked(
+            lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, far_point, layer=layer)
+        ) == [(0, 1)]
+    ring = 1.8 * np.stack([np.cos(np.arange(40) / 6.0), np.sin(np.arange(40) / 6.0)], axis=1)
     single_pass = bessel_calls(lambda: bem.evaluate_potentials(mesh, rho, WAVENUMBER, ring))
     every = formulations.systems(formulations.FORMULATION_KINDS, scene, mesh, operators=bw.operators)
     one_pass = bessel_calls(lambda: formulations.scattered_fields(every.values(), [rho] * 4, ring))
@@ -645,15 +669,17 @@ def test_receiver_orders_are_the_largest_band_order_over_every_panel(seed, large
 def test_receiver_orders_meet_order_32_reference(k, monkeypatch):
     """Both layer potentials of two 10-panel polygons at receivers in every
     band, against an order-32 reference per panel: within 1e-9 of the
-    largest value.  At k = 0.3 (k h at most 0.21) the receivers take orders
-    3, 4, 5 and 8 by their distance; at k = 2 (k h 0.97 to 1.39) orders 5
-    and 8; at k = 3.5 (k h above 1.6) order 8.  The Bessel routine receives
-    exactly n_panels times each receiver's order points per layer, and
-    n_panels times 32 per receiver when asked for order 32."""
+    largest value, with the circular-wave expansions and with the direct
+    rule alone (``_FAR_MIN_KR`` infinite).  On the direct rule alone, at k =
+    0.3 (k h at most 0.21) the receivers take orders 3, 4, 5 and 8 by their
+    distance; at k = 2 (k h 0.97 to 1.39) orders 5 and 8; at k = 3.5 (k h
+    above 1.6) order 8.  Per layer, the Bessel routine receives, for each
+    receiver and polygon, the polygon's panel count times the receiver's
+    order on it where the receiver takes the direct rule, and that count
+    times 32 when asked for order 32; one point where it takes the
+    polygon's expansion."""
     mesh, points = two_polygons_and_banded_receivers()
     n = mesh.n_nodes
-    orders = [receiver_order(mesh, x, k) for x in points]
-    assert set(orders) == {0.3: {3, 4, 5, 8}, 2.0: {5, 8}, 3.5: {8}}[k]
     rng = np.random.default_rng(5)
     rho = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     reference = np.array([reference_potentials(mesh, rho, k, x) for x in points]).T
@@ -666,16 +692,27 @@ def test_receiver_orders_meet_order_32_reference(k, monkeypatch):
         return bessel(x, orders)
 
     monkeypatch.setattr(specfun, "bessel_j0j1y0y1", counting)
-    for layer, ref in zip(("single", "double"), reference):
-        received.clear()
-        got = bem.evaluate_potentials(mesh, rho, k, points, layer=layer)
-        assert not np.any(got.near_boundary)
-        assert np.max(np.abs(got.values - ref)) <= 1e-9 * np.max(np.abs(ref))
-        assert sum(received) == n * sum(orders)
-        # ``order`` is the least order a receiver takes
-        received.clear()
-        bem.evaluate_potentials(mesh, rho, k, points, layer=layer, order=32)
-        assert sum(received) == n * 32 * len(points)
+    for far_min_kr in (bem._FAR_MIN_KR, math.inf):
+        monkeypatch.setattr(bem, "_FAR_MIN_KR", far_min_kr)
+        pairs = [(x, panels, far_min_kr < math.inf and takes_expansion(mesh, panels, x, k))
+                 for x in points for panels in obstacle_panels(mesh)]
+        orders = [receiver_order(mesh, x, k, panels) for x, panels, far in pairs if not far]
+        if far_min_kr == math.inf:
+            assert set(orders) == {0.3: {3, 4, 5, 8}, 2.0: {5, 8}, 3.5: {8}}[k]
+        else:
+            assert 0 < sum(far for *_, far in pairs) < len(pairs)
+        least = {o: sum(len(panels) * max(o, receiver_order(mesh, x, k, panels)) if not far else 1
+                        for x, panels, far in pairs) for o in (1, 32)}
+        for layer, ref in zip(("single", "double"), reference):
+            received.clear()
+            got = bem.evaluate_potentials(mesh, rho, k, points, layer=layer)
+            assert not np.any(got.near_boundary)
+            assert np.max(np.abs(got.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+            assert sum(received) == least[1]
+            # ``order`` is the least order of the direct rule
+            received.clear()
+            bem.evaluate_potentials(mesh, rho, k, points, layer=layer, order=32)
+            assert sum(received) == least[32]
 
 
 @pytest.mark.parametrize("case", ["desk-ppw4", "two-circles"])
@@ -832,11 +869,120 @@ def test_potential_far_point_quadrature_converged():
     rng = np.random.default_rng(3)
     rho = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
     pt = np.array([6.0, 4.5])
-    for layer in ("single", "double"):
+    for layer, ref in zip(("single", "double"), reference_potentials(mesh, rho, WAVENUMBER, pt)):
         got = bem.evaluate_potentials(mesh, rho, WAVENUMBER, pt, layer=layer)
-        ref = bem.evaluate_potentials(mesh, rho, WAVENUMBER, pt, layer=layer, order=32)
         assert not got.near_boundary[0]
-        assert abs(got.values[0] - ref.values[0]) <= 1e-10 * abs(ref.values[0])
+        assert abs(got.values[0] - ref) <= 1e-10 * abs(ref)
+
+
+def unit_disk_mesh(k: float, ppw: float) -> geometry.SceneMesh:
+    """The unit disk meshed at ``ppw`` panels per wavelength of k."""
+    scene = geometry.Scene(k=k, beta=(0.0, 1.0), obstacles=(geometry.Shape(kind="ellipse"),),
+                           box=(-5.0, -5.0, 5.0, 5.0))
+    return geometry.mesh_scene(scene, ppw=ppw)
+
+
+def assert_meets_reference(mesh, k: float, points, bound: float) -> None:
+    """Both layer potentials of a random density at ``points`` within
+    ``bound`` of the largest value of ``reference_potentials``, none of the
+    points flagged near the boundary."""
+    rng = np.random.default_rng(17)
+    rho = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
+    reference = np.array([reference_potentials(mesh, rho, k, x) for x in points]).T
+    for layer, ref in zip(("single", "double"), reference):
+        got = bem.evaluate_potentials(mesh, rho, k, points, layer=layer)
+        assert not np.any(got.near_boundary)
+        assert np.max(np.abs(got.values - ref)) <= bound * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k,mesh", [(1e-3, "circle"), (5.0, 15), (40.0, 10), (200.0, 6)],
+                         ids=["1e-3", "5", "40", "200"])
+def test_expansion_meets_order_32_reference_on_the_unit_disk(k, mesh):
+    """Receivers on a circle of radius 3 about the unit disk take its
+    circular-wave expansion, from the least k R it is taken at (1e-3, 47
+    modes) to k = 200 (257 modes from ``analytic.truncation_order``), and
+    are within 1e-10 of the order-32 reference per panel."""
+    mesh = circle_mesh() if mesh == "circle" else unit_disk_mesh(k, mesh)
+    theta = 0.3 + 2.0 * np.pi * np.arange(7) / 7
+    points = 3.0 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    assert all(takes_expansion(mesh, range(mesh.n_nodes), x, k) for x in points)
+    assert_meets_reference(mesh, k, points, 1e-10)
+
+
+@pytest.mark.parametrize("k", [0.3, 2.0])
+def test_expansion_and_direct_rule_meet_the_reference_across_twice_the_radius(k):
+    """Receivers just inside and just outside 2 R of each coarse polygon's
+    center take its direct rule and its expansion, and all are within 1e-9
+    of the largest reference value."""
+    mesh, _ = two_polygons_and_banded_receivers()
+    theta = 0.4 + 2.0 * np.pi * np.arange(5) / 5
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    points, far = [], []
+    for panels in obstacle_panels(mesh):
+        nodes = mesh.nodes[list(panels)]
+        center = 0.5 * (nodes.min(axis=0) + nodes.max(axis=0))
+        radius = max(math.dist(center, y) for y in nodes)
+        for scale in (1.0 - 1e-9, 1.0 + 1e-9):
+            for x in center + 2.0 * radius * scale * circle:
+                points.append(x)
+                far.append(takes_expansion(mesh, panels, x, k))
+    assert far == ([False] * 5 + [True] * 5) * 2
+    assert_meets_reference(mesh, k, np.array(points), 1e-9)
+
+
+def test_expansion_meets_the_reference_around_desk_and_at_its_obstacle_centers(desk):
+    """A ring around desk takes every obstacle's expansion, and each
+    obstacle's center, inside it, takes its own direct rule and the other
+    obstacles' expansions: within 1e-10 of the largest reference value."""
+    mesh = geometry.mesh_scene(desk, ppw=15)
+    theta = 2.0 * np.pi * np.arange(24) / 24
+    ring = np.array([6.0, 6.0]) + 9.0 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    centers = np.array([shape.center for shape in desk.obstacles])
+    for x in ring:
+        assert all(takes_expansion(mesh, panels, x, desk.k) for panels in obstacle_panels(mesh))
+    for p, x in enumerate(centers):
+        assert [takes_expansion(mesh, panels, x, desk.k) for panels in obstacle_panels(mesh)] == [
+            q != p for q in range(mesh.n_obstacles)]
+    assert_meets_reference(mesh, desk.k, np.concatenate([ring, centers]), 1e-10)
+
+
+def test_receivers_taking_an_expansion_are_never_near_the_boundary(desk, monkeypatch):
+    """The near-boundary flags are those of the direct rule alone, and no
+    receiver that takes an obstacle's expansion is within a panel length of
+    it, at receivers from on the boundary to far away."""
+    mesh = geometry.mesh_scene(desk, ppw=10)
+    rng = np.random.default_rng(4)
+    points = np.concatenate([mesh.nodes + rng.normal(0.0, 0.05, mesh.nodes.shape),
+                             rng.uniform(-4.0, 16.0, (300, 2))])
+    rho = np.ones(mesh.n_nodes, dtype=complex)
+    flags = bem.evaluate_potentials(mesh, rho, desk.k, points).near_boundary
+    monkeypatch.setattr(bem, "_FAR_MIN_KR", math.inf)
+    assert np.array_equal(bem.evaluate_potentials(mesh, rho, desk.k, points).near_boundary, flags)
+    taken = 0
+    for panels in obstacle_panels(mesh):
+        for x in points:
+            if takes_expansion(mesh, panels, x, desk.k):
+                taken += 1
+                assert all(np.hypot(*(x - panel_points(mesh, q, np.linspace(0.0, 1.0, 9))).T).min()
+                           >= mesh.lengths[q] for q in panels)
+    assert taken > 0
+
+
+def test_tiny_k_r_takes_the_direct_rule(monkeypatch):
+    """At k = 1e-6 the unit disk's k R is below ``_FAR_MIN_KR``, where
+    J_(N+1) would underflow and H_N overflow: the values are finite and
+    those of the direct rule alone."""
+    mesh = circle_mesh()
+    rng = np.random.default_rng(9)
+    rho = rng.standard_normal(mesh.n_nodes) + 1j * rng.standard_normal(mesh.n_nodes)
+    points = np.array([[3.0, 0.5], [-20.0, 4.0], [0.0, 300.0]])
+    got = [bem.evaluate_potentials(mesh, rho, 1e-6, points, layer=layer).values
+           for layer in ("single", "double")]
+    monkeypatch.setattr(bem, "_FAR_MIN_KR", math.inf)
+    for layer, values in zip(("single", "double"), got):
+        assert np.all(np.isfinite(values))
+        assert np.array_equal(values, bem.evaluate_potentials(mesh, rho, 1e-6, points,
+                                                              layer=layer).values)
 
 
 def test_potential_near_boundary_flag():
