@@ -320,7 +320,11 @@ def match_eigenvalues(a, b) -> np.ndarray:
         within = dist <= levels[mid]
         found = csgraph.maximum_bipartite_matching(
             graph(within, np.ones(np.count_nonzero(within), dtype=bool)))
-        lo, hi = (lo, mid) if found.min() >= 0 else (mid + 1, hi)
+        # past every copy of a failed level, to the first copy of a passed one
+        if found.min() >= 0:
+            hi = np.searchsorted(levels, levels[mid], "left")
+        else:
+            lo = np.searchsorted(levels, levels[mid], "right")
         mid = (lo + hi) // 2
     within = dist <= levels[lo]
     del levels  # room for the weights

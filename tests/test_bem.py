@@ -14,7 +14,7 @@ from scipy.integrate import dblquad
 from scipy.special import hankel1 as scipy_hankel1
 from scipy.special import j0, jv, jvp, y0, yv, yvp
 
-from multiscat import bem, formulations, geometry, linalg, specfun
+from multiscat import bem, formulations, geometry, linalg, specfun, verify
 
 WAVENUMBER = 2.0
 
@@ -198,6 +198,17 @@ def disk_field_grid():
     return geometry.mesh_scene(scene, ppw=15), points[np.hypot(*points.T) > 1.2]
 
 
+def assert_differs_between_obstacles_only(mesh, got, reference):
+    """Every diagonal obstacle block of ``got`` equals ``reference``'s bit
+    for bit, and some block between obstacles does not."""
+    cross = np.ones(got.shape, dtype=bool)
+    for p in range(mesh.n_obstacles):
+        lo, hi = mesh.block_range(p)
+        cross[lo:hi, lo:hi] = False
+    assert np.array_equal(got[~cross], reference[~cross])
+    assert not np.array_equal(got[cross], reference[cross])
+
+
 def triangle_mesh() -> geometry.SceneMesh:
     return geometry.polygon_mesh([[[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]])
 
@@ -362,7 +373,9 @@ def test_every_panel_pair_integrated_once_with_its_rule(width, monkeypatch):
     beyond the bound.  Assembly cuts obstacles into bands of at most
     ``width`` panels: each polygon whole, or in bands of 2 and 3 panels, so
     that node-sharing pairs and an obstacle's wrap from its last panel to
-    its first node cross tiles."""
+    its first node cross tiles.  This pins the tensor rule, so the
+    circular-wave expansions are off (``_FAR_MIN_KR`` infinite); with them
+    on, only the blocks between obstacles move."""
     monkeypatch.setattr(bem, "_BAND_PANELS", width)
     k = 0.3
     theta = 2.0 * np.pi * np.arange(10) / 10
@@ -384,10 +397,13 @@ def test_every_panel_pair_integrated_once_with_its_rule(width, monkeypatch):
             for kind, block in pair_blocks(mesh, p, q, k, order).items():
                 expected[kind][np.ix_(ends_p, ends_q)] += block
     assert orders == {3, 4, 5, 8, 16}
+    expanded = bem.assemble_operators(mesh, k)
+    monkeypatch.setattr(bem, "_FAR_MIN_KR", math.inf)
     for kinds in (("adjoint_double_layer",), ("single_layer",), bem._OPERATOR_KINDS):
         for kind, got in bem.assemble_operators(mesh, k, kinds=kinds).items():
             error = np.abs(got.matrix - expected[kind])
             assert np.max(error) <= 1e-12 * np.max(np.abs(expected[kind]))
+            assert_differs_between_obstacles_only(mesh, expanded[kind].matrix, got.matrix)
 
 
 @pytest.mark.parametrize("width", [250, 7])
@@ -398,9 +414,14 @@ def test_one_bessel_evaluation_per_unordered_pair(width, monkeypatch):
     the separation band's order squared otherwise.  The panels paired with
     themselves take one call per band of an obstacle, of 16 points per
     panel, the only calls on a 2-D array of distances.  Obstacles are cut
-    into bands of at most ``width`` panels: whole, or in bands of 6 and 7."""
+    into bands of at most ``width`` panels: whole, or in bands of 6 and 7.
+    The expansions are off (``_FAR_MIN_KR`` infinite); with them on, the
+    pairs of distinct obstacles reach it as no point pair, only as the
+    outgoing waves' Hankel pairs, one call per target chunk."""
     monkeypatch.setattr(bem, "_BAND_PANELS", width)
     mesh = two_circle_scene_mesh(ppw=30)
+    expanded = bem.assemble_operators(mesh, WAVENUMBER)
+    monkeypatch.setattr(bem, "_FAR_MIN_KR", math.inf)
     expected = 0
     for p in range(mesh.n_nodes):
         for q in range(p + 1, mesh.n_nodes):
@@ -414,7 +435,9 @@ def test_one_bessel_evaluation_per_unordered_pair(width, monkeypatch):
         return bessel(x, orders)
 
     monkeypatch.setattr(specfun, "bessel_j0j1y0y1", counting)
-    bem.assemble_operators(mesh, WAVENUMBER)
+    operators = bem.assemble_operators(mesh, WAVENUMBER)
+    for kind, op in operators.items():
+        assert_differs_between_obstacles_only(mesh, expanded[kind].matrix, op.matrix)
     pairs = [math.prod(shape) for shape in received if len(shape) == 3]
     same = sorted(shape for shape in received if len(shape) == 2)
     assert sum(pairs) == expected
@@ -425,6 +448,75 @@ def test_one_bessel_evaluation_per_unordered_pair(width, monkeypatch):
     assert {points for _, points in same} == {bem._NEAR_ORDER}
     assert max(rows for rows, _ in same) <= width
     assert len(pairs) + len(same) == len(received)
+    monkeypatch.setattr(bem, "_FAR_MIN_KR", 1e-3)
+    received.clear()
+    bem.assemble_operators(mesh, WAVENUMBER)
+    cut = mesh.block_offsets[1]
+    within = sum((16 if set(panel_nodes(mesh, p)) & set(panel_nodes(mesh, q))
+                  else separated_order(mesh, p, q, WAVENUMBER)) ** 2
+                 for lo, hi in ((0, cut), (cut, mesh.n_nodes))
+                 for p in range(lo, hi) for q in range(p + 1, hi))
+    assert sum(math.prod(shape) for shape in received if len(shape) == 3) == within
+    waves = [shape for shape in received if len(shape) == 1]
+    targets = sum(len(cols) for p, q, _, cols in bem._tiles(mesh) if p != q)
+    assert waves and sum(points for points, in waves) == bem._EXPANSION_ORDER * targets
+
+
+def expansion_case(case):
+    """(mesh, k) of a desk seed at a ppw, or of two circles: radii 1.5 and
+    0.3 with centres 2.5 apart, where only the small one's expansion
+    reaches the other, or two unit circles 2.5 apart, where neither does."""
+    if case.startswith("desk"):
+        seed, ppw = map(int, case.split("-")[1:])
+        scene = verify.desk_scene(seed)
+        return geometry.mesh_scene(scene, ppw=ppw), scene.k
+    radii, gap = {"swapped": ((1.5, 0.3), 2.5), "fallback": ((1.0, 1.0), 2.5)}[case]
+    theta = 2.0 * np.pi * np.arange(40) / 40
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    return geometry.polygon_mesh([radii[0] * circle, radii[1] * circle + [gap, 0.0]]), 2.0
+
+
+@pytest.mark.parametrize("case", ["desk-0-15", "desk-1-15", "desk-7-15", "desk-0-30",
+                                  "desk-1-30", "desk-7-30", "swapped"])
+def test_expansion_blocks_meet_order_16_reference(case, monkeypatch):
+    """The blocks between obstacles, in both orientations, from the
+    circular-wave expansions, within 1e-13 of the largest entry of L and N
+    assembled with order 16 on every separated pair and no expansion.  Desk
+    tiles take the lower index's expansion; the small circle beside the
+    large one takes the swapped orientation, its own."""
+    mesh, k = expansion_case(case)
+    tiles = bem._tiles(mesh)
+    _, sources = bem._tile_sources(mesh, k, tiles)
+    between = {source for (p, q, *_), source in zip(tiles, sources) if p != q}
+    assert between == ({1} if case == "swapped" else {0, 1})
+    got = bem.assemble_operators(mesh, k)
+    monkeypatch.setattr(bem, "_FAR_MIN_KR", math.inf)
+    monkeypatch.setattr(bem, "_SEPARATED_ORDERS", ((0.0, math.inf, 16),))
+    reference = bem.assemble_operators(mesh, k)
+    for kind, ref in reference.items():
+        for p, q in itertools.permutations(range(mesh.n_obstacles), 2):
+            block = np.ix_(range(*mesh.block_range(p)), range(*mesh.block_range(q)))
+            error = np.max(np.abs(got[kind].matrix[block] - ref.matrix[block]))
+            assert error <= 1e-13 * np.max(np.abs(ref.matrix))
+
+
+@pytest.mark.parametrize("case", ["fallback", "desk-14-15"])
+def test_pairs_out_of_reach_keep_the_tensor_rule(case, monkeypatch):
+    """A pair of obstacles neither of whose expansions reaches the other's
+    Gauss points keeps the tensor rule, its blocks equal bit for bit to
+    those with every expansion off; on desk seed 14, pair {1, 2}."""
+    mesh, k = expansion_case(case)
+    tiles = bem._tiles(mesh)
+    _, sources = bem._tile_sources(mesh, k, tiles)
+    kept = [(p, q) for (p, q, *_), source in zip(tiles, sources) if p != q and source is None]
+    assert kept == [(0, 1) if case == "fallback" else (1, 2)]
+    got = bem.assemble_operators(mesh, k)
+    monkeypatch.setattr(bem, "_FAR_MIN_KR", math.inf)
+    reference = bem.assemble_operators(mesh, k)
+    for kind, ref in reference.items():
+        for p, q in kept + [pair[::-1] for pair in kept]:
+            block = np.ix_(range(*mesh.block_range(p)), range(*mesh.block_range(q)))
+            assert np.array_equal(got[kind].matrix[block], ref.matrix[block])
 
 
 @pytest.mark.parametrize("case,piece", [("desk-ppw15", bem._NEAR_ORDER ** 2), ("two-circles", 1),
@@ -444,6 +536,7 @@ def test_operators_do_not_depend_on_the_piece_size_or_the_cpus(case, piece, desk
         monkeypatch.setattr(bem, "_BAND_PANELS", 7)
     if case == "desk-ppw15":
         mesh, k = geometry.mesh_scene(desk, ppw=15), desk.k
+        assert any(source is not None for source in bem._tile_sources(mesh, k, bem._tiles(mesh))[1])
     elif case == "two-circles":
         mesh, k = two_circle_scene_mesh(), WAVENUMBER
     elif case == "unit-disk":

@@ -380,3 +380,33 @@ def test_no_scipy_linalg_call_runs_on_a_worker_thread(desk, tmp_path, monkeypatc
     assert cli.main(["validate-disk", "--out", str(tmp_path)]) == 0
     assert {name for name, _ in threads} == {"lu_factor", "lu_solve"}
     assert {thread for _, thread in threads} == {threading.get_ident()}
+
+
+def test_match_eigenvalues_tests_each_level_once_on_a_clustered_spectrum(monkeypatch):
+    """Values in a few tight clusters repeat their distances, so the sorted
+    levels repeat; the bisection tests each distinct level at most once, in
+    about log2 of their count Hopcroft-Karp calls, and still takes the least
+    perfect level: the worst pair of the matching is the least worst pair
+    of any matching, found here level by level."""
+    rng = np.random.default_rng(4)
+    centres = rng.uniform(1.0, 3.0, 6) + 1j * rng.uniform(-1.0, 1.0, 6)
+    a = np.repeat(centres, 12)
+    b = a[rng.permutation(a.size)] + 1e-3 * np.round(rng.standard_normal(a.size), 1)
+    tested = []
+    matching = scipy.sparse.csgraph.maximum_bipartite_matching
+
+    def recording(graph, *args, **kwargs):
+        tested.append(graph.nnz)
+        return matching(graph, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "maximum_bipartite_matching", recording)
+    perm = linalg.match_eigenvalues(a, b)
+    assert len(tested) == len(set(tested))
+    dist = np.abs(a[:, None] - b[None, :]) / np.abs(a[:, None])
+    levels = np.unique(dist)
+    assert len(tested) <= np.ceil(np.log2(levels.size)) + 1
+    worst = np.max(dist[np.arange(a.size), perm])
+    below = levels[levels < worst][-1]
+    monkeypatch.setattr(scipy.sparse.csgraph, "maximum_bipartite_matching", matching)
+    found = matching(scipy.sparse.csr_array(dist <= below))
+    assert found.min() < 0  # no perfect matching below the chosen level
