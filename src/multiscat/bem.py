@@ -23,26 +23,25 @@ Galerkin matrix, is still evaluated by ``evaluate_potentials``.
 
 Quadrature.  A tile of two obstacles p < q (see below) is filled from the
 circular-wave expansion of p when every 8-point Gauss point of its q band
-is a far receiver of p in ``evaluate_potentials``' sense, else from q's
-when every such point of its p band is far from q's centre (``_tile_sources``):
-with B the source band's hat moments of (i/4) J_n(k |y - c|) e^(-i n theta)
-and A the target band's of H_n(k |x - c|) e^(i n theta), |n| <= N, L's blocks
-are B A^T, and N's on either side take the normal derivatives of the same
-moments, shifts in n since a flat panel has one normal (``_hat_moments``).
-Both of N's sides come from one expansion, as the tensor rule's come from
-one rule, so M = -N^T stays exact.  On desk seeds 0, 1 and 7 at ppw 15 and
-30 these blocks are within 1.7e-15 to 5e-15 of the largest entry of an
-order-16 tensor rule on every pair, where the tensor bands are 1e-12 off
-at ppw 15 and 1e-10 at ppw 30.  Every other pair of distinct panels, and
-all of a tile of one obstacle, is integrated by a tensor Gauss rule,
-evaluating the kernels once per pair of quadrature points for the blocks
-in both orders.  L's second block is the transpose of its first;
-N's comes from the same r and G'(r) with -(x - y) and the other panel's
-normal.  Pairs sharing no node take an order chosen by the pair's
-separation, its midpoint distance over the longer panel's length h, and by
-k h (see ``_SEPARATED_ORDERS``); pairs sharing a node take order 16.  Both
-keys are symmetric in the pair, so M = -N^T stays exact.  It runs over
-tiles, largest first: every obstacle is cut into bands of at most
+is a far receiver of p in ``evaluate_potentials``' sense
+(``_tile_expansions``): with B the p band's hat moments of (i/4) J_n(k |y -
+c|) e^(-i n theta) and A the q band's of H_n(k |x - c|) e^(i n theta), |n|
+<= N, L's blocks are B A^T, and N's on either side take the normal
+derivatives of the same moments, shifts in n since a flat panel has one
+normal (``_hat_moments``).  Both of N's sides come from one expansion, as
+the tensor rule's come from one rule, so M = -N^T stays exact.  On desk
+seeds 0, 1 and 7 at ppw 15 and 30 these blocks are within 1.7e-15 to 5e-15
+of the largest entry of an order-16 tensor rule on every pair, where the
+tensor bands are 1e-12 off at ppw 15 and 1e-10 at ppw 30.  Every other
+pair of distinct panels, and all of a tile of one obstacle, is integrated
+by a tensor Gauss rule, evaluating the kernels once per pair of quadrature
+points for the blocks in both orders.  L's second block is the transpose
+of its first; N's comes from the same r and G'(r) with -(x - y) and the
+other panel's normal.  Pairs sharing no node take an order chosen by the
+pair's separation, its midpoint distance over the longer panel's length h,
+and by k h (see ``_SEPARATED_ORDERS``); pairs sharing a node take order
+16.  Both keys are symmetric in the pair, so M = -N^T stays exact.  It runs
+over tiles, largest first: every obstacle is cut into bands of at most
 ``_BAND_PANELS`` panels, and a tile is a band of obstacle p against a band
 of obstacle q > p, or a band of p against itself or a later band of p.  A
 tile's kernels come in pieces of ``_PIECE_PAIR_POINTS`` point pairs at most,
@@ -118,9 +117,9 @@ _NEAR_ORDER = 16
 # as k h shrinks (the kernel oscillates less over a panel).  Measured on the
 # desk scene at ppw 4 to 30 against order 16, no row moves a pair's blocks by
 # more than 1e-9 of the largest entry of L or N.  These serve the pairs within
-# an obstacle and those of two obstacles neither of whose circular-wave
-# expansions reaches the other's band (``_tile_sources``); the expansions
-# integrate at the last row's order.
+# an obstacle and those of a tile of two obstacles p < q where p's
+# circular-wave expansion does not reach q's band (``_tile_expansions``); the
+# expansions integrate at the last row's order.
 _SEPARATED_ORDERS = (
     (16.0, 0.25, 3),
     (4.0, 0.8, 4),
@@ -365,7 +364,7 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
     # largest first: this fixes the fold order from the mesh alone, and the
     # next tile's groups, built on a worker meanwhile, are of a tile no larger
     tiles = sorted(_tiles(mesh), key=lambda tile: -len(tile[2]) * len(tile[3]))
-    expansions, sources = _tile_sources(mesh, k, tiles)
+    expansions = _tile_expansions(mesh, k, tiles)
     rules = {order: (_quad_points(mesh, gauss_rule(order)), _basis_weights(gauss_rule(order)))
              for order in [_NEAR_ORDER] + [order for *_, order in _SEPARATED_ORDERS]}
     # panel i shares a node with panels next_node[i] and prev[i] only
@@ -375,17 +374,17 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
 
         def prepare(index):
             """A tile's panel pairs for the tensor rule, or its hat moments."""
-            tile, source = tiles[index], sources[index]
-            if source is None:
+            tile, expansion = tiles[index], expansions[index]
+            if expansion is None:
                 return pool.submit(_panel_pairs, mesh, k, prev, tile)
-            return pool.submit(_tile_moments, mesh, k, tile, source, expansions[source])
+            return pool.submit(_tile_moments, mesh, k, tile, expansion)
 
         prepared = prepare(0)
-        for index, (tile, source) in enumerate(zip(tiles, sources)):
-            if source is None:
+        for index, (tile, expansion) in enumerate(zip(tiles, expansions)):
+            if expansion is None:
                 blocks, pieces = _submit_tile(pool, mats, mesh, k, tile, prepared.result(), rules)
             else:
-                blocks, pieces = _submit_expansion_tile(pool, mats, tile, source, prepared.result())
+                blocks, pieces = _submit_expansion_tile(pool, mats, tile, prepared.result())
             if index + 1 < len(tiles):  # the next tile's groups or moments, behind these pieces
                 prepared = prepare(index + 1)
             for piece in pieces:
@@ -516,26 +515,22 @@ def _submit_tile(pool, mats, mesh, k: float, tile, groups, rules):
     return blocks, pieces
 
 
-def _tile_sources(mesh, k: float, tiles):
-    """The ``_Expansion`` of every obstacle, and for each tile (p, q, rows,
-    cols) the obstacle whose expansion fills it (``_submit_expansion_tile``),
-    or None where the tensor rule does: p if every ``_EXPANSION_ORDER``
+def _tile_expansions(mesh, k: float, tiles):
+    """For each tile (p, q, rows, cols), the ``_Expansion`` of obstacle p
+    that fills it (``_submit_expansion_tile``) if every ``_EXPANSION_ORDER``
     Gauss point of its columns is a far receiver of p (``_expansion``), else
-    q if every such point of its rows is one of q, else None, as it is for a
-    tile of one obstacle with itself."""
+    None, where the tensor rule does, as it does on a tile of one obstacle
+    with itself."""
     expansions = [_expansion(mesh, k, slice(*mesh.block_range(p)))
                   for p in range(mesh.n_obstacles)]
     points = _quad_points(mesh, gauss_rule(_EXPANSION_ORDER))
 
-    def far(obstacle, panels):
-        expansion = expansions[obstacle]
-        offset = points[panels.start:panels.stop] - expansion.center
+    def far(expansion, panels):
+        offset = points[panels] - expansion.center
         return bool(np.all(np.hypot(offset[..., 0], offset[..., 1]) >= expansion.far))
 
-    sources = []
-    for p, q, rows, cols in tiles:
-        sources.append(None if p == q else p if far(p, cols) else q if far(q, rows) else None)
-    return expansions, sources
+    return [expansions[p] if p != q and far(expansions[p], cols) else None
+            for p, q, rows, cols in tiles]
 
 
 def _hat_moments(mesh, k: float, panels: slice, expansion: _Expansion, outgoing: bool):
@@ -547,7 +542,8 @@ def _hat_moments(mesh, k: float, panels: slice, expansion: _Expansion, outgoing:
     panel has one nu = n_x + i n_y, so the derivatives are shifts of the
     moments for n = -N - 1 .. N + 1: d/dn O_n = (k/2) (nu O_(n-1) -
     conj(nu) O_(n+1)) and d/dn Q_n = (k/2) (conj(nu) Q_(n-1) - nu Q_(n+1)).
-    A panel's moments do not depend on the others in ``panels``."""
+    Row 2 i + h is hat h of panel i, h = 0 at its first node and 1 at its
+    last.  A panel's moments do not depend on the others in ``panels``."""
     top = expansion.modes + 1
     rule = gauss_rule(_EXPANSION_ORDER)
     wphi = _basis_weights(rule)
@@ -567,58 +563,48 @@ def _hat_moments(mesh, k: float, panels: slice, expansion: _Expansion, outgoing:
     return moments[..., 1:-1].reshape(shape), (0.5 * k * derivative).reshape(shape)
 
 
-def _tile_moments(mesh, k: float, tile, source: int, expansion: _Expansion):
-    """The hat moments (``_hat_moments``) that fill a tile of two obstacles
-    from the expansion of obstacle ``source`` (``_submit_expansion_tile``):
-    B and d/dn B, incoming, of the source's band, and for each chunk of the
-    other band, the target, (chunk, A, d/dn A), outgoing.  Both bands go in
-    chunks of at most ``_FIELD_PIECE_POINTS`` Gauss-point modes, fixed by
-    the mesh and k."""
-    _, q, rows, cols = tile
-    sources, targets = (cols, rows) if source == q else (rows, cols)
+def _tile_moments(mesh, k: float, tile, expansion: _Expansion):
+    """The hat moments (``_hat_moments``) that fill a tile (p, q, rows,
+    cols) of two obstacles from p's expansion (``_submit_expansion_tile``):
+    B and d/dn B, incoming, of the rows, and for each chunk of the columns,
+    (chunk, A, d/dn A), outgoing.  Both bands go in chunks of at most
+    ``_FIELD_PIECE_POINTS`` Gauss-point modes, fixed by the mesh and k."""
+    _, _, rows, cols = tile
     step = max(1, _FIELD_PIECE_POINTS // ((2 * expansion.modes + 3) * _EXPANSION_ORDER))
 
     def chunks(band):
         return [slice(lo, min(lo + step, band.stop)) for lo in range(band.start, band.stop, step)]
 
-    parts = [_hat_moments(mesh, k, chunk, expansion, False) for chunk in chunks(sources)]
+    parts = [_hat_moments(mesh, k, chunk, expansion, False) for chunk in chunks(rows)]
     b, db = (np.concatenate(part) for part in zip(*parts))
     return b, db, [(chunk, *_hat_moments(mesh, k, chunk, expansion, True))
-                   for chunk in chunks(targets)]
+                   for chunk in chunks(cols)]
 
 
-def _submit_expansion_tile(pool, mats, tile, source: int, moments):
+def _submit_expansion_tile(pool, mats, tile, moments):
     """The array of the Galerkin blocks of a tile (p, q, rows, cols) of two
     obstacles, laid out as ``_submit_tile``'s, and the futures of the tasks
-    on ``pool`` that fill it from the circular-wave expansion of obstacle
-    ``source``, p or q, every Gauss point of the other obstacle's band (the
-    target) being a far receiver of it (``_tile_sources``).  With B the
-    source band's incoming hat moments and A the target's outgoing ones
-    (``_tile_moments``), Graf's addition theorem gives L's blocks as B A^T,
-    N's tested on the source as (d/dn B) A^T and N's tested on the target
-    as B (d/dn A)^T, the source's panels first, each transposed into the
-    tile's layout: a task per chunk of the target."""
+    on ``pool`` that fill it from the circular-wave expansion of p, every
+    Gauss point of the columns being a far receiver of it
+    (``_tile_expansions``).  With B the rows' incoming hat moments and A the
+    columns' outgoing ones (``_tile_moments``), Graf's addition theorem gives
+    L's blocks as B A^T, N's tested on the rows as (d/dn B) A^T and N's
+    tested on the columns as B (d/dn A)^T, the rows' panels first, each
+    transposed into the tile's layout: a task per chunk of the columns."""
     single, double = "single_layer" in mats, "adjoint_double_layer" in mats
-    _, q, rows, cols = tile
-    swapped = source == q
-    targets = rows if swapped else cols
+    _, _, rows, cols = tile
     blocks = np.empty((single + 2 * double, len(rows), len(cols), 2, 2), dtype=complex)
-    b, db, target_chunks = moments
+    b, db, col_chunks = moments
 
     def fill(chunk, a, da):
         # L's side, then N's tested on the rows and on the columns
-        on_source, on_target = (db, a), (b, da)
-        factors = ([(b, a)] if single else []) + (
-            [on_target, on_source] if swapped else [on_source, on_target]) * double
-        at = slice(chunk.start - targets.start, chunk.stop - targets.start)
+        factors = ([(b, a)] if single else []) + [(db, a), (b, da)] * double
+        at = slice(chunk.start - cols.start, chunk.stop - cols.start)
         for side, (left, right) in zip(blocks, factors):  # one product alive at a time
             product = (left @ right.T).reshape(-1, 2, chunk.stop - chunk.start, 2)
-            if swapped:
-                side[at] = product.transpose(2, 0, 3, 1)
-            else:
-                side[:, at] = product.transpose(0, 2, 1, 3)
+            side[:, at] = product.transpose(0, 2, 1, 3)
 
-    return blocks, [pool.submit(fill, *part) for part in target_chunks]
+    return blocks, [pool.submit(fill, *part) for part in col_chunks]
 
 
 def _fold_tile(pool, mats, mesh, tile, blocks) -> None:
@@ -774,29 +760,17 @@ def _expansion_coefficients(mesh, k: float, panels: slice, expansion: _Expansion
     outgoing waves about the obstacle's centre c: the potential is the sum
     of c_n H_n(k |x - c|) e^(i n theta_x) where |x - c| exceeds every |y -
     c| on the panels.  By Graf's addition theorem, with Q_n(y) = J_n(k |y -
-    c|) e^(-i n theta_y), the single layer has c_n = (i/4) int Q_n rho, and
-    the double layer, of -d/dn(y) G, c_n = -(i k / 8) int (conj(nu) Q_(n-1)
-    - nu Q_(n+1)) rho, nu = n_x + i n_y, from the normal derivative of Q_n.
-    Both integrals take ``_EXPANSION_ORDER`` Gauss points per panel, on
-    Q_n from ``_incoming_waves``.  Shape (d, 2N + 1), each column's row
-    computed as if alone."""
-    modes = expansion.modes
-    rule = gauss_rule(_EXPANSION_ORDER)
-    u = rule.points
-    offset = (_quad_points(mesh, rule, panels) - expansion.center).reshape(-1, 2)
-    waves = _incoming_waves(k, offset, modes + 1)  # n = -N - 1 .. N + 1
-    normal = mesh.normals[panels]
-    nu = np.repeat(normal[:, 0] + 1j * normal[:, 1], u.size)
-    ends = mesh.next_node[panels]
-    weights = rule.weights * mesh.lengths[panels, None]
-    coefficients = np.empty((len(columns), 2 * modes + 1), dtype=complex)
+    c|) e^(-i n theta_y), the single layer has c_n = (i/4) int Q_n rho and
+    the double layer, of -d/dn(y) G, c_n = -(i/4) int d/dn Q_n rho: the
+    density's values at the panels' ends contracted with the incoming hat
+    moments B or -d/dn B (``_hat_moments``).  Shape (d, 2N + 1), each
+    column's row computed as if alone."""
+    b, db = _hat_moments(mesh, k, panels, expansion, False)
+    moments = {"single": b, "double": -db}
+    ends = np.stack([np.arange(panels.start, panels.stop), mesh.next_node[panels]], axis=1).ravel()
+    coefficients = np.empty((len(columns), 2 * expansion.modes + 1), dtype=complex)
     for j, (col, kind) in enumerate(zip(columns, layers)):
-        rho = ((col[panels, None] * (1.0 - u) + col[ends, None] * u) * weights).ravel()
-        if kind == "single":
-            coefficients[j] = 0.25j * np.einsum("nq,q->n", waves[1:-1], rho)
-        else:
-            coefficients[j] = (-0.125j * k) * (np.einsum("nq,q->n", waves[:-2], nu.conj() * rho)
-                                               - np.einsum("nq,q->n", waves[2:], nu * rho))
+        coefficients[j] = np.einsum("hn,h->n", moments[kind], col[ends])
     return coefficients
 
 

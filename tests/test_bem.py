@@ -209,6 +209,16 @@ def assert_differs_between_obstacles_only(mesh, got, reference):
     assert not np.array_equal(got[cross], reference[cross])
 
 
+def ten_gon_mesh() -> geometry.SceneMesh:
+    """Three coarse 10-panel polygons of radius 1.18 about their bounding
+    boxes' centres, placed at (0, 0), (6, 0) and (0, 20)."""
+    theta = 2.0 * np.pi * np.arange(10) / 10
+    radius = 1.0 + 0.3 * np.cos(3.0 * theta)
+    loop = np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1)
+    return geometry.polygon_mesh(
+        [loop + np.array(c) for c in ((0.0, 0.0), (6.0, 0.0), (0.0, 20.0))])
+
+
 def triangle_mesh() -> geometry.SceneMesh:
     return geometry.polygon_mesh([[[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]])
 
@@ -378,11 +388,7 @@ def test_every_panel_pair_integrated_once_with_its_rule(width, monkeypatch):
     on, only the blocks between obstacles move."""
     monkeypatch.setattr(bem, "_BAND_PANELS", width)
     k = 0.3
-    theta = 2.0 * np.pi * np.arange(10) / 10
-    radius = 1.0 + 0.3 * np.cos(3.0 * theta)
-    loop = np.stack([radius * np.cos(theta), 0.7 * radius * np.sin(theta)], axis=1)
-    mesh = geometry.polygon_mesh(
-        [loop + np.array(c) for c in ((0.0, 0.0), (6.0, 0.0), (0.0, 20.0))])
+    mesh = ten_gon_mesh()
     expected = {kind: np.zeros((30, 30), dtype=complex) for kind in bem._OPERATOR_KINDS}
     same = bem._same_panel_single_layer(mesh.lengths, k)
     orders = set()
@@ -463,32 +469,40 @@ def test_one_bessel_evaluation_per_unordered_pair(width, monkeypatch):
 
 
 def expansion_case(case):
-    """(mesh, k) of a desk seed at a ppw, or of two circles: radii 1.5 and
-    0.3 with centres 2.5 apart, where only the small one's expansion
-    reaches the other, or two unit circles 2.5 apart, where neither does."""
+    """(mesh, k) of a desk seed at a ppw, of ``ten_gon_mesh`` at k = 0.3,
+    or of two circles of 40 panels at k = 2: radii 1.5 and 0.3 with centres
+    2.5 apart, where only the small one's expansion would reach the other,
+    or two unit circles 2.5 apart, where neither does."""
     if case.startswith("desk"):
         seed, ppw = map(int, case.split("-")[1:])
         scene = verify.desk_scene(seed)
         return geometry.mesh_scene(scene, ppw=ppw), scene.k
-    radii, gap = {"swapped": ((1.5, 0.3), 2.5), "fallback": ((1.0, 1.0), 2.5)}[case]
+    if case == "ten-gons":
+        return ten_gon_mesh(), 0.3
+    radii, gap = {"large-small": ((1.5, 0.3), 2.5), "unit-circles": ((1.0, 1.0), 2.5)}[case]
     theta = 2.0 * np.pi * np.arange(40) / 40
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     return geometry.polygon_mesh([radii[0] * circle, radii[1] * circle + [gap, 0.0]]), 2.0
 
 
+def expanded_pairs(mesh, k):
+    """The obstacle pairs (p, q), p < q, whose tiles take p's expansion."""
+    tiles = bem._tiles(mesh)
+    return {(p, q) for (p, q, *_), expansion in zip(tiles, bem._tile_expansions(mesh, k, tiles))
+            if expansion is not None}
+
+
 @pytest.mark.parametrize("case", ["desk-0-15", "desk-1-15", "desk-7-15", "desk-0-30",
-                                  "desk-1-30", "desk-7-30", "swapped"])
+                                  "desk-1-30", "desk-7-30", "ten-gons"])
 def test_expansion_blocks_meet_order_16_reference(case, monkeypatch):
     """The blocks between obstacles, in both orientations, from the
     circular-wave expansions, within 1e-13 of the largest entry of L and N
-    assembled with order 16 on every separated pair and no expansion.  Desk
-    tiles take the lower index's expansion; the small circle beside the
-    large one takes the swapped orientation, its own."""
+    assembled with order 16 on every separated pair and no expansion.  Every
+    pair of these scenes takes the lower index's expansion.  The 10-gons at
+    k = 0.3 have k R of 0.35, so N is the 47-mode floor, and panels of up
+    to 0.7 against a far radius of 2.4."""
     mesh, k = expansion_case(case)
-    tiles = bem._tiles(mesh)
-    _, sources = bem._tile_sources(mesh, k, tiles)
-    between = {source for (p, q, *_), source in zip(tiles, sources) if p != q}
-    assert between == ({1} if case == "swapped" else {0, 1})
+    assert expanded_pairs(mesh, k) == set(itertools.combinations(range(mesh.n_obstacles), 2))
     got = bem.assemble_operators(mesh, k)
     monkeypatch.setattr(bem, "_FAR_MIN_KR", math.inf)
     monkeypatch.setattr(bem, "_SEPARATED_ORDERS", ((0.0, math.inf, 16),))
@@ -500,16 +514,17 @@ def test_expansion_blocks_meet_order_16_reference(case, monkeypatch):
             assert error <= 1e-13 * np.max(np.abs(ref.matrix))
 
 
-@pytest.mark.parametrize("case", ["fallback", "desk-14-15"])
+@pytest.mark.parametrize("case", ["unit-circles", "large-small", "desk-14-15"])
 def test_pairs_out_of_reach_keep_the_tensor_rule(case, monkeypatch):
-    """A pair of obstacles neither of whose expansions reaches the other's
+    """A pair of obstacles p < q where p's expansion does not reach q's
     Gauss points keeps the tensor rule, its blocks equal bit for bit to
-    those with every expansion off; on desk seed 14, pair {1, 2}."""
+    those with every expansion off: the two circles, though the small
+    circle's expansion reaches the large one, and desk seed 14's pair
+    {1, 2}."""
     mesh, k = expansion_case(case)
-    tiles = bem._tiles(mesh)
-    _, sources = bem._tile_sources(mesh, k, tiles)
-    kept = [(p, q) for (p, q, *_), source in zip(tiles, sources) if p != q and source is None]
-    assert kept == [(0, 1) if case == "fallback" else (1, 2)]
+    pairs = set(itertools.combinations(range(mesh.n_obstacles), 2))
+    kept = sorted(pairs - expanded_pairs(mesh, k))
+    assert kept == [(0, 1) if case != "desk-14-15" else (1, 2)]
     got = bem.assemble_operators(mesh, k)
     monkeypatch.setattr(bem, "_FAR_MIN_KR", math.inf)
     reference = bem.assemble_operators(mesh, k)
@@ -536,7 +551,7 @@ def test_operators_do_not_depend_on_the_piece_size_or_the_cpus(case, piece, desk
         monkeypatch.setattr(bem, "_BAND_PANELS", 7)
     if case == "desk-ppw15":
         mesh, k = geometry.mesh_scene(desk, ppw=15), desk.k
-        assert any(source is not None for source in bem._tile_sources(mesh, k, bem._tiles(mesh))[1])
+        assert expanded_pairs(mesh, k)
     elif case == "two-circles":
         mesh, k = two_circle_scene_mesh(), WAVENUMBER
     elif case == "unit-disk":
