@@ -21,40 +21,44 @@ pair, so its matrix is exactly -N^T; the Brakhage-Werner system reads it
 from there.  The off-surface double-layer potential, which is not a
 Galerkin matrix, is still evaluated by ``evaluate_potentials``.
 
-Quadrature.  A tile of two obstacles p < q (see below) is filled from the
-circular-wave expansion of p when every 8-point Gauss point of its q band
-is a far receiver of p in ``evaluate_potentials``' sense
-(``_tile_expansions``): with B the p band's hat moments of (i/4) J_n(k |y -
-c|) e^(-i n theta) and A the q band's of H_n(k |x - c|) e^(i n theta), |n|
-<= N, L's blocks are B A^T, and N's on either side take the normal
-derivatives of the same moments, shifts in n since a flat panel has one
-normal (``_hat_moments``).  Both of N's sides come from one expansion, as
+Quadrature.  The blocks of two obstacles p < q are filled from the
+circular-wave expansion of p when every 8-point Gauss point of q is a far
+receiver of p in ``evaluate_potentials``' sense (``_pair_expansions``).
+With B p's node moments of (i/4) J_n(k |y - c|) e^(-i n theta) and A q's of
+H_n(k |x - c|) e^(i n theta), |n| <= N, L's block (p, q) is B A^T and its
+block (q, p) the transpose; N's are (d/dn B) A^T and (d/dn A) B^T, from the
+normal derivatives of the same moments, shifts in n since a flat panel has
+one normal (``_hat_moments``).  A node's moment sums the hat moments of its
+two panels (``_node_moments``).  B is taken once per obstacle and A once per
+pair, and the products are written straight into the matrices
+(``_fill_expansion_pairs``).  Both of N's sides come from one expansion, as
 the tensor rule's come from one rule, so M = -N^T stays exact.  On desk
 seeds 0, 1 and 7 at ppw 15 and 30 these blocks are within 1.7e-15 to 5e-15
 of the largest entry of an order-16 tensor rule on every pair, where the
 tensor bands are 1e-12 off at ppw 15 and 1e-10 at ppw 30.  Every other
-pair of distinct panels, and all of a tile of one obstacle, is integrated
-by a tensor Gauss rule, evaluating the kernels once per pair of quadrature
-points for the blocks in both orders.  L's second block is the transpose
-of its first; N's comes from the same r and G'(r) with -(x - y) and the
-other panel's normal.  Pairs sharing no node take an order chosen by the
-pair's separation, its midpoint distance over the longer panel's length h,
-and by k h (see ``_SEPARATED_ORDERS``); pairs sharing a node take order
-16.  Both keys are symmetric in the pair, so M = -N^T stays exact.  It runs
-over tiles, largest first: every obstacle is cut into bands of at most
-``_BAND_PANELS`` panels, and a tile is a band of obstacle p against a band
-of obstacle q > p, or a band of p against itself or a later band of p.  A
-tile's kernels come in pieces of ``_PIECE_PAIR_POINTS`` point pairs at most,
-on a thread per CPU the process may use, each piece assigning only its own
-slots of the tile's array of 2 x 2 blocks, one slot per ordered panel pair;
-the panels paired with themselves are one more piece of a diagonal tile.
-Once the pieces are done the array is folded into the matrices by slice
-additions, which rely on ``geometry.SceneMesh``'s numbering (panel i of an
-obstacle ends at node i + 1, its last panel at its first node): within a
-tile an entry sums the blocks of up to four panel pairs, one per pair of
-hats, always in the same order, and the tiles, fixed by the mesh alone, are
-folded in one order, so L and N do not depend on the piece size or the
-number of threads.  One tile's array is alive at a time.
+pair of distinct panels, within an obstacle or between two obstacles out of
+reach, is integrated by a tensor Gauss rule, evaluating the kernels once
+per pair of quadrature points for the blocks in both orders.  L's second
+block is the transpose of its first; N's comes from the same r and G'(r)
+with -(x - y) and the other panel's normal.  Pairs sharing no node take an
+order chosen by the pair's separation, its midpoint distance over the longer
+panel's length h, and by k h (see ``_SEPARATED_ORDERS``); pairs sharing a
+node take order 16.  Both keys are symmetric in the pair, so M = -N^T stays
+exact.  It runs over tiles, largest first: every obstacle is cut into bands
+of at most ``_BAND_PANELS`` panels, and a tile is a band of obstacle p
+against a band of an obstacle q > p out of p's reach, or a band of p against
+itself or a later band of p.  A tile's kernels come in pieces of
+``_PIECE_PAIR_POINTS`` point pairs at most, on a thread per CPU the process
+may use, each piece assigning only its own slots of the tile's array of 2 x
+2 blocks, one slot per ordered panel pair; the panels paired with themselves
+are one more piece of a diagonal tile.  Once the pieces are done the array
+is folded into the matrices by slice additions, which rely on
+``geometry.SceneMesh``'s numbering (panel i of an obstacle ends at node i +
+1, its last panel at its first node): within a tile an entry sums the
+blocks of up to four panel pairs, one per pair of hats, always in the same
+order, and the tiles, fixed by the mesh alone, are folded in one order, so
+L and N do not depend on the piece size or the number of threads.  One
+tile's array is alive at a time, after the expansion pairs are filled.
 On node-sharing pairs neither kernel is smooth: L has a ln r singularity at
 the shared vertex and N's kernel is homogeneous of degree -1 there, so the
 tensor rule converges only algebraically on them.  On a panel paired with
@@ -117,9 +121,9 @@ _NEAR_ORDER = 16
 # as k h shrinks (the kernel oscillates less over a panel).  Measured on the
 # desk scene at ppw 4 to 30 against order 16, no row moves a pair's blocks by
 # more than 1e-9 of the largest entry of L or N.  These serve the pairs within
-# an obstacle and those of a tile of two obstacles p < q where p's
-# circular-wave expansion does not reach q's band (``_tile_expansions``); the
-# expansions integrate at the last row's order.
+# an obstacle and those between two obstacles p < q where p's circular-wave
+# expansion does not reach q (``_pair_expansions``); the expansions integrate
+# at the last row's order.
 _SEPARATED_ORDERS = (
     (16.0, 0.25, 3),
     (4.0, 0.8, 4),
@@ -151,7 +155,9 @@ _PIECE_PAIR_POINTS = 16_384
 # The desk times move by 20% between runs of this table on a 2-core x86-64 box.
 # In an earlier run, pieces that mixed orders, each budgeted as if at order 8,
 # took 0.114 and 0.494 s for a pass per layer at 250k.  A piece of receivers
-# that take an obstacle's expansion counts receivers x its 2N + 1 modes.
+# that take an obstacle's expansion counts receivers x its 2N + 1 modes, and a
+# chunk of an obstacle's node moments (``_node_moments``), for assembly and the
+# field coefficients alike, counts its Gauss points x 2N + 3 modes.
 _FIELD_PIECE_POINTS = 32_768
 # Least k R at which a receiver takes an obstacle's circular-wave expansion
 # (``_expansion``; R the obstacle's radius about its centre).  Below it the
@@ -361,32 +367,22 @@ def assemble_operators(mesh, k: float, kinds=_OPERATOR_KINDS) -> dict:
                         f"assembling {len(kinds)} dense {n} x {n} operator matrices")
     mats = {kind: np.zeros((n, n), dtype=complex) for kind in kinds}  # cli._peak_bytes's operators
 
+    expansions = _pair_expansions(mesh, k)
     # largest first: this fixes the fold order from the mesh alone, and the
     # next tile's groups, built on a worker meanwhile, are of a tile no larger
-    tiles = sorted(_tiles(mesh), key=lambda tile: -len(tile[2]) * len(tile[3]))
-    expansions = _tile_expansions(mesh, k, tiles)
+    tiles = sorted(_tiles(mesh, expansions), key=lambda tile: -len(tile[2]) * len(tile[3]))
     rules = {order: (_quad_points(mesh, gauss_rule(order)), _basis_weights(gauss_rule(order)))
              for order in [_NEAR_ORDER] + [order for *_, order in _SEPARATED_ORDERS]}
     # panel i shares a node with panels next_node[i] and prev[i] only
     prev = np.empty_like(mesh.next_node)
     prev[mesh.next_node] = np.arange(n)
     with concurrent.futures.ThreadPoolExecutor(_workers()) as pool:
-
-        def prepare(index):
-            """A tile's panel pairs for the tensor rule, or its hat moments."""
-            tile, expansion = tiles[index], expansions[index]
-            if expansion is None:
-                return pool.submit(_panel_pairs, mesh, k, prev, tile)
-            return pool.submit(_tile_moments, mesh, k, tile, expansion)
-
-        prepared = prepare(0)
-        for index, (tile, expansion) in enumerate(zip(tiles, expansions)):
-            if expansion is None:
-                blocks, pieces = _submit_tile(pool, mats, mesh, k, tile, prepared.result(), rules)
-            else:
-                blocks, pieces = _submit_expansion_tile(pool, mats, tile, prepared.result())
-            if index + 1 < len(tiles):  # the next tile's groups or moments, behind these pieces
-                prepared = prepare(index + 1)
+        _fill_expansion_pairs(pool, mats, mesh, k, expansions)
+        groups = pool.submit(_panel_pairs, mesh, k, prev, tiles[0])
+        for index, tile in enumerate(tiles):
+            blocks, pieces = _submit_tile(pool, mats, mesh, k, tile, groups.result(), rules)
+            if index + 1 < len(tiles):  # the next tile's groups, made behind these pieces
+                groups = pool.submit(_panel_pairs, mesh, k, prev, tiles[index + 1])
             for piece in pieces:
                 piece.result()  # re-raises a piece's exception
             _fold_tile(pool, mats, mesh, tile, blocks)
@@ -409,13 +405,15 @@ def _band_order(ratio, kh):
     )
 
 
-def _tiles(mesh):
-    """The tiles (p, q, rows, cols), rows and cols ranges of panels: every
-    obstacle is cut into bands of at most ``_BAND_PANELS`` panels, as near
-    equal as may be, and each band of obstacle p is a tile with each band of
-    obstacle q > p, with itself and with each later band of p.  Every
-    unordered pair of distinct panels lies in one tile, and a tile's array
-    (``_submit_tile``) is at most about 12 MB, whatever the obstacles."""
+def _tiles(mesh, expanded):
+    """The tiles (p, q, rows, cols) of the tensor rule, rows and cols ranges
+    of panels: every obstacle is cut into bands of at most ``_BAND_PANELS``
+    panels, as near equal as may be, and each band of obstacle p is a tile
+    with each band of obstacle q > p, unless the pair (p, q) is in
+    ``expanded`` (``_pair_expansions``), with itself and with each later band
+    of p.  Every unordered pair of distinct panels outside the expanded
+    pairs lies in one tile, and a tile's array (``_submit_tile``) is at most
+    about 12 MB, whatever the obstacles."""
     bands = []
     for p in range(mesh.n_obstacles):
         lo, hi = mesh.block_range(p)
@@ -424,6 +422,7 @@ def _tiles(mesh):
         bands.append([range(a, b) for a, b in zip(cuts, cuts[1:])])
     return [(p, q, rows, cols)
             for p, q in itertools.combinations_with_replacement(range(mesh.n_obstacles), 2)
+            if (p, q) not in expanded
             for i, rows in enumerate(bands[p]) for j, cols in enumerate(bands[q])
             if p < q or i <= j]
 
@@ -515,35 +514,34 @@ def _submit_tile(pool, mats, mesh, k: float, tile, groups, rules):
     return blocks, pieces
 
 
-def _tile_expansions(mesh, k: float, tiles):
-    """For each tile (p, q, rows, cols), the ``_Expansion`` of obstacle p
-    that fills it (``_submit_expansion_tile``) if every ``_EXPANSION_ORDER``
-    Gauss point of its columns is a far receiver of p (``_expansion``), else
-    None, where the tensor rule does, as it does on a tile of one obstacle
-    with itself."""
-    expansions = [_expansion(mesh, k, slice(*mesh.block_range(p)))
-                  for p in range(mesh.n_obstacles)]
+def _pair_expansions(mesh, k: float) -> dict:
+    """{(p, q): the ``_Expansion`` of p} for the obstacle pairs p < q whose
+    blocks p's circular-wave expansion fills (``_fill_expansion_pairs``):
+    those where every ``_EXPANSION_ORDER`` Gauss point of q is a far
+    receiver of p (``_expansion``).  The tensor rule fills the others, as it
+    does the pairs within an obstacle (``_tiles``)."""
     points = _quad_points(mesh, gauss_rule(_EXPANSION_ORDER))
-
-    def far(expansion, panels):
-        offset = points[panels] - expansion.center
-        return bool(np.all(np.hypot(offset[..., 0], offset[..., 1]) >= expansion.far))
-
-    return [expansions[p] if p != q and far(expansions[p], cols) else None
-            for p, q, rows, cols in tiles]
+    pairs = {}
+    for p in range(mesh.n_obstacles):
+        expansion = _expansion(mesh, k, slice(*mesh.block_range(p)))
+        for q in range(p + 1, mesh.n_obstacles):
+            offset = points[slice(*mesh.block_range(q))] - expansion.center
+            if np.all(np.hypot(offset[..., 0], offset[..., 1]) >= expansion.far):
+                pairs[p, q] = expansion
+    return pairs
 
 
 def _hat_moments(mesh, k: float, panels: slice, expansion: _Expansion, outgoing: bool):
     """The hat moments of the panels ``panels`` and those of the normal
-    derivatives, each of shape (panels x 2 hats, 2N + 1) for n = -N .. N:
+    derivatives, each of shape (panels, 2 hats, 2N + 1) for n = -N .. N:
     int phi O_n if ``outgoing``, O_n = H_n(k |x - c|) e^(i n theta) about
     the expansion's centre c, else (i/4) int phi Q_n, Q_n = J_n(k |y - c|)
     e^(-i n theta), by ``_EXPANSION_ORDER`` Gauss points per panel.  A flat
     panel has one nu = n_x + i n_y, so the derivatives are shifts of the
     moments for n = -N - 1 .. N + 1: d/dn O_n = (k/2) (nu O_(n-1) -
     conj(nu) O_(n+1)) and d/dn Q_n = (k/2) (conj(nu) Q_(n-1) - nu Q_(n+1)).
-    Row 2 i + h is hat h of panel i, h = 0 at its first node and 1 at its
-    last.  A panel's moments do not depend on the others in ``panels``."""
+    Hat 0 of a panel is 1 at its first node and hat 1 at its last.  A
+    panel's moments do not depend on the others in ``panels``."""
     top = expansion.modes + 1
     rule = gauss_rule(_EXPANSION_ORDER)
     wphi = _basis_weights(rule)
@@ -559,52 +557,55 @@ def _hat_moments(mesh, k: float, panels: slice, expansion: _Expansion, outgoing:
         moments = (waves @ wphi.T).reshape(2 * top + 1, -1, 2).transpose(1, 2, 0)
         moments = moments * (0.25j * lengths)
         derivative = nu.conj() * moments[..., :-2] - nu * moments[..., 2:]
-    shape = (-1, 2 * top - 1)
-    return moments[..., 1:-1].reshape(shape), (0.5 * k * derivative).reshape(shape)
+    return moments[..., 1:-1], 0.5 * k * derivative
 
 
-def _tile_moments(mesh, k: float, tile, expansion: _Expansion):
-    """The hat moments (``_hat_moments``) that fill a tile (p, q, rows,
-    cols) of two obstacles from p's expansion (``_submit_expansion_tile``):
-    B and d/dn B, incoming, of the rows, and for each chunk of the columns,
-    (chunk, A, d/dn A), outgoing.  Both bands go in chunks of at most
-    ``_FIELD_PIECE_POINTS`` Gauss-point modes, fixed by the mesh and k."""
-    _, _, rows, cols = tile
+def _node_moments(mesh, k: float, panels: slice, expansion: _Expansion, outgoing: bool):
+    """The moments of ``_hat_moments`` and those of the normal derivatives
+    on the nodes of the obstacle whose panels are ``panels``, each of shape
+    (nodes, 2N + 1): node i takes hat 0 of panel i and hat 1 of the panel
+    before it, which ends at node i in ``geometry.SceneMesh``'s numbering
+    (the obstacle's last panel ends at its first node).  The panels go in
+    chunks of at most ``_FIELD_PIECE_POINTS`` Gauss-point modes, fixed by
+    the mesh and k."""
     step = max(1, _FIELD_PIECE_POINTS // ((2 * expansion.modes + 3) * _EXPANSION_ORDER))
-
-    def chunks(band):
-        return [slice(lo, min(lo + step, band.stop)) for lo in range(band.start, band.stop, step)]
-
-    parts = [_hat_moments(mesh, k, chunk, expansion, False) for chunk in chunks(rows)]
-    b, db = (np.concatenate(part) for part in zip(*parts))
-    return b, db, [(chunk, *_hat_moments(mesh, k, chunk, expansion, True))
-                   for chunk in chunks(cols)]
+    chunks = [_hat_moments(mesh, k, slice(lo, min(lo + step, panels.stop)), expansion, outgoing)
+              for lo in range(panels.start, panels.stop, step)]
+    return tuple(hats[:, 0] + np.roll(hats[:, 1], 1, axis=0)
+                 for hats in map(np.concatenate, zip(*chunks)))
 
 
-def _submit_expansion_tile(pool, mats, tile, moments):
-    """The array of the Galerkin blocks of a tile (p, q, rows, cols) of two
-    obstacles, laid out as ``_submit_tile``'s, and the futures of the tasks
-    on ``pool`` that fill it from the circular-wave expansion of p, every
-    Gauss point of the columns being a far receiver of it
-    (``_tile_expansions``).  With B the rows' incoming hat moments and A the
-    columns' outgoing ones (``_tile_moments``), Graf's addition theorem gives
-    L's blocks as B A^T, N's tested on the rows as (d/dn B) A^T and N's
-    tested on the columns as B (d/dn A)^T, the rows' panels first, each
-    transposed into the tile's layout: a task per chunk of the columns."""
+def _fill_expansion_pairs(pool, mats, mesh, k: float, expansions) -> None:
+    """Fill the blocks of every obstacle pair p < q of ``expansions``
+    (``_pair_expansions``) from p's circular-wave expansion.  With B p's
+    incoming node moments and A q's outgoing ones (``_node_moments``),
+    Graf's addition theorem gives L's block (p, q) as B A^T, its block (q,
+    p) being the transpose bit for bit, and N's blocks (p, q) and (q, p) as
+    (d/dn B) A^T and (d/dn A) B^T.  Each obstacle's B is taken once, on the
+    calling thread, and each pair's A in the pair's own task on the
+    executor ``pool``, which writes that pair's blocks alone; an obstacle's
+    tasks are done before the next obstacle's B is taken."""
     single, double = "single_layer" in mats, "adjoint_double_layer" in mats
-    _, _, rows, cols = tile
-    blocks = np.empty((single + 2 * double, len(rows), len(cols), 2, 2), dtype=complex)
-    b, db, col_chunks = moments
 
-    def fill(chunk, a, da):
-        # L's side, then N's tested on the rows and on the columns
-        factors = ([(b, a)] if single else []) + [(db, a), (b, da)] * double
-        at = slice(chunk.start - cols.start, chunk.stop - cols.start)
-        for side, (left, right) in zip(blocks, factors):  # one product alive at a time
-            product = (left @ right.T).reshape(-1, 2, chunk.stop - chunk.start, 2)
-            side[:, at] = product.transpose(0, 2, 1, 3)
+    def fill(p, q, b, db, expansion):
+        (p0, p1), (q0, q1) = mesh.block_range(p), mesh.block_range(q)
+        a, da = _node_moments(mesh, k, slice(q0, q1), expansion, True)
+        if single:
+            out = mats["single_layer"]
+            out[p0:p1, q0:q1] = b @ a.T
+            out[q0:q1, p0:p1] = out[p0:p1, q0:q1].T
+        if double:
+            out = mats["adjoint_double_layer"]
+            out[p0:p1, q0:q1] = db @ a.T
+            out[q0:q1, p0:p1] = da @ b.T
 
-    return blocks, [pool.submit(fill, *part) for part in col_chunks]
+    for p in range(mesh.n_obstacles):
+        reached = [q for first, q in expansions if first == p]
+        if reached:
+            expansion = expansions[p, reached[0]]
+            b, db = _node_moments(mesh, k, slice(*mesh.block_range(p)), expansion, False)
+            for task in [pool.submit(fill, p, q, b, db, expansion) for q in reached]:
+                task.result()  # re-raises a task's exception
 
 
 def _fold_tile(pool, mats, mesh, tile, blocks) -> None:
@@ -756,21 +757,20 @@ def _expansion(mesh, k: float, panels: slice) -> _Expansion:
 def _expansion_coefficients(mesh, k: float, panels: slice, expansion: _Expansion,
                             columns, layers) -> np.ndarray:
     """The coefficients c_n, n = -N .. N, of every density column's layer
-    potential over the panels ``panels`` (some of one obstacle's) as
-    outgoing waves about the obstacle's centre c: the potential is the sum
-    of c_n H_n(k |x - c|) e^(i n theta_x) where |x - c| exceeds every |y -
-    c| on the panels.  By Graf's addition theorem, with Q_n(y) = J_n(k |y -
-    c|) e^(-i n theta_y), the single layer has c_n = (i/4) int Q_n rho and
-    the double layer, of -d/dn(y) G, c_n = -(i/4) int d/dn Q_n rho: the
-    density's values at the panels' ends contracted with the incoming hat
-    moments B or -d/dn B (``_hat_moments``).  Shape (d, 2N + 1), each
-    column's row computed as if alone."""
-    b, db = _hat_moments(mesh, k, panels, expansion, False)
+    potential over the obstacle whose panels are ``panels`` as outgoing
+    waves about its centre c: the potential is the sum of c_n H_n(k |x -
+    c|) e^(i n theta_x) where |x - c| exceeds every |y - c| on the panels.
+    By Graf's addition theorem, with Q_n(y) = J_n(k |y - c|) e^(-i n
+    theta_y), the single layer has c_n = (i/4) int Q_n rho and the double
+    layer, of -d/dn(y) G, c_n = -(i/4) int d/dn Q_n rho: the density's nodal
+    values contracted with the incoming node moments B or -d/dn B
+    (``_node_moments``).  Shape (d, 2N + 1), each column's row computed as
+    if alone."""
+    b, db = _node_moments(mesh, k, panels, expansion, False)
     moments = {"single": b, "double": -db}
-    ends = np.stack([np.arange(panels.start, panels.stop), mesh.next_node[panels]], axis=1).ravel()
     coefficients = np.empty((len(columns), 2 * expansion.modes + 1), dtype=complex)
     for j, (col, kind) in enumerate(zip(columns, layers)):
-        coefficients[j] = np.einsum("hn,h->n", moments[kind], col[ends])
+        coefficients[j] = np.einsum("in,i->n", moments[kind], col[panels])
     return coefficients
 
 
@@ -911,12 +911,7 @@ def evaluate_potentials(
                 tasks += [functools.partial(direct_piece, panels, int(o), sel)
                           for sel in split(direct[orders == o], n_p * o * (single + double))]
             if far.any():
-                # in chunks of at most _FIELD_PIECE_POINTS Gauss-point modes, added in order
-                step = max(1, _FIELD_PIECE_POINTS // ((2 * expansion.modes + 3) * _EXPANSION_ORDER))
-                coefficients = sum(pool.map(
-                    lambda lo: _expansion_coefficients(
-                        mesh, k, slice(lo, min(lo + step, panels.stop)), expansion, columns, layers),
-                    range(panels.start, panels.stop, step)))
+                coefficients = _expansion_coefficients(mesh, k, panels, expansion, columns, layers)
                 tasks += [functools.partial(far_piece, expansion, coefficients, sel)
                           for sel in split(np.flatnonzero(far), 2 * expansion.modes + 1)]
             list(pool.map(lambda task: task(), tasks))  # re-raises a piece's exception

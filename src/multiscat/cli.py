@@ -54,9 +54,10 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 # Peak-RSS growth over ``main`` beyond ``_peak_bytes``'s buffers (scipy's modules, BLAS,
-# the allocator, assembly's pieces and panel-pair lists, and its one tile's array, at
-# most 12 MB by ``bem._BAND_PANELS``), with no worker thread: at most 75.7 MiB, by verify
-# at paper scale, 50 on 704-1872 unknowns (2-core x86-64, one BLAS thread); plus 20%, rounded up.
+# the allocator, assembly's pieces and panel-pair lists, an expanded obstacle pair's node
+# moments, and its one tile's array, at most 12 MB by ``bem._BAND_PANELS``), with no
+# worker thread: at most 75.7 MiB, by verify at paper scale, 50 on 704-1872 unknowns
+# (2-core x86-64, one BLAS thread); plus 20%, rounded up.
 _FIXED_BYTES = 91 * 2**20
 # Each worker thread of assembly and field evaluation (``bem._workers()``) keeps its
 # own allocator arena: verify on desk at ppw 60 grew 1.7-2.2 MiB per worker from 1 to

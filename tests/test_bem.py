@@ -423,7 +423,9 @@ def test_one_bessel_evaluation_per_unordered_pair(width, monkeypatch):
     into bands of at most ``width`` panels: whole, or in bands of 6 and 7.
     The expansions are off (``_FAR_MIN_KR`` infinite); with them on, the
     pairs of distinct obstacles reach it as no point pair, only as the
-    outgoing waves' Hankel pairs, one call per target chunk."""
+    outgoing waves' Hankel pairs, one pass over q's panels per expanded pair
+    (p, q), and ``specfun.bessel_j_orders`` sees p's incoming waves once per
+    assembly, 8 points per panel of p, whatever the bands."""
     monkeypatch.setattr(bem, "_BAND_PANELS", width)
     mesh = two_circle_scene_mesh(ppw=30)
     expanded = bem.assemble_operators(mesh, WAVENUMBER)
@@ -456,6 +458,14 @@ def test_one_bessel_evaluation_per_unordered_pair(width, monkeypatch):
     assert len(pairs) + len(same) == len(received)
     monkeypatch.setattr(bem, "_FAR_MIN_KR", 1e-3)
     received.clear()
+    incoming = []
+    j_orders = specfun.bessel_j_orders
+
+    def counting_j(top, x):
+        incoming.append(x.size)
+        return j_orders(top, x)
+
+    monkeypatch.setattr(specfun, "bessel_j_orders", counting_j)
     bem.assemble_operators(mesh, WAVENUMBER)
     cut = mesh.block_offsets[1]
     within = sum((16 if set(panel_nodes(mesh, p)) & set(panel_nodes(mesh, q))
@@ -464,8 +474,12 @@ def test_one_bessel_evaluation_per_unordered_pair(width, monkeypatch):
                  for p in range(lo, hi) for q in range(p + 1, hi))
     assert sum(math.prod(shape) for shape in received if len(shape) == 3) == within
     waves = [shape for shape in received if len(shape) == 1]
-    targets = sum(len(cols) for p, q, _, cols in bem._tiles(mesh) if p != q)
-    assert waves and sum(points for points, in waves) == bem._EXPANSION_ORDER * targets
+    pairs = expanded_pairs(mesh, WAVENUMBER)
+    assert pairs == {(0, 1)}
+    targets = sum(int(counts[q]) for _, q in pairs)
+    assert sum(points for points, in waves) == bem._EXPANSION_ORDER * targets
+    sources = sum(int(counts[p]) for p in {p for p, _ in pairs})
+    assert sum(incoming) == bem._EXPANSION_ORDER * sources
 
 
 def expansion_case(case):
@@ -486,21 +500,25 @@ def expansion_case(case):
 
 
 def expanded_pairs(mesh, k):
-    """The obstacle pairs (p, q), p < q, whose tiles take p's expansion."""
-    tiles = bem._tiles(mesh)
-    return {(p, q) for (p, q, *_), expansion in zip(tiles, bem._tile_expansions(mesh, k, tiles))
-            if expansion is not None}
+    """The obstacle pairs (p, q), p < q, whose blocks take p's expansion."""
+    return set(bem._pair_expansions(mesh, k))
 
 
 @pytest.mark.parametrize("case", ["desk-0-15", "desk-1-15", "desk-7-15", "desk-0-30",
-                                  "desk-1-30", "desk-7-30", "ten-gons"])
+                                  "desk-1-30", "desk-7-30", "ten-gons", "desk-0-30-in-bands"])
 def test_expansion_blocks_meet_order_16_reference(case, monkeypatch):
     """The blocks between obstacles, in both orientations, from the
     circular-wave expansions, within 1e-13 of the largest entry of L and N
     assembled with order 16 on every separated pair and no expansion.  Every
     pair of these scenes takes the lower index's expansion.  The 10-gons at
     k = 0.3 have k R of 0.35, so N is the 47-mode floor, and panels of up
-    to 0.7 against a far radius of 2.4."""
+    to 0.7 against a far radius of 2.4.  In bands of at most 50 panels each
+    desk obstacle at ppw 30 spans three or four, as a paper obstacle spans
+    two, and an expanded pair is filled whole however its obstacles are cut
+    while the reference's tiles cross bands."""
+    if case.endswith("-in-bands"):
+        monkeypatch.setattr(bem, "_BAND_PANELS", 50)
+        case = case.removesuffix("-in-bands")
     mesh, k = expansion_case(case)
     assert expanded_pairs(mesh, k) == set(itertools.combinations(range(mesh.n_obstacles), 2))
     got = bem.assemble_operators(mesh, k)
@@ -535,30 +553,41 @@ def test_pairs_out_of_reach_keep_the_tensor_rule(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case,piece", [("desk-ppw15", bem._NEAR_ORDER ** 2), ("two-circles", 1),
-                                        ("unit-disk", 1), ("two-circles-in-bands", 1)])
+                                        ("unit-disk", 1), ("two-circles-in-bands", 1),
+                                        ("desk-14-in-bands", bem._NEAR_ORDER ** 2)])
 def test_operators_do_not_depend_on_the_piece_size_or_the_cpus(case, piece, desk, monkeypatch):
     """L and N are the same bit for bit whatever the number of quadrature
     point pairs per kernel piece: the default, one node-sharing pair's
     points (so every such pair is a piece of its own) or a single point
     (every pair is).  The pieces run on a thread per CPU, each filling its
     own slots of its tile's array, which is folded in one fixed order once
-    they are done, so 2, 3 and 8 CPUs give the matrices of one.  The unit
-    disk is a single tile, whose pieces alone spread over the CPUs; in
-    bands of at most 7 panels the two circles are 36 tiles, and there L
-    alone and N alone (a tile's array then holds no L side before N's) are
-    checked too."""
-    if case == "two-circles-in-bands":
-        monkeypatch.setattr(bem, "_BAND_PANELS", 7)
+    they are done, and each expanded obstacle pair is one task writing its
+    own blocks, so 2, 3 and 8 CPUs give the matrices of one.  The unit disk
+    is a single tile, whose pieces alone spread over the CPUs; in bands of
+    at most 7 panels the two circles are 20 tiles and one expanded pair,
+    and there L alone and N alone (a tile's array then holds no L side
+    before N's) are checked too.  Desk seed 14 in bands of at most 40
+    panels has two expanded pairs of obstacles of two and three bands, and
+    its pair {1, 2} on the tensor rule is six tiles."""
+    if case.endswith("-in-bands"):
+        monkeypatch.setattr(bem, "_BAND_PANELS", 7 if case.startswith("two-circles") else 40)
     if case == "desk-ppw15":
         mesh, k = geometry.mesh_scene(desk, ppw=15), desk.k
         assert expanded_pairs(mesh, k)
+    elif case == "desk-14-in-bands":
+        scene = verify.desk_scene(14)
+        mesh, k = geometry.mesh_scene(scene, ppw=15), scene.k
+        expansions = bem._pair_expansions(mesh, k)
+        assert set(expansions) == {(0, 1), (0, 2)}
+        assert sum(p != q for p, q, *_ in bem._tiles(mesh, expansions)) == 6
     elif case == "two-circles":
         mesh, k = two_circle_scene_mesh(), WAVENUMBER
     elif case == "unit-disk":
         mesh, k = circle_mesh(), WAVENUMBER
     else:
         mesh, k = two_circle_scene_mesh(), WAVENUMBER
-        assert len(bem._tiles(mesh)) == 36
+        expansions = bem._pair_expansions(mesh, k)
+        assert set(expansions) == {(0, 1)} and len(bem._tiles(mesh, expansions)) == 20
     alone = [(kind,) for kind in bem._OPERATOR_KINDS] if case == "two-circles-in-bands" else []
     for kinds in [bem._OPERATOR_KINDS] + alone:
         reference = None
@@ -577,28 +606,35 @@ def test_operators_do_not_depend_on_the_piece_size_or_the_cpus(case, piece, desk
 @pytest.mark.parametrize("case", ["desk-ppw30", "disk-in-bands"])
 def test_assembly_holds_one_tile_at_a_time(case, cpus, desk, monkeypatch):
     """Assembly's tracemalloc peak beyond L and N stays within one tile's
-    array (three sides of complex 2 x 2 blocks per pair of its panels, two
-    on a diagonal tile), the lists of its panel pairs and of the next
-    tile's, which a worker builds meanwhile (96 bytes per panel pair of the
-    largest tile), and one piece in flight per worker (128
-    bytes per quadrature-point pair).  On desk at ppw 30 (obstacles of 122,
-    143 and 179 panels, each a band) the largest tile is an obstacle pair:
-    9.6 MiB on one worker and 11.6 on two.  A disk of 300 panels, in bands
-    of at most 60, has tiles of at most 60 x 60 pairs: 3.0 and 5.0 MiB,
-    where the whole disk's array alone would take 11 MiB."""
+    array of the tensor rule (three sides of complex 2 x 2 blocks per pair
+    of its panels, two on a diagonal tile), the lists of its panel pairs and
+    of the next tile's, which a worker builds meanwhile (96 bytes per panel
+    pair of the largest tile), one piece in flight per worker (128 bytes per
+    quadrature-point pair), plus the node moments of an expanded pair: B and
+    d/dn B of one obstacle and A and d/dn A of another (2N + 1 complex
+    values each per node of the largest obstacle).  The expanded pairs are
+    filled before the first tile, so the sum bounds either.  On desk at ppw
+    30 (obstacles of 122, 143 and 179 panels, each a band) every obstacle
+    pair takes an expansion, so the largest tile is the largest obstacle
+    with itself: 9.9 MiB on one worker and 11.9 on two.  A disk of 300
+    panels, in bands of at most 60, has tiles of at most 60 x 60 pairs and
+    no expansion: 3.0 and 5.0 MiB, where the whole disk's array alone would
+    take 11 MiB."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     if case == "desk-ppw30":
         mesh, k = geometry.mesh_scene(desk, ppw=30), desk.k
-        counts = np.diff(mesh.block_offsets)
-        tile = max((2 if p == q else 3) * int(counts[p] * counts[q])
-                   for p, q in itertools.combinations_with_replacement(range(len(counts)), 2))
-        pairs = int(np.max(np.multiply.outer(counts, counts)))
     else:
         monkeypatch.setattr(bem, "_BAND_PANELS", 60)
         mesh, k = circle_mesh(ppw=150), WAVENUMBER
         assert mesh.n_nodes == 300
-        tile, pairs = 3 * 60 ** 2, 60 ** 2
-    bound = 4 * 16 * tile + 96 * pairs + cpus * 128 * bem._PIECE_PAIR_POINTS
+    expansions = bem._pair_expansions(mesh, k)
+    assert len(expansions) == (3 if case == "desk-ppw30" else 0)
+    tiles = [(len(rows), len(cols), rows == cols) for *_, rows, cols in bem._tiles(mesh, expansions)]
+    tile = max((2 if diagonal else 3) * m * n for m, n, diagonal in tiles)
+    pairs = max(m * n for m, n, _ in tiles)
+    modes = max((2 * expansion.modes + 1 for expansion in expansions.values()), default=0)
+    moments = 2 * 2 * 16 * modes * int(np.diff(mesh.block_offsets).max())
+    bound = 4 * 16 * tile + 96 * pairs + cpus * 128 * bem._PIECE_PAIR_POINTS + moments
     bem.assemble_operators(mesh, k)  # fills the rule caches
     tracemalloc.start()
     try:
